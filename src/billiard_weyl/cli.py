@@ -125,8 +125,14 @@ def _cmd_staircase(args) -> tuple[int, str]:
 
 
 def _cmd_corner(args) -> tuple[int, str]:
-    lo, hi, steps = args.alpha_grid.split(":")
-    grid = np.linspace(float(lo), float(hi), int(steps))
+    try:
+        lo, hi, steps = args.alpha_grid.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise DomainError(f"--alpha-grid must be MIN:MAX:STEPS, got {args.alpha_grid!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and steps >= 1):
+        raise DomainError(f"--alpha-grid needs finite MIN, MAX, STEPS >= 1: {args.alpha_grid!r}")
+    grid = np.linspace(lo, hi, steps)
     rows = []
     for alpha in grid:
         c = weyl.corner_coeffs(float(alpha))
@@ -199,7 +205,10 @@ def _cmd_ledger(args) -> tuple[int, str]:
 
 def _cmd_fold(args) -> tuple[int, str]:
     alpha = args.alpha
-    tau_list = tuple(float(t) for t in args.tau_list.split(",")) if args.tau_list else None
+    try:
+        tau_list = tuple(float(t) for t in args.tau_list.split(",")) if args.tau_list else None
+    except ValueError:
+        raise DomainError(f"--tau-list {args.tau_list!r} is not a list of numbers") from None
     results: dict = {"alpha": alpha}
     if alpha <= math.pi / 2.0 + 1e-12:
         r, theta1, tau = args.r, min(0.5 * alpha, alpha - 1e-6), args.tau
@@ -297,9 +306,6 @@ class _UsageError(Exception):
 def _build_parser() -> _Parser:
     p = _Parser(prog="billiard-weyl",
                 description="Mode-density asymptotics for planar billiards.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed echoed into reports (reserved for randomized checks; "
-                        "all current computations are deterministic)")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     fmt = {"choices": ["json", "csv"], "default": "json"}

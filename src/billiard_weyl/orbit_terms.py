@@ -51,10 +51,6 @@ class ObtuseNoClosedOrbitError(BilliardError):
     """Double-reflection closed orbits exist only for alpha <= pi/2."""
 
 
-def _hankel1_vec(z):
-    return _sp.hankel1(0, z)
-
-
 @dataclass(frozen=True)
 class ClosedOrbitAmplitude:
     """Amplitude bookkeeping for one closed orbit of the family.
@@ -290,7 +286,7 @@ def corner_delta_by_quadrature(
         a = 2.0 * k_damped * s
 
         def f(rr: np.ndarray, _a=a) -> np.ndarray:
-            return rr * _hankel1_vec(_a * rr)
+            return rr * _sp.hankel1(0, _a * rr)
 
         z_max = specfun._TAIL_LOG / a.imag
         res = specfun.integrate(f, specfun.Interval(0.0, z_max), tol=tol, limit=65536)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "hankel1_0",
     "gamma_real",
     "integrate",
+    "gauss_legendre",
     "extrapolate_to_zero",
     "hankel_time_integral",
     "hankel0_halfline_moment",
@@ -113,7 +115,7 @@ def gamma_real(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature
+# quadrature: adaptive Gauss-Kronrod, fixed-order Gauss-Legendre panels
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half) with weights,
 # embedding the 7-point Gauss rule.
@@ -230,6 +232,25 @@ def integrate(f: Callable, region, tol: float = 1e-9, *, limit: int = 4096) -> Q
         res = integrate(outer, region.first, tol=tol, limit=limit)
         return QuadratureResult(res.value, res.error_estimate + errs, res.evaluations + evals)
     raise TypeError(f"unsupported region {region!r}")
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], built once and shared read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
+def gauss_legendre(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes and weights of the n-point rule on each panel between ``edges``."""
+    xs, ws = _legendre_rule(n_nodes)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
+    weights = (half[:, None] * ws[None, :]).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------

@@ -155,11 +155,24 @@ def test_fold_right_angle():
     assert res["corner_constant"] == pytest.approx(target, rel=0.01)
 
 
-def test_exit_code_usage_error():
-    code, out = cli.run(["nonsense"])
-    assert code == 2
-    code, out = cli.run([])
-    assert code == 2
+def test_exit_code_usage_error(monkeypatch, capsys):
+    for argv in (
+        ["nonsense"],
+        [],
+        ["corner", "--alpha-grid", "1:2:0", "--format", "csv"],
+        ["corner", "--alpha-grid", "x:2:3"],
+        ["corner", "--alpha-grid", "1:inf:3"],
+        ["fold", "--alpha", "2.0", "--tau-list", "0"],
+        ["fold", "--alpha", "2.0", "--tau-list", "nan"],
+        ["fold", "--alpha", "2.0", "--tau-list", "x"],
+    ):
+        monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert out == "", argv
+        assert err.startswith("usage error") and err.count("\n") == 1, argv
 
 
 def test_exit_code_geometry_error(tmp_path):

@@ -256,6 +256,41 @@ def test_leg_validity_against_explicit_wedge_trace():
         assert np.array_equal(fast, slow)
 
 
+def test_sectors_resolve_a_narrow_invalid_gap():
+    # an outer Gauss-Legendre node of the alpha = 2.5, grid-1 run just above
+    # pi - alpha: the ("d", "a") pair is valid only up to theta0 = pi - theta,
+    # which leaves an invalid gap 2.4e-4 wide below alpha
+    alpha, theta = 2.5, 0.6418353226947738
+    (sector,) = fl._sectors_for_nodes(alpha, np.array([theta]), "d", "a")[0]
+    assert sector[0] == 0.0
+    assert sector[1] == pytest.approx(2.499757331, abs=1e-9)
+    assert sector[1] == pytest.approx(PI - theta, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.0, PI / 2, 2.5, 0.96 * PI])
+def test_sectors_match_a_dense_validity_scan(alpha):
+    # away from the sector ends, every angle of a uniform scan is valid
+    # exactly when it lies inside a sector
+    n_scan = 20000
+    h = alpha / n_scan
+    scan = (np.arange(n_scan) + 0.5) * h
+    thetas = alpha * np.array([0.13, 0.37, 0.61, 0.89])
+    if PI - alpha < alpha:
+        thetas = np.append(thetas, PI - alpha + 2.4e-4)
+    for pair in fl._pair_list():
+        sectors = fl._sectors_for_nodes(alpha, thetas, *pair)
+        valid = fl._pair_valid(alpha, thetas[:, None], scan[None, :], *pair)
+        for row, secs in zip(valid, sectors):
+            inside = np.zeros(n_scan, dtype=bool)
+            near = np.zeros(n_scan, dtype=bool)
+            for lo, hi in secs:
+                inside |= (scan > lo) & (scan < hi)
+                near |= (np.abs(scan - lo) < h) | (np.abs(scan - hi) < h)
+            assert np.array_equal(row[~near], inside[~near]), (pair, secs)
+            # adjacent valid pieces are merged into one sector
+            assert all(b < a for (_, b), (a, _) in zip(secs, secs[1:])), (pair, secs)
+
+
 def _extrapolate_sqrt_tau(taus, vals):
     xs = [math.sqrt(t) for t in taus]
     tab = list(vals)
@@ -329,6 +364,9 @@ def test_corner_constant_rejects_bad_inputs():
         fl.obtuse_corner_constant(3.5)
     with pytest.raises(DomainError):
         fl.obtuse_corner_constant(1.0, grid=0)
+    for ladder in [(), (0.0,), (0.02, -0.01), (math.nan,), (math.inf,), (0.02, 0.02)]:
+        with pytest.raises(DomainError):
+            fl.obtuse_corner_constant(2.0, tau_ladder=ladder)
 
 
 def test_signature_helpers():

@@ -167,6 +167,19 @@ def test_hankel_time_integral_matches_closed_form():
         assert abs(res.value - exact) <= max(res.error_estimate * 3.0, 1e-7)
 
 
+def test_gauss_legendre_panels_share_one_read_only_rule():
+    xs, ws = sf._legendre_rule(7)
+    assert sf._legendre_rule(7)[0] is xs
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    with pytest.raises(ValueError):
+        ws[0] = 0.0
+    # seven nodes per panel integrate degree 13 exactly
+    nodes, weights = sf.gauss_legendre(np.array([0.0, 1.0, 3.0]), 7)
+    assert len(nodes) == 14
+    assert weights @ nodes**13 == pytest.approx(3.0**14 / 14, rel=1e-13)
+
+
 def test_extrapolate_to_zero():
     eps = [0.2, 0.1, 0.05, 0.025]
     vals = [1.0 + 3.0 * e + 2.0 * e * e for e in eps]
