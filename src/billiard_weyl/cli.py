@@ -54,6 +54,23 @@ def _report(command: str, inputs: dict, results, provenance: dict,
     }
 
 
+def _numbers(flag: str, text: str, sep: str = ",", count: int | None = None) -> list[float]:
+    """The finite numbers of a ``sep``-separated flag value.
+
+    Raises :class:`DomainError` naming ``flag`` when a field is not a
+    number or not finite, or when there are not exactly ``count`` fields.
+    """
+    try:
+        values = [float(x) for x in text.split(sep)]
+    except ValueError:
+        raise DomainError(f"{flag} {text!r} is not a {sep!r}-separated list of numbers") from None
+    if count is not None and len(values) != count:
+        raise DomainError(f"{flag} {text!r} needs exactly {count} {sep!r}-separated numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{flag} {text!r} holds a non-finite number")
+    return values
+
+
 def _load_boundary(path: str) -> geometry.Boundary:
     with open(path, "r", encoding="utf-8") as fh:
         return geometry.parse_geometry(fh.read())
@@ -91,7 +108,7 @@ def _cmd_weyl(args) -> tuple[int, str]:
 
 
 def _cmd_staircase(args) -> tuple[int, str]:
-    e1, e2 = (float(x) for x in args.window.split(","))
+    e1, e2 = _numbers("--window", args.window, count=2)
     if args.shape == "rectangle":
         a, b_side = args.a, args.b
         sp = spectra.rectangle_spectrum(a, b_side, args.emax)
@@ -125,14 +142,11 @@ def _cmd_staircase(args) -> tuple[int, str]:
 
 
 def _cmd_corner(args) -> tuple[int, str]:
-    try:
-        lo, hi, steps = args.alpha_grid.split(":")
-        lo, hi, steps = float(lo), float(hi), int(steps)
-    except ValueError:
-        raise DomainError(f"--alpha-grid must be MIN:MAX:STEPS, got {args.alpha_grid!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and steps >= 1):
-        raise DomainError(f"--alpha-grid needs finite MIN, MAX, STEPS >= 1: {args.alpha_grid!r}")
-    grid = np.linspace(lo, hi, steps)
+    lo, hi, steps = _numbers("--alpha-grid", args.alpha_grid, ":", count=3)
+    if not (steps >= 1 and steps.is_integer()):
+        raise DomainError(f"--alpha-grid MIN:MAX:STEPS needs an integer STEPS >= 1: "
+                          f"{args.alpha_grid!r}")
+    grid = np.linspace(lo, hi, int(steps))
     rows = []
     for alpha in grid:
         c = weyl.corner_coeffs(float(alpha))
@@ -205,10 +219,7 @@ def _cmd_ledger(args) -> tuple[int, str]:
 
 def _cmd_fold(args) -> tuple[int, str]:
     alpha = args.alpha
-    try:
-        tau_list = tuple(float(t) for t in args.tau_list.split(",")) if args.tau_list else None
-    except ValueError:
-        raise DomainError(f"--tau-list {args.tau_list!r} is not a list of numbers") from None
+    tau_list = tuple(_numbers("--tau-list", args.tau_list)) if args.tau_list else None
     results: dict = {"alpha": alpha}
     if alpha <= math.pi / 2.0 + 1e-12:
         r, theta1, tau = args.r, min(0.5 * alpha, alpha - 1e-6), args.tau
@@ -243,7 +254,7 @@ def _cmd_fold(args) -> tuple[int, str]:
 
 def _cmd_monodromy(args) -> tuple[int, str]:
     b = _load_boundary(args.geometry)
-    s0, v0 = (float(x) for x in args.start.split(","))
+    s0, v0 = _numbers("--start", args.start, count=2)
     pts = birkhoff.trace_orbit(b, birkhoff.BirkhoffCoord(s0, v0), args.bounces)
     m = birkhoff.chain_product(b, pts)
     results = {

@@ -21,7 +21,6 @@ __all__ = [
     "flatten",
     "unflatten",
     "corner_coeff_identity",
-    "gamma_duality",
 ]
 
 
@@ -88,10 +87,3 @@ def corner_coeff_identity(alpha: float) -> tuple[float, float, float]:
     rhs1 = (g - 1.0 / g) / 24.0
     rhs2 = (g * g - 1.0) / (24.0 * g)
     return lhs, rhs1, rhs2
-
-
-def gamma_duality(gamma: float) -> float:
-    """(gamma - 1/gamma)/24, odd under gamma -> 1/gamma."""
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
-    return (gamma - 1.0 / gamma) / 24.0

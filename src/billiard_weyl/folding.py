@@ -307,12 +307,18 @@ def _radial_first_moment(m: np.ndarray, tau: float) -> np.ndarray:
         + m * math.sqrt(math.pi * tau / 2.0) * erfc(-m / s)
 
 
+# Geometric refinement levels around each peak, and Gauss-Legendre nodes
+# per panel of the broken-path angular quadrature.
+_REFINE_LEVELS = 7
+_BROKEN_PATH_NODES = 12
+
+
 def _panel_edges_around(lo: float, hi: float, peaks: Sequence[float],
-                        scale: float, n_levels: int = 7) -> np.ndarray:
+                        scale: float) -> np.ndarray:
     """Panel edges on [lo, hi] with geometric refinement near given peaks."""
     edges = {lo, hi}
     for p in peaks:
-        for k in range(n_levels + 1):
+        for k in range(_REFINE_LEVELS + 1):
             for s in (-1.0, 1.0):
                 e = p + s * scale * (2.0 ** k)
                 if lo < e < hi:
@@ -322,8 +328,7 @@ def _panel_edges_around(lo: float, hi: float, peaks: Sequence[float],
     return np.array(sorted(edges))
 
 
-def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float,
-                           n_nodes: int = 12) -> complex:
+def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) -> complex:
     """Two-piece kernel from (r, theta1) to its double-reflection image.
 
     The mediate point roams the unfolded triple sector [0, 3*alpha], with
@@ -348,7 +353,7 @@ def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float,
     peaks = [psi_mid, psi_mid - math.pi, psi_mid + math.pi]
     scale = math.sqrt(2.0 * tau) / (2.0 * max(r, math.sqrt(tau)))
     edges = _panel_edges_around(lo, hi, peaks, scale)
-    th0, w = gauss_legendre(edges, n_nodes)
+    th0, w = gauss_legendre(edges, _BROKEN_PATH_NODES)
     c = np.cos(th0 - theta1) + np.cos(th0 - theta2)
     envelope = np.exp(-(r * r) * (1.0 - 0.25 * c * c) / (2.0 * tau))
     integrand = envelope * _radial_first_moment(0.5 * r * c, tau)
@@ -490,23 +495,26 @@ def _stable_g(rho: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _radial_double_moment(c: np.ndarray, tau: float, window_r: float) -> np.ndarray:
+# Radius of the Gaussian window exp(-r^2/_WINDOW_R^2) on the corner trace.
+_WINDOW_R = 1.0
+
+
+def _radial_double_moment(c: np.ndarray, tau: float) -> np.ndarray:
     """Closed form of the windowed radial double integral.
 
     integral over (0,inf)^2 of r r0 exp(-[2r^2 + 2r0^2 - 2 r r0 c]/(4 tau)
-    - r^2/window_r^2) dr dr0, expressed through the positive-quadrant
+    - r^2/_WINDOW_R^2) dr dr0, expressed through the positive-quadrant
     moment of a correlated Gaussian.
     """
-    a = 1.0 / (2.0 * tau) + 1.0 / window_r**2
+    a = 1.0 / (2.0 * tau) + 1.0 / _WINDOW_R**2
     b = 1.0 / (2.0 * tau)
     rho = (c / (4.0 * tau)) / math.sqrt(a * b)
     return _stable_g(rho) / (4.0 * a * b)
 
 
-def _class_trace(alpha: float, p1: str, p2: str, tau: float, window_r: float,
-                 n_gl: int) -> float:
+def _class_trace(alpha: float, p1: str, p2: str, tau: float, n_gl: int) -> float:
     """Windowed two-piece trace of one ordered class pair (angular quadrature)."""
-    scale = math.sqrt(2.0 * tau) / (2.0 * window_r)
+    scale = math.sqrt(2.0 * tau) / (2.0 * _WINDOW_R)
     crit = [x for x in (2.0 * alpha - math.pi, math.pi - alpha, 3.0 * alpha - 2.0 * math.pi)
             if 0.0 < x < alpha]
     th_edges = _panel_edges_around(0.0, alpha, [0.0, alpha] + crit, scale)
@@ -526,7 +534,7 @@ def _class_trace(alpha: float, p1: str, p2: str, tau: float, window_r: float,
             edges = _panel_edges_around(lo, hi, peaks, scale)
             th0, w0 = gauss_legendre(edges, n_gl)
             c = 2.0 * math.cos(half_sep[i]) * np.cos(th0 - psi_mid[i])
-            acc += float(np.sum(w0 * _radial_double_moment(c, tau, window_r)))
+            acc += float(np.sum(w0 * _radial_double_moment(c, tau)))
         total += th_w[i] * acc
     return pref * total
 
@@ -552,7 +560,7 @@ _MAIN_PAIRS = {("a", "b"), ("b", "a"), ("d", "ab"), ("d", "ba"),
                ("ab", "d"), ("ba", "d")}
 
 
-def _constant_at(alpha: float, tau_ladder: Sequence[float], window_r: float,
+def _constant_at(alpha: float, tau_ladder: Sequence[float],
                  n_gl: int) -> tuple[float, float, float, dict]:
     """delta-constant estimate: per-class traces, edge parts removed, tau -> 0."""
     per_class: dict = {}
@@ -560,11 +568,11 @@ def _constant_at(alpha: float, tau_ladder: Sequence[float], window_r: float,
     mains = []
     for tau in tau_ladder:
         big_t = 2.0 * tau
-        edge_unit = (math.sqrt(math.pi) * window_r / 2.0) / (8.0 * math.sqrt(math.pi * big_t))
+        edge_unit = (math.sqrt(math.pi) * _WINDOW_R / 2.0) / (8.0 * math.sqrt(math.pi * big_t))
         tot = 0.0
         main = 0.0
         for pair in _pair_list():
-            t_val = _class_trace(alpha, *pair, tau, window_r, n_gl)
+            t_val = _class_trace(alpha, *pair, tau, n_gl)
             if pair in _EDGE_CLASSES:
                 t_val -= _EDGE_CLASSES[pair] * edge_unit
             per_class.setdefault(pair, []).append(t_val)
@@ -583,7 +591,6 @@ def obtuse_corner_constant(
     alpha: float,
     grid: int = 2,
     tau_ladder: Sequence[float] | None = None,
-    window_r: float = 1.0,
     tol: float = 0.01,
 ) -> ObtuseCornerResult:
     """Numerical corner delta(E) constant from two-piece folded paths.
@@ -593,7 +600,7 @@ def obtuse_corner_constant(
     part is left out; the edge classes have their extensive per-side parts
     removed analytically.  The remaining
     constant is Richardson-extrapolated over the imaginary-time ladder.
-    The trace is windowed by exp(-r^2/window_r^2), which regularizes the
+    The trace is windowed by exp(-r^2/_WINDOW_R^2), which regularizes the
     extensive parts without introducing a spurious cutoff boundary.
 
     Works for any wedge angle in (0, pi).  At alpha = pi/2 it reproduces
@@ -622,8 +629,8 @@ def obtuse_corner_constant(
             or not all(0.0 < t < math.inf for t in tau_ladder)):
         raise DomainError("tau_ladder must hold distinct positive finite rungs")
     n_gl = 4 + 3 * grid
-    value, spread, main_value, per_class = _constant_at(alpha, tau_ladder, window_r, n_gl)
-    coarse, _, _, _ = _constant_at(alpha, tau_ladder, window_r, n_gl - 3)
+    value, spread, main_value, per_class = _constant_at(alpha, tau_ladder, n_gl)
+    coarse, _, _, _ = _constant_at(alpha, tau_ladder, n_gl - 3)
     err = max(spread, abs(value - coarse))
     from .weyl import weyl_corner_coefficient
     result = ObtuseCornerResult(

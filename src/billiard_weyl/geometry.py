@@ -320,13 +320,7 @@ def frame_at(b: Boundary, s: float) -> BoundaryFrame:
 
 def square(side: float = 1.0) -> Boundary:
     """Axis-aligned ccw square with corner at the origin."""
-    a = side
-    return _build_boundary([
-        Segment("line", (0.0, 0.0), (a, 0.0)),
-        Segment("line", (a, 0.0), (a, a)),
-        Segment("line", (a, a), (0.0, a)),
-        Segment("line", (0.0, a), (0.0, 0.0)),
-    ])
+    return rectangle(side, side)
 
 
 def rectangle(a: float, b_: float) -> Boundary:

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
 from scipy import special as _sp
 
 from .errors import BilliardError, DomainError
@@ -49,6 +47,12 @@ class CausticError(BilliardError):
 
 class ObtuseNoClosedOrbitError(BilliardError):
     """Double-reflection closed orbits exist only for alpha <= pi/2."""
+
+
+def _require_acute(alpha: float) -> None:
+    if not 0.0 < alpha <= math.pi / 2.0 + 1e-15:
+        raise ObtuseNoClosedOrbitError(
+            f"double-reflection closed orbits require alpha <= pi/2, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,7 @@ def single_reflection_green(y: float, k: float) -> complex:
     return (-1.0 / 4j) * hankel1_0(2.0 * k * y)
 
 
-def green_fourier(y: float, k: float,
-                  eps_ladder: Sequence[float] = specfun.DEFAULT_EPS_LADDER,
-                  tol: float = 1e-9) -> QuadratureResult:
+def green_fourier(y: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     """Single-reflection Green amplitude recomputed from the time integral.
 
     Integrates the propagator against exp(i E t) over t in (0, inf) using
@@ -149,7 +151,7 @@ def green_fourier(y: float, k: float,
     """
     if not (y > 0 and k > 0):
         raise DomainError("green_fourier requires y > 0 and k > 0")
-    res = specfun.hankel_time_integral(2.0 * k, y, eps_ladder=eps_ladder, tol=tol)
+    res = specfun.hankel_time_integral(2.0 * k, y, tol=tol)
     return QuadratureResult((-1.0 / 4j) * res.value, res.error_estimate / 4.0,
                             res.evaluations)
 
@@ -175,12 +177,8 @@ def length_term_density(length: float, energy: float) -> float:
     return -length / (8.0 * math.pi * math.sqrt(energy))
 
 
-def length_term_density_quadrature(
-    length: float,
-    energy: float,
-    eps_ladder: Sequence[float] = specfun.DEFAULT_EPS_LADDER,
-    tol: float = 1e-8,
-) -> QuadratureResult:
+def length_term_density_quadrature(length: float, energy: float,
+                                   tol: float = 1e-8) -> QuadratureResult:
     """Perimeter density term recomputed from the Green-function strip integral.
 
     Integrates the single-reflection amplitude over the distance to the
@@ -191,7 +189,7 @@ def length_term_density_quadrature(
     if not (length > 0 and energy > 0):
         raise DomainError("quadrature verify requires L > 0 and E > 0")
     k = math.sqrt(energy)
-    moment = specfun.hankel0_halfline_moment(0.0, 2.0 * k, eps_ladder=eps_ladder, tol=tol)
+    moment = specfun.hankel0_halfline_moment(0.0, 2.0 * k, tol=tol)
     # G(y) = -(1/4i) H0(2ky);  -(L/pi) Im[ (i/4) * moment ] = -(L/(4 pi)) Re moment
     value = -(length / (4.0 * math.pi)) * moment.value.real
     return QuadratureResult(value, length / (4.0 * math.pi) * moment.error_estimate,
@@ -200,6 +198,9 @@ def length_term_density_quadrature(
 
 # ---------------------------------------------------------------------------
 # acute-corner double-reflection family
+
+# Absolute damping ladder (energy units) of corner_delta_by_quadrature.
+_CORNER_EPS_LADDER = (0.64, 0.32, 0.16, 0.08, 0.04)
 
 
 def _polar(r: float, theta: float) -> tuple[float, float]:
@@ -223,9 +224,7 @@ def acute_corner_orbit(alpha: float, r: float, theta1: float) -> CornerOrbit:
     counterclockwise image at angle 2*alpha + theta1; the straight chord to
     that image folds back into the closed orbit of length 2 r sin(alpha).
     """
-    if not 0.0 < alpha <= math.pi / 2.0 + 1e-15:
-        raise ObtuseNoClosedOrbitError(
-            f"double-reflection closed orbits require alpha <= pi/2, got {alpha!r}")
+    _require_acute(alpha)
     if not (r > 0 and 0.0 < theta1 < alpha):
         raise DomainError("need r > 0 and 0 < theta1 < alpha")
     src = _polar(r, theta1)
@@ -254,47 +253,31 @@ def corner_orbit_propagator(r: float, alpha: float, t: float) -> complex:
     """
     if not (r > 0 and t > 0):
         raise DomainError("corner_orbit_propagator requires r > 0 and t > 0")
-    if not 0.0 < alpha <= math.pi / 2.0 + 1e-15:
-        raise ObtuseNoClosedOrbitError(
-            f"double-reflection closed orbits require alpha <= pi/2, got {alpha!r}")
+    _require_acute(alpha)
     phase = (r * math.sin(alpha)) ** 2 / t
     return (1.0 / (4j * math.pi * t)) * complex(math.cos(phase), math.sin(phase))
 
 
-def corner_delta_by_quadrature(
-    alpha: float,
-    eps_abs_ladder: Sequence[float] = (0.64, 0.32, 0.16, 0.08, 0.04),
-    tol: float = 1e-8,
-) -> QuadratureResult:
+def corner_delta_by_quadrature(alpha: float, tol: float = 1e-8) -> QuadratureResult:
     """Corner delta(E) coefficient of the double-reflection family by quadrature.
 
     The wedge integral of the family's Green amplitude reduces to the
     first Hankel moment; writing E as E + i*eps resolves 1/(E + i*eps)
     into a principal value plus -i*pi*delta(E), and the delta coefficient
     is extracted at E = 0 as pi*eps times the damped density, extrapolated
-    over the eps ladder.  Closed form: alpha / (8 pi sin(alpha)^2).
+    over the eps ladder ``_CORNER_EPS_LADDER``.  Closed form:
+    alpha / (8 pi sin(alpha)^2).
     """
-    if not 0.0 < alpha <= math.pi / 2.0 + 1e-15:
-        raise ObtuseNoClosedOrbitError(
-            f"double-reflection closed orbits require alpha <= pi/2, got {alpha!r}")
+    _require_acute(alpha)
     s = math.sin(alpha)
-    vals = []
-    evals = 0
-    err_quad = 0.0
-    for eps in eps_abs_ladder:
-        k_damped = complex(0.0, eps) ** 0.5          # sqrt(E + i eps) at E = 0
-        a = 2.0 * k_damped * s
 
-        def f(rr: np.ndarray, _a=a) -> np.ndarray:
-            return rr * _sp.hankel1(0, _a * rr)
-
-        z_max = specfun._TAIL_LOG / a.imag
-        res = specfun.integrate(f, specfun.Interval(0.0, z_max), tol=tol, limit=65536)
-        evals += res.evaluations
-        err_quad = max(err_quad, res.error_estimate)
+    def rung(eps: float, integral) -> float:
+        a = 2.0 * complex(0.0, eps) ** 0.5 * s      # 2 sqrt(E + i eps) sin(alpha) at E = 0
+        moment = integral(lambda rr: rr * _sp.hankel1(0, a * rr), specfun._TAIL_LOG / a.imag)
         # density at E = 0: -(alpha/(4 pi)) Im[(1/i) * moment]; the delta
         # coefficient is pi*eps times it.
-        dens0 = -(alpha / (4.0 * math.pi)) * (res.value / 1j).imag
-        vals.append(math.pi * eps * dens0)
-    limit, spread = specfun.extrapolate_to_zero(eps_abs_ladder, vals)
-    return QuadratureResult(limit.real, spread + abs(err_quad), evals)
+        dens0 = -(alpha / (4.0 * math.pi)) * (moment / 1j).imag
+        return math.pi * eps * dens0
+
+    res = specfun.damped_ladder(rung, _CORNER_EPS_LADDER, tol)
+    return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

@@ -5,9 +5,9 @@ a fixed depth-first order and accumulates partial sums with ``math.fsum``,
 so repeated calls with identical inputs are bit-identical.
 
 Oscillatory half-line integrals (Hankel kernels) are never integrated raw:
-the caller declares a damping substitution ``a -> a*(1 + i*eps)`` and the
-results for a geometric ladder of ``eps`` values are extrapolated to
-``eps -> 0`` by Neville's scheme.
+the caller declares a damping substitution ``a -> a*(1 + i*eps)``, truncates
+the damped tail, and :func:`damped_ladder` extrapolates the results for a
+geometric ladder of ``eps`` values to ``eps -> 0`` by Neville's scheme.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ from .errors import DomainError, NonConvergence
 
 __all__ = [
     "QuadratureResult",
-    "Interval",
-    "HalfLine",
-    "Product",
     "bessel_j0y0",
     "hankel1_0",
-    "gamma_real",
     "integrate",
     "gauss_legendre",
     "extrapolate_to_zero",
+    "damped_ladder",
     "hankel_time_integral",
     "hankel0_halfline_moment",
     "DEFAULT_EPS_LADDER",
@@ -46,38 +43,15 @@ DEFAULT_EPS_LADDER: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
 # below exp(-_TAIL_LOG).
 _TAIL_LOG = 45.0
 
+# Panels one adaptive integration may evaluate before it gives up.
+_PANEL_BUDGET = 65536
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
     value: complex
     error_estimate: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class HalfLine:
-    """Semi-infinite ray [lo, inf), mapped to (0,1) via u -> lo + scale*u/(1-u).
-
-    The integrand must decay; oscillatory integrands must be damped by the
-    caller (see module docstring) before being handed to ``integrate``.
-    """
-
-    lo: float = 0.0
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class Product:
-    """Cartesian product of two 1-D regions, integrated as an iterated integral."""
-
-    first: Interval | HalfLine
-    second: Interval | HalfLine
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +65,9 @@ def bessel_j0y0(x: float) -> tuple[float, float]:
     return float(_sp.j0(x)), float(_sp.y0(x))
 
 
-def hankel1_0(x) -> complex:
-    """Outgoing Hankel function H0^(1)(x) = J0(x) + i*Y0(x).
-
-    Accepts real x > 0, or complex x with Im(x) >= 0 (damped arguments).
-    """
-    if isinstance(x, complex) or np.iscomplexobj(x):
-        z = complex(x)
-        if z.imag < 0.0:
-            raise DomainError("hankel1_0 requires Im(x) >= 0 for complex x")
-        if z == 0.0:
-            raise DomainError("hankel1_0 undefined at 0")
-        return complex(_sp.hankel1(0, z))
-    j0, y0 = bessel_j0y0(float(x))
-    return complex(j0, y0)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function on the positive real axis."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_real requires x > 0, got {x!r}")
-    return math.gamma(x)
+def hankel1_0(x: float) -> complex:
+    """Outgoing Hankel function H0^(1)(x) = J0(x) + i*Y0(x) for real x > 0."""
+    return complex(*bessel_j0y0(x))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +106,14 @@ def _panel(f, lo: float, hi: float):
     return vk, abs(vk - vg)
 
 
-def _adaptive_interval(f, lo: float, hi: float, tol: float, limit: int):
-    """Depth-first adaptive bisection with the embedded G7-K15 pair."""
+def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9) -> QuadratureResult:
+    """Deterministic adaptive G7-K15 quadrature of ``f`` over [lo, hi].
+
+    ``f`` must accept a numpy array of abscissae and return values
+    elementwise (real or complex).  Panels are bisected depth first.
+    Raises :class:`NonConvergence` (carrying the best value) when
+    ``_PANEL_BUDGET`` panels did not meet ``tol``.
+    """
     total_len = hi - lo
     values: list[complex] = []
     errors: list[float] = []
@@ -168,7 +130,7 @@ def _adaptive_interval(f, lo: float, hi: float, tol: float, limit: int):
         if err <= tol * max(width / total_len, 1e-3) or width <= 1e-14 * total_len:
             values.append(complex(vk))
             errors.append(err)
-        elif panels >= limit:
+        elif panels >= _PANEL_BUDGET:
             overflow = True
             values.append(complex(vk))
             errors.append(err)
@@ -181,57 +143,10 @@ def _adaptive_interval(f, lo: float, hi: float, tol: float, limit: int):
     result = QuadratureResult(value, err_total, evaluations)
     if overflow:
         raise NonConvergence(
-            f"quadrature budget of {limit} panels exhausted (err={err_total:.3e})",
+            f"quadrature budget of {_PANEL_BUDGET} panels exhausted (err={err_total:.3e})",
             result=result,
         )
     return result
-
-
-def _halfline_to_unit(f, region: HalfLine):
-    lo, scale = region.lo, region.scale
-
-    def g(u: np.ndarray) -> np.ndarray:
-        omu = 1.0 - u
-        x = lo + scale * u / omu
-        return np.asarray(f(x)) * (scale / omu**2)
-
-    return g
-
-
-def integrate(f: Callable, region, tol: float = 1e-9, *, limit: int = 4096) -> QuadratureResult:
-    """Deterministic adaptive quadrature over a 1-D region or a product.
-
-    ``f`` must accept a numpy array of abscissae and return values
-    elementwise (real or complex).  For ``Product`` regions the signature is
-    ``f(x, y)`` with scalar ``x`` and vector ``y``.
-
-    Raises :class:`NonConvergence` (carrying the best value) when the panel
-    budget runs out.
-    """
-    if isinstance(region, tuple) and len(region) == 2:
-        region = Interval(float(region[0]), float(region[1]))
-    if isinstance(region, Interval):
-        return _adaptive_interval(f, region.lo, region.hi, tol, limit)
-    if isinstance(region, HalfLine):
-        return _adaptive_interval(_halfline_to_unit(f, region), 0.0, 1.0, tol, limit)
-    if isinstance(region, Product):
-        evals = 0
-        errs = 0.0
-
-        def outer(xs: np.ndarray) -> np.ndarray:
-            nonlocal evals, errs
-            out = np.empty(len(xs), dtype=complex)
-            for i, x in enumerate(xs):
-                inner = integrate(lambda y, _x=x: f(_x, y), region.second,
-                                  tol=tol / 3.0, limit=limit)
-                evals += inner.evaluations
-                errs += inner.error_estimate
-                out[i] = inner.value
-            return out
-
-        res = integrate(outer, region.first, tol=tol, limit=limit)
-        return QuadratureResult(res.value, res.error_estimate + errs, res.evaluations + evals)
-    raise TypeError(f"unsupported region {region!r}")
 
 
 @lru_cache(maxsize=None)
@@ -284,12 +199,31 @@ def extrapolate_to_zero(eps: Sequence[float], values: Sequence[complex]) -> tupl
     return full, abs(full - reduced)
 
 
-def hankel_time_integral(
-    x: float,
-    z: float,
-    eps_ladder: Sequence[float] = DEFAULT_EPS_LADDER,
-    tol: float = 1e-9,
-) -> QuadratureResult:
+def damped_ladder(rung: Callable, ladder: Sequence[float], tol: float) -> QuadratureResult:
+    """Neville limit eps -> 0 of ``rung(eps, integral)`` over the damping ``ladder``.
+
+    ``integral(f, upper)`` integrates ``f`` over (0, upper) to ``tol`` and
+    returns the value; ``rung`` builds the damped integrand, picks the tail
+    cut ``upper`` and scales the integral into the rung's value.  The error
+    estimate is the Neville spread plus the largest quadrature error of any
+    rung; the evaluations are summed over the ladder.
+    """
+    evals = 0
+    err_quad = 0.0
+
+    def integral(f: Callable, upper: float) -> complex:
+        nonlocal evals, err_quad
+        res = integrate(f, 0.0, upper, tol)
+        evals += res.evaluations
+        err_quad = max(err_quad, res.error_estimate)
+        return res.value
+
+    vals = [rung(eps, integral) for eps in ladder]
+    limit, spread = extrapolate_to_zero(ladder, vals)
+    return QuadratureResult(limit, spread + err_quad, evals)
+
+
+def hankel_time_integral(x: float, z: float, tol: float = 1e-9) -> QuadratureResult:
     """H0^(1)(x*z) recomputed from its oscillatory time integral.
 
     The kernel exp(i*x*(t + z^2/t)/2)/t is integrated over t in (0, inf)
@@ -299,30 +233,16 @@ def hankel_time_integral(
     """
     if x <= 0 or z <= 0:
         raise DomainError("hankel_time_integral requires x > 0 and z > 0")
-    vals = []
-    evals = 0
-    err_quad = 0.0
-    for eps in eps_ladder:
+
+    def rung(eps: float, integral: Callable) -> complex:
         w = x * z * complex(1.0, eps)
         s_max = math.acosh(max(_TAIL_LOG / (x * z * eps), 2.0))
+        return integral(lambda s: np.exp(1j * w * np.cosh(s)), s_max) * (2.0 / (1j * math.pi))
 
-        def f(s: np.ndarray) -> np.ndarray:
-            return np.exp(1j * w * np.cosh(s))
-
-        res = integrate(f, Interval(0.0, s_max), tol=tol, limit=65536)
-        vals.append(res.value * (2.0 / (1j * math.pi)))
-        evals += res.evaluations
-        err_quad = max(err_quad, res.error_estimate)
-    limit, spread = extrapolate_to_zero(eps_ladder, vals)
-    return QuadratureResult(limit, spread + err_quad, evals)
+    return damped_ladder(rung, DEFAULT_EPS_LADDER, tol)
 
 
-def hankel0_halfline_moment(
-    mu: float,
-    a: float,
-    eps_ladder: Sequence[float] = DEFAULT_EPS_LADDER,
-    tol: float = 1e-9,
-) -> QuadratureResult:
+def hankel0_halfline_moment(mu: float, a: float, tol: float = 1e-9) -> QuadratureResult:
     """Damped half-line moment  integral of z^mu * H0^(1)(a z) dz over (0, inf).
 
     Evaluated with the substitution a -> a*(1+i*eps) on a ladder of eps
@@ -330,19 +250,9 @@ def hankel0_halfline_moment(
     """
     if a <= 0:
         raise DomainError("hankel0_halfline_moment requires a > 0")
-    vals = []
-    evals = 0
-    err_quad = 0.0
-    for eps in eps_ladder:
+
+    def rung(eps: float, integral: Callable) -> complex:
         aa = a * complex(1.0, eps)
-        z_max = _TAIL_LOG / (a * eps)
+        return integral(lambda z: z**mu * _sp.hankel1(0, aa * z), _TAIL_LOG / (a * eps))
 
-        def f(z: np.ndarray) -> np.ndarray:
-            return z**mu * _sp.hankel1(0, aa * z)
-
-        res = integrate(f, Interval(0.0, z_max), tol=tol, limit=65536)
-        vals.append(res.value)
-        evals += res.evaluations
-        err_quad = max(err_quad, res.error_estimate)
-    limit, spread = extrapolate_to_zero(eps_ladder, vals)
-    return QuadratureResult(limit, spread + err_quad, evals)
+    return damped_ladder(rung, DEFAULT_EPS_LADDER, tol)

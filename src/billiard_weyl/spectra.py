@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import brentq
 
 from .errors import BilliardError, DomainError
 from .weyl import SpectralExpansion
@@ -93,6 +92,7 @@ def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
     brackets each root; ``brentq`` then polishes it.  Zeros of J_m are
     simple and exceed m, so the scan starts at max(order, tiny).
     """
+    from scipy.optimize import brentq  # deferred: scipy.optimize dominates package import time
     lo = max(float(order), 1e-6)
     if upper <= lo:
         return np.array([])
@@ -147,8 +147,10 @@ def staircase_residual(sp: Spectrum, e: SpectralExpansion,
 
     The residual is averaged over a dense uniform grid on the window; its
     mean estimates the delta(E) coefficient of the expansion.  Requires at
-    least 100 eigenvalues inside the window.
+    least 100 eigenvalues inside the window and at least 2 grid points.
     """
+    if grid_points < 2:
+        raise DomainError(f"grid_points must be >= 2, got {grid_points!r}")
     e1, e2 = window
     if not (0.0 < e1 < e2 <= sp.emax * (1 + 1e-12)):
         raise DomainError(f"window {window!r} must sit inside (0, emax]")

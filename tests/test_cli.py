@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import billiard_weyl
 from billiard_weyl import cli
 
 SQUARE_DOC = """billiard v1
@@ -155,7 +159,8 @@ def test_fold_right_angle():
     assert res["corner_constant"] == pytest.approx(target, rel=0.01)
 
 
-def test_exit_code_usage_error(monkeypatch, capsys):
+def test_exit_code_usage_error(monkeypatch, capsys, square_file):
+    staircase = ["staircase", "--shape", "rectangle", "--emax", "5000"]
     for argv in (
         ["nonsense"],
         [],
@@ -165,6 +170,11 @@ def test_exit_code_usage_error(monkeypatch, capsys):
         ["fold", "--alpha", "2.0", "--tau-list", "0"],
         ["fold", "--alpha", "2.0", "--tau-list", "nan"],
         ["fold", "--alpha", "2.0", "--tau-list", "x"],
+        [*staircase, "--window", "400"],
+        [*staircase, "--window", "a,b"],
+        [*staircase, "--window", "500,5000", "--grid", "-1"],
+        [*staircase, "--window", "500,5000", "--grid", "0"],
+        ["monodromy", "--geometry", square_file, "--start", "0.5", "--bounces", "4"],
     ):
         monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +183,16 @@ def test_exit_code_usage_error(monkeypatch, capsys):
         assert exc.value.code == 2, argv
         assert out == "", argv
         assert err.startswith("usage error") and err.count("\n") == 1, argv
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is imported on first use only: it dominates import time
+    code = ("import sys, billiard_weyl, billiard_weyl.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_exit_code_geometry_error(tmp_path):

@@ -94,14 +94,6 @@ def test_near_straight_angle_identity_goes_to_zero():
     assert abs(lhs) < 1e-9
 
 
-def test_gamma_duality_odd():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        gam = rng.uniform(0.2, 5.0)
-        assert cv.gamma_duality(1.0 / gam) == pytest.approx(
-            -cv.gamma_duality(gam), rel=1e-12)
-
-
 def _laplacian_fd(f, p, h):
     x, y = p
     return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h)
