@@ -3,7 +3,7 @@
 Every subcommand prints a single deterministic report (JSON object or CSV
 table) on stdout; repeated runs with identical arguments are byte
 identical.  Exit codes: 0 success, 2 usage or input parse error, 3
-numerical non-convergence, 4 geometry error.
+numerical non-convergence or a non-finite result, 4 geometry error.
 """
 
 from __future__ import annotations
@@ -28,8 +28,13 @@ EXIT_GEOMETRY = 4
 
 
 def _emit(report: dict, fmt: str) -> str:
+    # NaN and infinity are not JSON, and no report may carry them in either format
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise BilliardError("the report holds a non-finite number") from None
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return text
     rows = report["results"]
     if isinstance(rows, dict):
         rows = [rows]
@@ -223,8 +228,14 @@ def _cmd_fold(args) -> tuple[int, str]:
     results: dict = {"alpha": alpha}
     if alpha <= math.pi / 2.0 + 1e-12:
         r, theta1, tau = args.r, min(0.5 * alpha, alpha - 1e-6), args.tau
+        try:
+            half = 0.5 * folding.corner_orbit_kernel_imag(r, alpha, 2.0 * tau)
+        except OverflowError:
+            half = math.inf
+        if not 0.0 < half < math.inf:
+            raise DomainError(f"--r {r!r} and --tau {tau!r} put the half closed-orbit "
+                              "kernel outside the floating-point range")
         broken = folding.broken_path_propagator(r, theta1, alpha, tau)
-        half = 0.5 * folding.corner_orbit_kernel_imag(r, alpha, 2.0 * tau)
         results.update({
             "broken_path_kernel": broken.real,
             "half_closed_orbit_kernel": half,
@@ -389,9 +400,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         return args.func(args)
     except NonConvergence as exc:
         return EXIT_NUMERICAL, f"numerical non-convergence: {exc}\n"
-    except (geometry.GeometrySyntaxError, geometry.OpenChainError,
-            geometry.OrientationError, geometry.ZeroLengthSegmentError,
-            FileNotFoundError) as exc:
+    except (geometry.GeometryError, FileNotFoundError) as exc:
         return EXIT_GEOMETRY, f"geometry error: {exc}\n"
     except DomainError as exc:
         return EXIT_USAGE, f"usage error: {exc}\n"

@@ -24,6 +24,7 @@ __all__ = [
     "serialize_geometry",
     "measures",
     "frame_at",
+    "GeometryError",
     "GeometrySyntaxError",
     "OpenChainError",
     "OrientationError",
@@ -38,7 +39,11 @@ CORNER_TOL = 1e-9       # tangent mismatch below this is a smooth joint, radians
 TWO_PI = 2.0 * math.pi
 
 
-class GeometrySyntaxError(BilliardError):
+class GeometryError(BilliardError):
+    """Base class of the errors about a boundary and points on it."""
+
+
+class GeometrySyntaxError(GeometryError):
     """Malformed geometry document."""
 
     def __init__(self, message: str, line: int, column: int = 1):
@@ -47,19 +52,19 @@ class GeometrySyntaxError(BilliardError):
         self.column = column
 
 
-class OpenChainError(BilliardError):
+class OpenChainError(GeometryError):
     """Segment chain does not close."""
 
 
-class OrientationError(BilliardError):
+class OrientationError(GeometryError):
     """Boundary is oriented clockwise (interior must be on the left)."""
 
 
-class ZeroLengthSegmentError(BilliardError):
+class ZeroLengthSegmentError(GeometryError):
     """Segment with no extent."""
 
 
-class CornerPointError(BilliardError):
+class CornerPointError(GeometryError):
     """Frame requested exactly at a corner, where it is undefined."""
 
 

@@ -159,13 +159,15 @@ def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat nodes and weights of the n-point rule on each panel between ``edges``."""
+    """Nodes and weights of the n-point rule on each panel between ``edges``.
+
+    Panels run along the last axis; a row's nodes come flat, panel by panel.
+    """
     xs, ws = _legendre_rule(n_nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    weights = (half[:, None] * ws[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * np.diff(edges)[..., None]
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    shape = (*edges.shape[:-1], (edges.shape[-1] - 1) * n_nodes)
+    return (mid + half * xs).reshape(shape), (half * ws).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,10 @@ def counting_function(sp: Spectrum, energies: np.ndarray) -> np.ndarray:
 
 def rectangle_spectrum(a: float, b: float, emax: float) -> Spectrum:
     """Dirichlet eigenvalues pi^2 (m^2/a^2 + n^2/b^2) <= emax, m, n >= 1."""
-    if not (a > 0 and b > 0):
-        raise DomainError("rectangle sides must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError("rectangle sides must be positive and finite")
+    if not math.isfinite(emax):
+        raise DomainError(f"emax must be finite, got {emax!r}")
     first = math.pi**2 * (1.0 / a**2 + 1.0 / b**2)
     if emax < first:
         raise EmptySpectrumError(f"emax={emax} below first eigenvalue {first}")
@@ -117,8 +119,10 @@ def disk_spectrum(radius: float, emax: float) -> Spectrum:
     Angular orders m >= 1 are doubled (degeneracy); m = 0 is single.  The
     order range is finite because j_{m,1} > m.
     """
-    if not radius > 0:
-        raise DomainError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError("radius must be positive and finite")
+    if not math.isfinite(emax):
+        raise DomainError(f"emax must be finite, got {emax!r}")
     k_max = math.sqrt(emax) * radius
     vals = []
     m = 0

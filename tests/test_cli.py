@@ -175,6 +175,15 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         [*staircase, "--window", "500,5000", "--grid", "-1"],
         [*staircase, "--window", "500,5000", "--grid", "0"],
         ["monodromy", "--geometry", square_file, "--start", "0.5", "--bounces", "4"],
+        ["staircase", "--shape", "rectangle", "--emax", "nan", "--window", "500,5000"],
+        ["staircase", "--shape", "rectangle", "--a", "inf", "--emax", "5000",
+         "--window", "500,5000"],
+        ["staircase", "--shape", "disk", "--emax", "inf", "--window", "500,5000"],
+        ["staircase", "--shape", "disk", "--emax", "5000", "--radius", "inf",
+         "--window", "500,5000"],
+        ["staircase", "--shape", "disk", "--emax", "nan", "--window", "500,5000"],
+        ["fold", "--alpha", "1.0", "--tau", "1e-5"],
+        ["fold", "--alpha", "1.0", "--r", "1e300"],
     ):
         monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
         with pytest.raises(SystemExit) as exc:
@@ -195,19 +204,35 @@ def test_import_does_not_load_scipy_optimize():
     assert out.strip() == "False"
 
 
-def test_exit_code_geometry_error(tmp_path):
+def test_exit_code_geometry_error(tmp_path, square_file):
     bad = tmp_path / "bad.bil"
     bad.write_text("billiard v1\nline 0 0 1 0\n", encoding="utf-8")
     code, out = cli.run(["weyl", "--geometry", str(bad)])
     assert code == 4
     code, out = cli.run(["weyl", "--geometry", str(tmp_path / "missing.bil")])
     assert code == 4
+    # a start on a corner is a geometry error too
+    code, out = cli.run(["monodromy", "--geometry", square_file, "--start", "0,0.1",
+                         "--bounces", "4"])
+    assert code == 4
+    assert out.startswith("geometry error") and out.count("\n") == 1
 
 
-def test_exit_code_numerical_error():
+def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
     # a single-rung ladder leaves no extrapolation control, forcing the
     # non-convergence path
     code, out = cli.run(["fold", "--alpha", "2.0", "--grid", "1",
                          "--tau-list", "0.02"])
     assert code == 3
     assert "non-convergence" in out
+    # a non-finite result (m12/k overflows) is refused in both formats
+    for fmt in ("json", "csv"):
+        argv = ["monodromy", "--geometry", square_file, "--start", "0.5,0.0",
+                "--bounces", "4", "--k", "1e-320", "--format", fmt]
+        monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3, fmt
+        assert out == "", fmt
+        assert err.startswith("error:") and err.count("\n") == 1, fmt

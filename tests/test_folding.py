@@ -261,7 +261,9 @@ def test_sectors_resolve_a_narrow_invalid_gap():
     # pi - alpha: the ("d", "a") pair is valid only up to theta0 = pi - theta,
     # which leaves an invalid gap 2.4e-4 wide below alpha
     alpha, theta = 2.5, 0.6418353226947738
-    (sector,) = fl._sectors_for_nodes(alpha, np.array([theta]), "d", "a")[0]
+    rows, lo, hi = fl._sectors_for_nodes(alpha, np.array([theta]), "d", "a")
+    assert rows.tolist() == [0]
+    sector = (lo[0], hi[0])
     assert sector[0] == 0.0
     assert sector[1] == pytest.approx(2.499757331, abs=1e-9)
     assert sector[1] == pytest.approx(PI - theta, abs=1e-15)
@@ -278,7 +280,8 @@ def test_sectors_match_a_dense_validity_scan(alpha):
     if PI - alpha < alpha:
         thetas = np.append(thetas, PI - alpha + 2.4e-4)
     for pair in fl._pair_list():
-        sectors = fl._sectors_for_nodes(alpha, thetas, *pair)
+        rows, lo, hi = fl._sectors_for_nodes(alpha, thetas, *pair)
+        sectors = [list(zip(lo[rows == i], hi[rows == i])) for i in range(len(thetas))]
         valid = fl._pair_valid(alpha, thetas[:, None], scan[None, :], *pair)
         for row, secs in zip(valid, sectors):
             inside = np.zeros(n_scan, dtype=bool)
@@ -355,6 +358,19 @@ def test_corner_constant_vanishes_toward_straight_angle():
         assert abs(res.value) < 3.0 * res.weyl_value + res.error_estimate
     assert vals[0] > vals[1] > vals[2] > 0.0
     assert vals[2] < 0.01
+
+
+@pytest.mark.parametrize("alpha, value, main_value", [
+    (1.0, 0.10542281615692589, 0.08366917286008727),
+    (PI / 2, 0.05615430456530561, 0.062489475879648475),
+    (2.5, 0.0159313956373167, 0.01682822365628247),
+])
+def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
+    # grid-1 values; a change in the order of the inner quadrature's sums
+    # may move them only at rounding level
+    res = fl.obtuse_corner_constant(alpha, grid=1)
+    assert res.value == pytest.approx(value, rel=1e-11)
+    assert res.main_value == pytest.approx(main_value, rel=1e-11)
 
 
 def test_corner_constant_rejects_bad_inputs():

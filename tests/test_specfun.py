@@ -161,6 +161,14 @@ def test_gauss_legendre_panels_share_one_read_only_rule():
     nodes, weights = sf.gauss_legendre(np.array([0.0, 1.0, 3.0]), 7)
     assert len(nodes) == 14
     assert weights @ nodes**13 == pytest.approx(3.0**14 / 14, rel=1e-13)
+    # panels run along the last axis: each row equals its 1-D call bit for bit
+    rows = np.array([[0.0, 1.0, 3.0], [-2.0, 0.5, 0.5], [0.1, 0.2, 7.0]])
+    nodes, weights = sf.gauss_legendre(rows, 7)
+    assert nodes.shape == weights.shape == (3, 14)
+    for edges, row_nodes, row_weights in zip(rows, nodes, weights):
+        one_nodes, one_weights = sf.gauss_legendre(edges, 7)
+        assert np.array_equal(row_nodes, one_nodes)
+        assert np.array_equal(row_weights, one_weights)
 
 
 def test_extrapolate_to_zero():
