@@ -26,6 +26,11 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_GEOMETRY = 4
 
+# Largest size flags; at alpha = 2.0 the fold error estimate meets its rounding floor at grid 3-4.
+_MAX_STAIRCASE_GRID = 1_000_000    # 50x the default
+_MAX_CORNER_STEPS = 100_000
+_MAX_FOLD_GRID = 6
+
 
 def _emit(report: dict, fmt: str) -> str:
     # NaN and infinity are not JSON, and no report may carry them in either format
@@ -113,6 +118,8 @@ def _cmd_weyl(args) -> tuple[int, str]:
 
 
 def _cmd_staircase(args) -> tuple[int, str]:
+    if args.grid > _MAX_STAIRCASE_GRID:
+        raise DomainError(f"--grid {args.grid} exceeds {_MAX_STAIRCASE_GRID}")
     e1, e2 = _numbers("--window", args.window, count=2)
     if args.shape == "rectangle":
         a, b_side = args.a, args.b
@@ -148,9 +155,9 @@ def _cmd_staircase(args) -> tuple[int, str]:
 
 def _cmd_corner(args) -> tuple[int, str]:
     lo, hi, steps = _numbers("--alpha-grid", args.alpha_grid, ":", count=3)
-    if not (steps >= 1 and steps.is_integer()):
-        raise DomainError(f"--alpha-grid MIN:MAX:STEPS needs an integer STEPS >= 1: "
-                          f"{args.alpha_grid!r}")
+    if not (1 <= steps <= _MAX_CORNER_STEPS and steps.is_integer()):
+        raise DomainError(f"--alpha-grid MIN:MAX:STEPS needs an integer STEPS in "
+                          f"[1, {_MAX_CORNER_STEPS}]: {args.alpha_grid!r}")
     grid = np.linspace(lo, hi, int(steps))
     rows = []
     for alpha in grid:
@@ -251,8 +258,10 @@ def _cmd_fold(args) -> tuple[int, str]:
         "tau_ladder": ",".join(repr(t) for t in cres.tau_ladder),
     })
     prov = {
-        "corner_constant": "delta(E) weight from two-piece folded paths, "
-                           "area/edge parts removed, extrapolated to tau=0",
+        "corner_constant": "delta(E) weight from two-piece folded paths, (d,d) class "
+                           "left out, area/edge parts removed, extrapolated to tau=0",
+        "error_estimate": "absolute; tau-ladder and quadrature convergence only; "
+                          "NonConvergence (exit 3) above 0.01",
         "main_paths_constant": "subtotal of the one-bounce-per-side classes "
                                "(both bounce orders enter through path validity)",
         "weyl_coefficient": "(pi/alpha - alpha/pi)/24 for side-by-side comparison",
@@ -288,6 +297,8 @@ def _cmd_monodromy(args) -> tuple[int, str]:
 
 def _cmd_green(args) -> tuple[int, str]:
     y, k = args.y, args.k
+    if not 0.0 < args.tol < math.inf:
+        raise DomainError(f"--tol {args.tol!r} must be positive and finite")
     g_hankel = orbit_terms.single_reflection_green(y, k)
     g_stat = orbit_terms.green_stationary(y, k)
     results = {
@@ -364,7 +375,7 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("fold", help="two-piece folded-path corner analysis")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--tau-list", default=None, help="comma-separated ladder")
-    q.add_argument("--grid", type=int, default=1)
+    q.add_argument("--grid", type=int, default=1, choices=range(1, _MAX_FOLD_GRID + 1))
     q.add_argument("--r", type=float, default=0.5)
     q.add_argument("--tau", type=float, default=0.05)
     q.add_argument("--format", **fmt)

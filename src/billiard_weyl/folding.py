@@ -375,15 +375,6 @@ def corner_orbit_kernel_imag(r: float, alpha: float, total_tau: float) -> float:
 # wedge path classes and the numerical corner constant
 
 PATH_CLASSES = ("d", "a", "b", "ab", "ba")
-_BOUNCES = {"d": 0, "a": 1, "b": 1, "ab": 2, "ba": 2}
-
-# per-unit-length edge coefficients of the extensive part of each edge
-# class, in units of 1/(8 sqrt(pi T)): one-bounce classes carry -1/2, the
-# same-side double carries +1/pi (folded-Gaussian values; see the oracle)
-_EDGE_CLASSES = {
-    ("d", "a"): -0.5, ("a", "d"): -0.5, ("a", "a"): 1.0 / math.pi,
-    ("d", "b"): -0.5, ("b", "d"): -0.5, ("b", "b"): 1.0 / math.pi,
-}
 
 
 def _leg_valid(alpha: float, th_x, th_y, path: str):
@@ -427,27 +418,18 @@ def _leg_valid(alpha: float, th_x, th_y, path: str):
     return ok
 
 
-# (sign, shift) of the image angle psi = sign*theta + shift*alpha of each leg
-# class, in the first (u) and the second (v) leg of a pair
-_IMAGES = {"d": ((1, 0), (1, 0)), "a": ((-1, 0), (-1, 0)), "b": ((-1, 2), (-1, 2)),
-           "ab": ((1, 2), (1, -2)), "ba": ((1, -2), (1, 2))}
+def _image_angle(alpha: float, theta, sides: str):
+    """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
+    for side in sides.replace("d", ""):
+        theta = -theta if side == "a" else 2.0 * alpha - theta
+    return theta
 
 
-def _image_angles(alpha: float, theta, p1: str, p2: str):
-    """Angles of the two effective Gaussian centers for a class pair."""
-    (su, hu), (sv, hv) = _IMAGES[p1][0], _IMAGES[p2][1]
-    return su * theta + hu * alpha, sv * theta + hv * alpha
+def _pair_sectors(alpha: float, thetas: np.ndarray) -> dict:
+    """Valid theta0 intervals in [0, alpha] per outer node, for every ordered class pair.
 
-
-def _pair_valid(alpha: float, theta, theta0, p1: str, p2: str):
-    return _leg_valid(alpha, theta, theta0, p1) & _leg_valid(alpha, theta0, theta, p2)
-
-
-def _sectors_for_nodes(alpha: float, thetas: np.ndarray, p1: str,
-                       p2: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Valid theta0 intervals in [0, alpha] per outer node, from closed-form breakpoints.
-
-    Returns flat ``(rows, lo, hi)``: sector k is [lo[k], hi[k]] at ``thetas[rows[k]]``.
+    Returns ``{(p1, p2): (rows, lo, hi)}`` in ``product(PATH_CLASSES, repeat=2)`` order
+    but ("d", "d"): sector k is [lo[k], hi[k]] at ``thetas[rows[k]]``.
 
     ``_leg_valid`` tests signs of sinusoids in the leg end angles x, y and of
     ratios of them: sin(x + y), sin(2 alpha - x - y), sin x, sin(x + alpha),
@@ -455,8 +437,9 @@ def _sectors_for_nodes(alpha: float, thetas: np.ndarray, p1: str,
     t_b - t_a and of both bounce coordinates) and the half-angle factors of
     the two denominators; "ba" is "ab" under x, y -> alpha - x, alpha - y.
     So with one end at theta, validity changes only at theta0 = j alpha or
-    j alpha +- theta (mod pi), |j| <= 2, and one ``_pair_valid`` call at the
-    midpoint of each piece between breakpoints classifies it.
+    j alpha +- theta (mod pi), |j| <= 2.  Each class is classified once per
+    direction at the midpoints of the pieces between breakpoints; a pair's
+    piece is valid when its out leg (theta -> theta0) and back leg are.
     """
     n = len(thetas)
     th = np.asarray(thetas, dtype=float)[:, None]
@@ -466,13 +449,20 @@ def _sectors_for_nodes(alpha: float, thetas: np.ndarray, p1: str,
     cand = np.where(cand < alpha, cand, 0.0)
     breaks = np.sort(np.column_stack([np.zeros(n), cand, np.full(n, alpha)]), axis=1)
     lo, hi = breaks[:, :-1], breaks[:, 1:]
-    ok = _pair_valid(alpha, th, 0.5 * (lo + hi), p1, p2)
-    step = np.diff(np.pad(ok, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, first = np.nonzero(step == 1)
-    _, after = np.nonzero(step == -1)
-    a, b = lo[rows, first], hi[rows, after - 1]
-    keep = b - a > 1e-12
-    return rows[keep], a[keep], b[keep]
+    mid = 0.5 * (lo + hi)
+    out = {p: _leg_valid(alpha, th, mid, p) for p in PATH_CLASSES}
+    back = {p: _leg_valid(alpha, mid, th, p) for p in PATH_CLASSES}
+    sectors = {}
+    for p1, p2 in product(PATH_CLASSES, repeat=2):
+        if p1 == p2 == "d":
+            continue
+        step = np.diff(np.pad(out[p1] & back[p2], ((0, 0), (1, 1))).astype(np.int8), axis=1)
+        rows, first = np.nonzero(step == 1)
+        _, after = np.nonzero(step == -1)
+        a, b = lo[rows, first], hi[rows, after - 1]
+        keep = b - a > 1e-12
+        sectors[p1, p2] = rows[keep], a[keep], b[keep]
+    return sectors
 
 
 def _stable_g(rho: np.ndarray) -> np.ndarray:
@@ -504,36 +494,36 @@ def _radial_double_moment(c: np.ndarray, tau: float) -> np.ndarray:
     return _stable_g(rho) / (4.0 * a * b)
 
 
-# Sectors per numpy pass of ``_class_trace``: each carries ~90 panel edges, and one pass
+# Sectors per numpy pass of ``_rung_traces``: each carries ~90 panel edges, and one pass
 # over all of a pair's few hundred sectors adds ~3 MiB of peak memory for no clear speed-up.
 _SECTOR_BLOCK = 64
 
 
-def _class_trace(alpha: float, p1: str, p2: str, tau: float, n_gl: int) -> float:
-    """Windowed two-piece trace of one ordered class pair (angular quadrature)."""
+def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
+    """Unsigned windowed two-piece trace of every class pair at one rung, on one theta grid."""
     scale = math.sqrt(2.0 * tau) / (2.0 * _WINDOW_R)
     crit = [x for x in (2.0 * alpha - math.pi, math.pi - alpha, 3.0 * alpha - 2.0 * math.pi)
             if 0.0 < x < alpha]
     th_edges = np.unique(_panel_edges(0.0, alpha, [0.0, alpha] + crit, scale))
     thetas, th_w = gauss_legendre(th_edges, n_gl)
-    rows, lo, hi = _sectors_for_nodes(alpha, thetas, p1, p2)
-    sign = (-1.0) ** (_BOUNCES[p1] + _BOUNCES[p2])
-    pref = sign / (16.0 * math.pi**2 * tau**2)
-    psi_u, psi_v = _image_angles(alpha, thetas, p1, p2)
-    psi_mid = 0.5 * (psi_u + psi_v)
-    two_cos_half = 2.0 * np.cos(0.5 * (psi_u - psi_v))
-    total = 0.0
-    for start in range(0, len(rows), _SECTOR_BLOCK):
-        block = slice(start, start + _SECTOR_BLOCK)
-        r = rows[block]
-        peaks = psi_mid[r, None] + math.pi * np.arange(-2, 3)
-        edges = _panel_edges(lo[block], hi[block], peaks, scale)
-        sec, pan = np.nonzero(edges[:, 1:] > edges[:, :-1])    # the live panels
-        th0, w0 = gauss_legendre(edges[sec[:, None], pan[:, None] + (0, 1)], n_gl)
-        node = r[sec, None]
-        c = two_cos_half[node] * np.cos(th0 - psi_mid[node])
-        total += float(np.sum(th_w[node] * w0 * _radial_double_moment(c, tau)))
-    return pref * total
+    traces = {}
+    for (p1, p2), (rows, lo, hi) in _pair_sectors(alpha, thetas).items():
+        psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
+        psi_mid = 0.5 * (psi_u + psi_v)
+        two_cos_half = 2.0 * np.cos(0.5 * (psi_u - psi_v))
+        total = 0.0
+        for start in range(0, len(rows), _SECTOR_BLOCK):
+            block = slice(start, start + _SECTOR_BLOCK)
+            r = rows[block]
+            peaks = psi_mid[r, None] + math.pi * np.arange(-2, 3)
+            edges = _panel_edges(lo[block], hi[block], peaks, scale)
+            sec, pan = np.nonzero(edges[:, 1:] > edges[:, :-1])    # the live panels
+            th0, w0 = gauss_legendre(edges[sec[:, None], pan[:, None] + (0, 1)], n_gl)
+            node = r[sec, None]
+            c = two_cos_half[node] * np.cos(th0 - psi_mid[node])
+            total += float(np.sum(th_w[node] * w0 * _radial_double_moment(c, tau)))
+        traces[p1, p2] = total
+    return traces
 
 
 @dataclass(frozen=True)
@@ -548,33 +538,30 @@ class ObtuseCornerResult:
     grid: int
 
 
-def _pair_list() -> list[tuple[str, str]]:
-    return [(p1, p2) for p1 in PATH_CLASSES for p2 in PATH_CLASSES
-            if not (p1 == "d" and p2 == "d")]
-
-
-_MAIN_PAIRS = {("a", "b"), ("b", "a"), ("d", "ab"), ("d", "ba"),
-               ("ab", "d"), ("ba", "d")}
-
-
 def _constant_at(alpha: float, tau_ladder: Sequence[float],
                  n_gl: int) -> tuple[float, float, float, dict]:
-    """delta-constant estimate: per-class traces, edge parts removed, tau -> 0."""
+    """delta-constant estimate: per-class traces, edge parts removed, tau -> 0.
+
+    A pair's bounce word w = (p1 + p2).replace("d", "") gives its sign (-1)^len(w), its
+    extensive edge part per unit length in units of 1/(8 sqrt(pi T)) when w is on one side
+    only (-1/2 once, +1/pi twice: folded-Gaussian values, see the oracle), and it is a
+    main pair when w is one "a" and one "b".
+    """
     per_class: dict = {}
     totals = []
     mains = []
     for tau in tau_ladder:
         big_t = 2.0 * tau
         edge_unit = (math.sqrt(math.pi) * _WINDOW_R / 2.0) / (8.0 * math.sqrt(math.pi * big_t))
-        tot = 0.0
-        main = 0.0
-        for pair in _pair_list():
-            t_val = _class_trace(alpha, *pair, tau, n_gl)
-            if pair in _EDGE_CLASSES:
-                t_val -= _EDGE_CLASSES[pair] * edge_unit
-            per_class.setdefault(pair, []).append(t_val)
+        tot = main = 0.0
+        for (p1, p2), total in _rung_traces(alpha, tau, n_gl).items():
+            word = (p1 + p2).replace("d", "")
+            t_val = (-1.0) ** len(word) / (16.0 * math.pi**2 * tau**2) * total
+            if len(set(word)) == 1:
+                t_val -= (-0.5 if len(word) == 1 else 1.0 / math.pi) * edge_unit
+            per_class.setdefault((p1, p2), []).append(t_val)
             tot += t_val
-            if pair in _MAIN_PAIRS:
+            if sorted(word) == ["a", "b"]:
                 main += t_val
         totals.append(tot)
         mains.append(main)

@@ -153,10 +153,15 @@ def test_fold_right_angle():
     code, out = cli.run(["fold", "--alpha", str(math.pi / 2), "--grid", "1",
                          "--format", "json"])
     assert code == 0
-    res = json.loads(out)["results"]
+    report = json.loads(out)
+    res = report["results"]
     assert res["half_identity_rel_residual"] < 1e-9
     target = 1.0 / 16 - 1.0 / (16 * math.pi**2)
     assert res["corner_constant"] == pytest.approx(target, rel=0.01)
+    # the report says what its error estimate measures and what the constant leaves out
+    prov = report["provenance"]
+    assert "absolute" in prov["error_estimate"] and "0.01" in prov["error_estimate"]
+    assert "(d,d)" in prov["corner_constant"]
 
 
 def test_exit_code_usage_error(monkeypatch, capsys, square_file):
@@ -184,6 +189,12 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["staircase", "--shape", "disk", "--emax", "nan", "--window", "500,5000"],
         ["fold", "--alpha", "1.0", "--tau", "1e-5"],
         ["fold", "--alpha", "1.0", "--r", "1e300"],
+        [*staircase, "--window", "500,5000", "--grid", "10000000000000"],
+        ["corner", "--alpha-grid", "0.1:1.5:1e13"],
+        ["fold", "--alpha", "2.0", "--tau-list", "0.02,0.01", "--grid", "10000000000000"],
+        ["green", "--y", "1", "--k", "1", "--verify", "--tol", "0"],
+        ["green", "--y", "1", "--k", "1", "--verify", "--tol", "nan"],
+        ["green", "--y", "1", "--k", "1", "--verify", "--tol", "-1"],
     ):
         monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from billiard_weyl import folding as fl
 from billiard_weyl import weyl as w
 from billiard_weyl.errors import DomainError
+from billiard_weyl.specfun import extrapolate_to_zero
 
 PI = math.pi
 
@@ -261,7 +263,7 @@ def test_sectors_resolve_a_narrow_invalid_gap():
     # pi - alpha: the ("d", "a") pair is valid only up to theta0 = pi - theta,
     # which leaves an invalid gap 2.4e-4 wide below alpha
     alpha, theta = 2.5, 0.6418353226947738
-    rows, lo, hi = fl._sectors_for_nodes(alpha, np.array([theta]), "d", "a")
+    rows, lo, hi = fl._pair_sectors(alpha, np.array([theta]))["d", "a"]
     assert rows.tolist() == [0]
     sector = (lo[0], hi[0])
     assert sector[0] == 0.0
@@ -279,10 +281,11 @@ def test_sectors_match_a_dense_validity_scan(alpha):
     thetas = alpha * np.array([0.13, 0.37, 0.61, 0.89])
     if PI - alpha < alpha:
         thetas = np.append(thetas, PI - alpha + 2.4e-4)
-    for pair in fl._pair_list():
-        rows, lo, hi = fl._sectors_for_nodes(alpha, thetas, *pair)
+    for (p1, p2), (rows, lo, hi) in fl._pair_sectors(alpha, thetas).items():
+        pair = p1, p2
         sectors = [list(zip(lo[rows == i], hi[rows == i])) for i in range(len(thetas))]
-        valid = fl._pair_valid(alpha, thetas[:, None], scan[None, :], *pair)
+        valid = (fl._leg_valid(alpha, thetas[:, None], scan[None, :], p1)
+                 & fl._leg_valid(alpha, scan[None, :], thetas[:, None], p2))
         for row, secs in zip(valid, sectors):
             inside = np.zeros(n_scan, dtype=bool)
             near = np.zeros(n_scan, dtype=bool)
@@ -371,6 +374,35 @@ def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
     res = fl.obtuse_corner_constant(alpha, grid=1)
     assert res.value == pytest.approx(value, rel=1e-11)
     assert res.main_value == pytest.approx(main_value, rel=1e-11)
+    # the 24 ordered class pairs, ("d", "d") left out, in product order
+    pairs = [p for p in product(fl.PATH_CLASSES, repeat=2) if p != ("d", "d")]
+    assert list(res.per_class) == pairs
+    # a double bounce in both legs has no valid path at an obtuse or right corner
+    if alpha >= PI / 2:
+        for pair in (("ab", "ab"), ("ba", "ba")):
+            assert res.per_class[pair] == (0.0,) * len(res.tau_ladder)
+    # the main value is the tau -> 0 limit of the six one-a-one-b pairs, summed in order
+    mains = [0.0] * len(res.tau_ladder)
+    for pair in [("d", "ab"), ("d", "ba"), ("a", "b"), ("b", "a"), ("ab", "d"), ("ba", "d")]:
+        mains = [m + t for m, t in zip(mains, res.per_class[pair])]
+    roots = [math.sqrt(t) for t in res.tau_ladder]
+    assert res.main_value == extrapolate_to_zero(roots, mains)[0].real
+
+
+def test_corner_constant_classifies_each_leg_class_once_per_rung(monkeypatch):
+    # one validity table per rung and pass: each class is tested once per leg
+    # direction (10 calls), and "ba" reaches "ab" through one more call per direction
+    calls = []
+    leg_valid = fl._leg_valid
+
+    def counting(*args):
+        calls.append(args[-1])
+        return leg_valid(*args)
+
+    monkeypatch.setattr(fl, "_leg_valid", counting)
+    res = fl.obtuse_corner_constant(2.5, grid=1)
+    passes = 2 * len(res.tau_ladder)           # the main and the n_gl - 3 pass
+    assert len(calls) <= 12 * passes
 
 
 def test_corner_constant_rejects_bad_inputs():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from billiard_weyl import geometry as g
 
@@ -163,6 +164,45 @@ def test_serialize_round_trip():
         assert m1.perimeter == m2.perimeter
         assert m1.curvature_integral == m2.curvature_integral
         assert len(m1.corners) == len(m2.corners)
+
+
+_coord = st.floats(-10.0, 10.0)
+_size = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _polygon_docs(draw) -> str:
+    # star-shaped about (cx, cy): vertices in angular order, each edge spanning < pi
+    cx, cy = draw(_coord), draw(_coord)
+    n = draw(st.integers(3, 8))
+    gaps = draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n))
+    radii = draw(st.lists(_size, min_size=n, max_size=n))
+    angles = np.cumsum(gaps) * (2 * math.pi / sum(gaps))
+    pts = [(cx + r * math.cos(a), cy + r * math.sin(a)) for r, a in zip(radii, angles)]
+    lines = [f"line {p[0]!r} {p[1]!r} {q[0]!r} {q[1]!r}" for p, q in zip(pts, pts[1:] + pts[:1])]
+    return "\n".join(["billiard v1", *lines]) + "\n"
+
+
+@st.composite
+def _arc_docs(draw) -> str:
+    # a circular sector (two radii and a ccw arc) or a whole disk
+    cx, cy, r = draw(_coord), draw(_coord), draw(_size)
+    a0 = draw(st.floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        return f"billiard v1\narc {cx!r} {cy!r} {r!r} {a0!r} {a0 + 2 * math.pi!r} ccw\n"
+    a1 = a0 + draw(st.floats(0.2, 2 * math.pi - 0.2))
+    p0 = (cx + r * math.cos(a0), cy + r * math.sin(a0))
+    p1 = (cx + r * math.cos(a1), cy + r * math.sin(a1))
+    return (f"billiard v1\nline {cx!r} {cy!r} {p0[0]!r} {p0[1]!r}\n"
+            f"arc {cx!r} {cy!r} {r!r} {a0!r} {a1!r} ccw\n"
+            f"line {p1[0]!r} {p1[1]!r} {cx!r} {cy!r}\n")
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.one_of(_polygon_docs(), _arc_docs()))
+def test_serialize_round_trips_random_shapes(doc):
+    b = g.parse_geometry(doc)
+    assert g.measures(g.parse_geometry(g.serialize_geometry(b))) == g.measures(b)
 
 
 def test_frame_at_disk():
