@@ -226,8 +226,7 @@ def jacobian_r_p(m: Mat2, k: float) -> float:
 # ---------------------------------------------------------------------------
 # nonlinear bounce map (ray trace with specular reflection)
 
-_HIT_TOL = 1e-9         # hits closer than this to the launch point are ignored
-_CORNER_HIT_TOL = 1e-9  # arclength distance to a corner that counts as a hit
+_HIT_TOL = 1e-9  # hits closer than this to the launch point are ignored
 
 
 def _line_intersections(p, d, seg: geometry.Segment):
@@ -277,7 +276,8 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
 
     The tangential velocity component is continuous across a specular
     reflection, so the returned coordinate is again post-reflection data.
-    Raises :class:`RayEscapeError` or :class:`CornerHitError`.
+    Raises :class:`RayEscapeError`, or :class:`CornerHitError` when the ray lands
+    within ``geometry.CORNER_TOL`` of a corner.
     """
     fr = frame_at(b, coord.s)
     v, vp = coord.v, coord.v_perp
@@ -298,11 +298,10 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
         raise RayEscapeError(f"ray from s={coord.s}, v={coord.v} escaped")
     i, local = best
     s_hit = (b.cumlen[i] + local) % b.perimeter
-    for c in b.corners:
-        dd = abs(s_hit - c.arclength)
-        if min(dd, b.perimeter - dd) < _CORNER_HIT_TOL:
-            raise CornerHitError(f"ray hit corner at s={s_hit}")
-    fr2 = frame_at(b, s_hit)
+    try:
+        fr2 = frame_at(b, s_hit)
+    except geometry.CornerPointError:
+        raise CornerHitError(f"ray hit corner at s={s_hit}") from None
     v2 = d[0] * fr2.tangent[0] + d[1] * fr2.tangent[1]
     v2 = min(max(v2, -1.0 + 1e-15), 1.0 - 1e-15)
     return BirkhoffCoord(s_hit, v2)

@@ -52,18 +52,6 @@ def _emit(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _report(command: str, inputs: dict, results, provenance: dict,
-            fmt: str) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "provenance": provenance,
-        "format": fmt,
-        "version": __version__,
-    }
-
-
 def _numbers(flag: str, text: str, sep: str = ",", count: int | None = None) -> list[float]:
     """The finite numbers of a ``sep``-separated flag value.
 
@@ -87,10 +75,10 @@ def _load_boundary(path: str) -> geometry.Boundary:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, results, provenance), and ``run`` builds the report
 
 
-def _cmd_weyl(args) -> tuple[int, str]:
+def _cmd_weyl(args) -> tuple[dict, dict | list, dict]:
     b = _load_boundary(args.geometry)
     m = geometry.measures(b)
     bc = weyl.BoundaryCondition(args.bc)
@@ -113,11 +101,10 @@ def _cmd_weyl(args) -> tuple[int, str]:
         "delta_coef": "curvature/(12 pi) + sum (pi/alpha - alpha/pi)/24 [delta(E) weight]",
         "route": "geometric-measures -> smooth-expansion",
     }
-    return EXIT_OK, _emit(_report("weyl", {"geometry": args.geometry, "bc": args.bc},
-                                  results, prov, args.format), args.format)
+    return {"geometry": args.geometry, "bc": args.bc}, results, prov
 
 
-def _cmd_staircase(args) -> tuple[int, str]:
+def _cmd_staircase(args) -> tuple[dict, dict | list, dict]:
     if args.grid > _MAX_STAIRCASE_GRID:
         raise DomainError(f"--grid {args.grid} exceeds {_MAX_STAIRCASE_GRID}")
     e1, e2 = _numbers("--window", args.window, count=2)
@@ -150,10 +137,10 @@ def _cmd_staircase(args) -> tuple[int, str]:
     }
     inputs = {"shape": args.shape, "emax": args.emax, "window": args.window,
               "grid": args.grid, **shape_inputs}
-    return EXIT_OK, _emit(_report("staircase", inputs, results, prov, args.format), args.format)
+    return inputs, results, prov
 
 
-def _cmd_corner(args) -> tuple[int, str]:
+def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
     lo, hi, steps = _numbers("--alpha-grid", args.alpha_grid, ":", count=3)
     if not (1 <= steps <= _MAX_CORNER_STEPS and steps.is_integer()):
         raise DomainError(f"--alpha-grid MIN:MAX:STEPS needs an integer STEPS in "
@@ -187,7 +174,7 @@ def _cmd_corner(args) -> tuple[int, str]:
         "total_semiclassical": "orbit_coeff + edge_correction",
     }
     inputs = {"alpha_grid": args.alpha_grid, "count_both_orders": args.count_both_orders}
-    return EXIT_OK, _emit(_report("corner", inputs, rows, prov, args.format), args.format)
+    return inputs, rows, prov
 
 
 def _exact(v: folding.DeltaValue) -> str:
@@ -199,7 +186,7 @@ def _exact(v: folding.DeltaValue) -> str:
     return f"{v.const}{signed(v.over_pi)}/pi{signed(v.over_pi2)}/pi^2"
 
 
-def _cmd_ledger(args) -> tuple[int, str]:
+def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
     led = folding.signature_ledger(weyl.BoundaryCondition(args.bc))
     rows = [{
         "signature": str(e.signature),
@@ -226,10 +213,10 @@ def _cmd_ledger(args) -> tuple[int, str]:
         "flags": ";".join(led.flags),
         "route": "exact folded-Gaussian content per image-path signature",
     }
-    return EXIT_OK, _emit(_report("ledger", {"bc": args.bc}, rows, prov, args.format), args.format)
+    return {"bc": args.bc}, rows, prov
 
 
-def _cmd_fold(args) -> tuple[int, str]:
+def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
     alpha = args.alpha
     tau_list = tuple(_numbers("--tau-list", args.tau_list)) if args.tau_list else None
     results: dict = {"alpha": alpha}
@@ -269,10 +256,10 @@ def _cmd_fold(args) -> tuple[int, str]:
     }
     inputs = {"alpha": alpha, "tau_list": args.tau_list, "grid": args.grid,
               "r": args.r, "tau": args.tau}
-    return EXIT_OK, _emit(_report("fold", inputs, results, prov, args.format), args.format)
+    return inputs, results, prov
 
 
-def _cmd_monodromy(args) -> tuple[int, str]:
+def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
     b = _load_boundary(args.geometry)
     s0, v0 = _numbers("--start", args.start, count=2)
     pts = birkhoff.trace_orbit(b, birkhoff.BirkhoffCoord(s0, v0), args.bounces)
@@ -292,10 +279,10 @@ def _cmd_monodromy(args) -> tuple[int, str]:
     }
     inputs = {"geometry": args.geometry, "start": args.start,
               "bounces": args.bounces, "k": args.k}
-    return EXIT_OK, _emit(_report("monodromy", inputs, results, prov, args.format), args.format)
+    return inputs, results, prov
 
 
-def _cmd_green(args) -> tuple[int, str]:
+def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     y, k = args.y, args.k
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"--tol {args.tol!r} must be positive and finite")
@@ -320,7 +307,7 @@ def _cmd_green(args) -> tuple[int, str]:
         "fourier": "damped time integral of the reflected kernel (verification)",
     }
     inputs = {"y": y, "k": k, "verify": args.verify, "tol": args.tol}
-    return EXIT_OK, _emit(_report("green", inputs, results, prov, args.format), args.format)
+    return inputs, results, prov
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +395,10 @@ def run(argv: list[str]) -> tuple[int, str]:
     except _UsageError as exc:
         return EXIT_USAGE, f"usage error: {exc}\n"
     try:
-        return args.func(args)
+        inputs, results, provenance = args.func(args)
+        report = {"command": args.subcommand, "inputs": inputs, "results": results,
+                  "provenance": provenance, "format": args.format, "version": __version__}
+        return EXIT_OK, _emit(report, args.format)
     except NonConvergence as exc:
         return EXIT_NUMERICAL, f"numerical non-convergence: {exc}\n"
     except (geometry.GeometryError, FileNotFoundError) as exc:

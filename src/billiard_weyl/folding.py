@@ -36,7 +36,6 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError, NonConvergence
 from .specfun import extrapolate_to_zero, gauss_legendre
@@ -302,6 +301,7 @@ def fold(k1: Callable, k2: Callable, region="plane", n_nodes: int = 64) -> Calla
 
 def _radial_first_moment(m: np.ndarray, tau: float) -> np.ndarray:
     """integral of r0 exp(-(r0-m)^2/(2 tau)) over r0 in (0, inf)."""
+    from scipy.special import erfc  # deferred: scipy dominates import time
     s = math.sqrt(2.0 * tau)
     return tau * np.exp(-(m * m) / (2.0 * tau)) \
         + m * math.sqrt(math.pi * tau / 2.0) * erfc(-m / s)
@@ -377,52 +377,35 @@ def corner_orbit_kernel_imag(r: float, alpha: float, total_tau: float) -> float:
 PATH_CLASSES = ("d", "a", "b", "ab", "ba")
 
 
-def _leg_valid(alpha: float, th_x, th_y, path: str):
-    """Validity of one leg from angle th_x to angle th_y (unit radii).
-
-    Conditions are homogeneous in the radii, so angles suffice.  For the
-    double-bounce paths the unfolded segment must cross both reflected
-    side lines in order, at nonnegative ray coordinates.
-    """
-    th_x = np.asarray(th_x, dtype=float)
-    th_y = np.asarray(th_y, dtype=float)
-    if path == "d":
-        return np.ones(np.broadcast(th_x, th_y).shape, dtype=bool)
-    if path == "a":
-        return np.sin(th_x + th_y) >= 0.0
-    if path == "b":
-        return np.sin(2.0 * alpha - th_x - th_y) >= 0.0
-    if path == "ba":
-        return _leg_valid(alpha, alpha - th_x, alpha - th_y, "ab")
-    if path != "ab":
-        raise DomainError(f"unknown path {path!r}")
-    # path "ab": bounce on side A (the x-axis ray) first, then on side B.
-    x_x, y_x = np.cos(th_x), np.sin(th_x)
-    x_i, y_i = np.cos(th_y - 2.0 * alpha), np.sin(th_y - 2.0 * alpha)
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    cross_a = y_i < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_a = y_x / (y_x - y_i)
-        x_at_a = x_x + t_a * (x_i - x_x)
-        sig_x = ca * y_x + sa * x_x          # side function of the reflected B line
-        sig_i = ca * y_i + sa * x_i
-        cross_b = sig_x * sig_i < 0.0
-        t_b = sig_x / (sig_x - sig_i)
-        px = x_x + t_b * (x_i - x_x)
-        py = y_x + t_b * (y_i - y_x)
-        radius_b = px * ca - py * sa         # coordinate along the -alpha ray
-    ok = cross_a & cross_b
-    ok &= (t_a > 0.0) & (t_a < t_b) & (t_b < 1.0)
-    ok &= x_at_a >= 0.0
-    ok &= radius_b >= 0.0
-    return ok
-
-
 def _image_angle(alpha: float, theta, sides: str):
     """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
     for side in sides.replace("d", ""):
         theta = -theta if side == "a" else 2.0 * alpha - theta
     return theta
+
+
+def _leg_valid(alpha: float, th_x, th_y, path: str):
+    """Validity of one leg from angle th_x to angle th_y (unit radii) along ``path``.
+
+    The path's bounce word unfolds the leg into the chord from th_x to the image
+    th_i of th_y.  The leg is valid when the chord crosses each side's unfolded
+    line beta_k in turn (increasing chord parameter t_k), at a nonnegative ray
+    coordinate; the direct word is empty, so always valid.  Conditions are
+    homogeneous in the radii, so angles suffice.
+    """
+    th_x = np.asarray(th_x, dtype=float)
+    word = path.replace("d", "")
+    th_i = _image_angle(alpha, np.asarray(th_y, dtype=float), word[::-1])
+    ok = np.ones(np.broadcast(th_x, th_i).shape, dtype=bool)
+    t_prev = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, side in enumerate(word):
+            beta = _image_angle(alpha, 0.0 if side == "a" else alpha, word[:k])
+            s_x, s_i = np.sin(th_x - beta), np.sin(th_i - beta)
+            t = s_x / (s_x - s_i)
+            ok &= (s_x * s_i < 0.0) & (t > t_prev) & (np.sin(th_x - th_i) / (s_x - s_i) >= 0.0)
+            t_prev = t
+    return ok
 
 
 def _pair_sectors(alpha: float, thetas: np.ndarray) -> dict:
@@ -431,19 +414,19 @@ def _pair_sectors(alpha: float, thetas: np.ndarray) -> dict:
     Returns ``{(p1, p2): (rows, lo, hi)}`` in ``product(PATH_CLASSES, repeat=2)`` order
     but ("d", "d"): sector k is [lo[k], hi[k]] at ``thetas[rows[k]]``.
 
-    ``_leg_valid`` tests signs of sinusoids in the leg end angles x, y and of
-    ratios of them: sin(x + y), sin(2 alpha - x - y), sin x, sin(x + alpha),
-    sin(y - alpha), sin(y - 2 alpha), sin(x - y + 2 alpha) (numerator of
-    t_b - t_a and of both bounce coordinates) and the half-angle factors of
-    the two denominators; "ba" is "ab" under x, y -> alpha - x, alpha - y.
-    So with one end at theta, validity changes only at theta0 = j alpha or
-    j alpha +- theta (mod pi), |j| <= 2.  Each class is classified once per
-    direction at the midpoints of the pieces between breakpoints; a pair's
-    piece is valid when its out leg (theta -> theta0) and back leg are.
+    ``_leg_valid`` tests signs of sin(x - beta), sin(i - beta) and sin(x - i), where x
+    is the start angle, i the unfolded image of the end angle y and beta a side's
+    unfolded line; its order test reduces to the sign of sin(x - i) sin(beta_1 - beta_2).
+    Every argument is j alpha +- x, j alpha +- y or j alpha + x +- y with |j| at most the
+    longest word's length in ``PATH_CLASSES``.  So with one end at theta, validity
+    changes only at theta0 = j alpha or j alpha +- theta (mod pi).  Each class is
+    classified once per direction at the midpoints of the pieces between breakpoints;
+    a pair's piece is valid when its out leg (theta -> theta0) and back leg are.
     """
     n = len(thetas)
     th = np.asarray(thetas, dtype=float)[:, None]
-    j_alpha = alpha * np.arange(-2, 3)
+    j_max = max(len(p.replace("d", "")) for p in PATH_CLASSES)
+    j_alpha = alpha * np.arange(-j_max, j_max + 1)
     cand = np.mod(np.concatenate(np.broadcast_arrays(j_alpha, j_alpha + th, j_alpha - th),
                                  axis=1), math.pi)
     cand = np.where(cand < alpha, cand, 0.0)

@@ -204,11 +204,8 @@ def _build_boundary(segments: list[Segment]) -> Boundary:
         if abs(turn) < CORNER_TOL:
             continue
         alpha = math.pi - turn
-        s_corner = cum[i + 1] if i + 1 < len(cum) else cum[-1]
-        if i == n - 1:
-            s_corner = 0.0
         corners.append(Corner(position=nxt.p0, alpha=alpha,
-                              arclength=s_corner, segments=(i, (i + 1) % n)))
+                              arclength=cum[i + 1] % cum[-1], segments=(i, (i + 1) % n)))
     return Boundary(segments=tuple(segments), corners=tuple(corners), cumlen=tuple(cum))
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special as _sp
-
 from .errors import BilliardError, DomainError
 from . import specfun
 from .specfun import QuadratureResult, hankel1_0
@@ -269,11 +267,12 @@ def corner_delta_by_quadrature(alpha: float, tol: float = 1e-8) -> QuadratureRes
     alpha / (8 pi sin(alpha)^2).
     """
     _require_acute(alpha)
+    from scipy.special import hankel1  # deferred: scipy dominates import time
     s = math.sin(alpha)
 
     def rung(eps: float, integral) -> float:
         a = 2.0 * complex(0.0, eps) ** 0.5 * s      # 2 sqrt(E + i eps) sin(alpha) at E = 0
-        moment = integral(lambda rr: rr * _sp.hankel1(0, a * rr), specfun._TAIL_LOG / a.imag)
+        moment = integral(lambda rr: rr * hankel1(0, a * rr), specfun._TAIL_LOG / a.imag)
         # density at E = 0: -(alpha/(4 pi)) Im[(1/i) * moment]; the delta
         # coefficient is pi*eps times it.
         dens0 = -(alpha / (4.0 * math.pi)) * (moment / 1j).imag

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, NonConvergence
 
@@ -62,7 +61,8 @@ def bessel_j0y0(x: float) -> tuple[float, float]:
     """Bessel functions J0(x) and Y0(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"bessel_j0y0 requires x > 0, got {x!r}")
-    return float(_sp.j0(x)), float(_sp.y0(x))
+    from scipy.special import j0, y0  # deferred: scipy dominates import time
+    return float(j0(x)), float(y0(x))
 
 
 def hankel1_0(x: float) -> complex:
@@ -252,9 +252,10 @@ def hankel0_halfline_moment(mu: float, a: float, tol: float = 1e-9) -> Quadratur
     """
     if a <= 0:
         raise DomainError("hankel0_halfline_moment requires a > 0")
+    from scipy.special import hankel1  # deferred: scipy dominates import time
 
     def rung(eps: float, integral: Callable) -> complex:
         aa = a * complex(1.0, eps)
-        return integral(lambda z: z**mu * _sp.hankel1(0, aa * z), _TAIL_LOG / (a * eps))
+        return integral(lambda z: z**mu * hankel1(0, aa * z), _TAIL_LOG / (a * eps))
 
     return damped_ladder(rung, DEFAULT_EPS_LADDER, tol)

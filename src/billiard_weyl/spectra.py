@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import BilliardError, DomainError
 from .weyl import SpectralExpansion
@@ -94,17 +93,19 @@ def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
     brackets each root; ``brentq`` then polishes it.  Zeros of J_m are
     simple and exceed m, so the scan starts at max(order, tiny).
     """
-    from scipy.optimize import brentq  # deferred: scipy.optimize dominates package import time
+    # deferred: scipy dominates import time
+    from scipy.optimize import brentq
+    from scipy.special import jv
     lo = max(float(order), 1e-6)
     if upper <= lo:
         return np.array([])
     xs = np.arange(lo, upper + 0.25, 0.25)
-    ys = _sp.jv(order, xs)
+    ys = jv(order, xs)
     zeros = []
     sign_change = np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
     for i in sign_change:
         try:
-            root = brentq(lambda x: _sp.jv(order, x), xs[i], xs[i + 1],
+            root = brentq(lambda x: jv(order, x), xs[i], xs[i + 1],
                           xtol=1e-13, rtol=8.9e-16)
         except ValueError as exc:
             raise NumericalError(f"bracket failed for J_{order}: {exc}") from None

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from billiard_weyl import birkhoff as bk
 from billiard_weyl import geometry as g
@@ -218,3 +220,27 @@ def test_chain_product_on_traced_square_orbit():
     pts = bk.trace_orbit(sq, bk.BirkhoffCoord(0.3, 0.2), 4)
     m = bk.chain_product(sq, pts)
     assert m.det() == pytest.approx(1.0, abs=1e-12)
+
+
+GEOMETRIES = {p.stem: g.parse_geometry(p.read_text(encoding="utf-8"))
+              for p in sorted((Path(__file__).parents[1] / "geometries").glob("*.bil"))}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(GEOMETRIES)),
+       frac=st.floats(0.0, 1.0, exclude_max=True),
+       v=st.floats(-0.95, 0.95))
+def test_bounce_map_is_reversible_and_area_preserving(name, frac, v):
+    # running the ray back from the hit point returns to the start, and the
+    # linearized map of that one bounce has unit determinant
+    b = GEOMETRIES[name]
+    c0 = bk.BirkhoffCoord(frac * b.perimeter, v)
+    try:
+        c1 = bk.bounce_map(b, c0)
+        back = bk.bounce_map(b, bk.BirkhoffCoord(c1.s, -c1.v))
+    except (bk.CornerHitError, g.CornerPointError):
+        assume(False)
+    ds = abs(back.s - c0.s) % b.perimeter
+    assert min(ds, b.perimeter - ds) <= 1e-12
+    assert back.v == pytest.approx(-c0.v, abs=1e-12)
+    assert bk.chain_product(b, [c0, c1]).det() == pytest.approx(1.0, abs=1e-12)

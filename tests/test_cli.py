@@ -206,13 +206,14 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is imported on first use only: it dominates import time
+    # scipy.optimize and scipy.special are imported on first use only: they dominate
+    # import time, and most commands never call them
     code = ("import sys, billiard_weyl, billiard_weyl.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"
 
 
 def test_exit_code_geometry_error(tmp_path, square_file):

@@ -258,6 +258,22 @@ def test_leg_validity_against_explicit_wedge_trace():
         assert np.array_equal(fast, slow)
 
 
+def test_leg_validity_reproduces_the_closed_forms():
+    # the one unfolding rule gives back each class's closed form: one bounce on a
+    # side is valid when the mirrored chord meets that side's ray, and the other
+    # double-bounce order is "ab" with the sides swapped (x, y -> alpha - x, alpha - y)
+    rng = np.random.default_rng(17)
+    for alpha in (0.3, 1.0, PI / 2, 2.0, 2.5, 3.0):
+        x = rng.uniform(0.0, alpha, 20000)
+        y = rng.uniform(0.0, alpha, 20000)
+        assert np.array_equal(fl._leg_valid(alpha, x, y, "a"), np.sin(x + y) >= 0.0)
+        assert np.array_equal(fl._leg_valid(alpha, x, y, "b"),
+                              np.sin(2.0 * alpha - x - y) >= 0.0)
+        assert np.array_equal(fl._leg_valid(alpha, x, y, "ba"),
+                              fl._leg_valid(alpha, alpha - x, alpha - y, "ab"))
+        assert fl._leg_valid(alpha, x, y, "d").all()
+
+
 def test_sectors_resolve_a_narrow_invalid_gap():
     # an outer Gauss-Legendre node of the alpha = 2.5, grid-1 run just above
     # pi - alpha: the ("d", "a") pair is valid only up to theta0 = pi - theta,
@@ -390,8 +406,8 @@ def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
 
 
 def test_corner_constant_classifies_each_leg_class_once_per_rung(monkeypatch):
-    # one validity table per rung and pass: each class is tested once per leg
-    # direction (10 calls), and "ba" reaches "ab" through one more call per direction
+    # one validity table per rung and pass: each of the five classes is tested
+    # once per leg direction
     calls = []
     leg_valid = fl._leg_valid
 
@@ -402,7 +418,7 @@ def test_corner_constant_classifies_each_leg_class_once_per_rung(monkeypatch):
     monkeypatch.setattr(fl, "_leg_valid", counting)
     res = fl.obtuse_corner_constant(2.5, grid=1)
     passes = 2 * len(res.tau_ladder)           # the main and the n_gl - 3 pass
-    assert len(calls) <= 12 * passes
+    assert len(calls) == 10 * passes
 
 
 def test_corner_constant_rejects_bad_inputs():
