@@ -28,7 +28,9 @@ EXIT_GEOMETRY = 4
 
 # Largest size flags; at alpha = 2.0 the fold error estimate meets its rounding floor at grid 3-4.
 _MAX_STAIRCASE_GRID = 1_000_000    # 50x the default
+_MAX_STAIRCASE_MODES = 1_000_000   # Weyl count A*emax/(4 pi); 40x the 25k-mode disk at emax 1e5
 _MAX_CORNER_STEPS = 100_000
+_MAX_MONODROMY_BOUNCES = 100_000
 _MAX_FOLD_GRID = 6
 
 
@@ -108,6 +110,12 @@ def _cmd_staircase(args) -> tuple[dict, dict | list, dict]:
     if args.grid > _MAX_STAIRCASE_GRID:
         raise DomainError(f"--grid {args.grid} exceeds {_MAX_STAIRCASE_GRID}")
     e1, e2 = _numbers("--window", args.window, count=2)
+    area = args.a * args.b if args.shape == "rectangle" else math.pi * args.radius * args.radius
+    modes = area * args.emax / (4.0 * math.pi)
+    # an overflow reads inf; a NaN count comes only from inputs the spectrum refuses itself
+    if modes > _MAX_STAIRCASE_MODES:
+        raise DomainError(f"--emax {args.emax!r} and the {args.shape}'s size give about "
+                          f"{modes:.3g} modes; the bound is {_MAX_STAIRCASE_MODES}")
     if args.shape == "rectangle":
         a, b_side = args.a, args.b
         sp = spectra.rectangle_spectrum(a, b_side, args.emax)
@@ -262,6 +270,8 @@ def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
 def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
     b = _load_boundary(args.geometry)
     s0, v0 = _numbers("--start", args.start, count=2)
+    if args.bounces > _MAX_MONODROMY_BOUNCES:
+        raise DomainError(f"--bounces {args.bounces} exceeds {_MAX_MONODROMY_BOUNCES}")
     pts = birkhoff.trace_orbit(b, birkhoff.BirkhoffCoord(s0, v0), args.bounces)
     m = birkhoff.chain_product(b, pts)
     results = {
@@ -286,6 +296,8 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     y, k = args.y, args.k
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"--tol {args.tol!r} must be positive and finite")
+    if not (math.isfinite(y) and math.isfinite(k) and math.isfinite(2.0 * k * y)):
+        raise DomainError(f"--y {y!r} and --k {k!r} need finite y, k and 2*k*y")
     g_hankel = orbit_terms.single_reflection_green(y, k)
     g_stat = orbit_terms.green_stationary(y, k)
     results = {

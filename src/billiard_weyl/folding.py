@@ -509,6 +509,14 @@ def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
     return traces
 
 
+# Largest error estimate obtuse_corner_constant accepts (absolute).
+_ERROR_TOL = 0.01
+# Smallest tau rung: below about 1e-16 the radial moments divide 0 by 0, and tau**2
+# underflows near 1e-160.  The floor sits four orders above the first and far below
+# the default ladder's smallest rung, 0.02 * 2**-13 (about 2.4e-6) at grid 6.
+_MIN_TAU = 1e-12
+
+
 @dataclass(frozen=True)
 class ObtuseCornerResult:
     alpha: float
@@ -558,7 +566,6 @@ def obtuse_corner_constant(
     alpha: float,
     grid: int = 2,
     tau_ladder: Sequence[float] | None = None,
-    tol: float = 0.01,
 ) -> ObtuseCornerResult:
     """Numerical corner delta(E) constant from two-piece folded paths.
 
@@ -580,9 +587,9 @@ def obtuse_corner_constant(
     and the difference from a pass with three fewer Gauss-Legendre nodes
     per panel (4 + 3*grid in the main pass): it measures ladder and
     quadrature convergence only.  Raises
-    :class:`NonConvergence` when it exceeds ``tol`` or is NaN, and
-    :class:`DomainError` unless the ladder's rungs are distinct, positive
-    and finite.
+    :class:`NonConvergence` when it exceeds 0.01 or is NaN, and
+    :class:`DomainError` unless the ladder's rungs are distinct, finite
+    and at least 1e-12.
     """
     if not 0.0 < alpha < math.pi:
         raise DomainError("alpha must be in (0, pi)")
@@ -593,8 +600,8 @@ def obtuse_corner_constant(
         tau_ladder = tuple(0.02 * 0.5**j for j in range(2 + 2 * grid))
     tau_ladder = tuple(tau_ladder)
     if (not tau_ladder or len(set(tau_ladder)) < len(tau_ladder)
-            or not all(0.0 < t < math.inf for t in tau_ladder)):
-        raise DomainError("tau_ladder must hold distinct positive finite rungs")
+            or not all(_MIN_TAU <= t < math.inf for t in tau_ladder)):
+        raise DomainError(f"tau_ladder must hold distinct finite rungs >= {_MIN_TAU:g}")
     n_gl = 4 + 3 * grid
     value, spread, main_value, per_class = _constant_at(alpha, tau_ladder, n_gl)
     coarse, _, _, _ = _constant_at(alpha, tau_ladder, n_gl - 3)
@@ -607,8 +614,8 @@ def obtuse_corner_constant(
         per_class=per_class,
         tau_ladder=tau_ladder, grid=grid,
     )
-    if not err <= tol:
+    if not err <= _ERROR_TOL:
         raise NonConvergence(
-            f"corner constant error estimate {err:.3e} exceeds tol {tol:.3e}",
+            f"corner constant error estimate {err:.3e} exceeds tol {_ERROR_TOL:.3e}",
             result=result)
     return result

@@ -9,19 +9,19 @@ average estimates the delta(E) coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BilliardError, DomainError
+from .errors import DomainError
 from .weyl import SpectralExpansion
 
 __all__ = [
     "Spectrum",
     "EmptySpectrumError",
     "InsufficientDataError",
-    "NumericalError",
     "rectangle_spectrum",
     "disk_spectrum",
     "bessel_zeros_bracketed",
@@ -30,16 +30,12 @@ __all__ = [
 ]
 
 
-class EmptySpectrumError(BilliardError):
+class EmptySpectrumError(DomainError):
     """Energy cutoff below the first eigenvalue."""
 
 
-class InsufficientDataError(BilliardError):
+class InsufficientDataError(DomainError):
     """Residual window holds too few eigenvalues for a stable mean."""
-
-
-class NumericalError(BilliardError):
-    """Certified bracket for a root could not be established."""
 
 
 @dataclass(frozen=True)
@@ -64,85 +60,66 @@ def counting_function(sp: Spectrum, energies: np.ndarray) -> np.ndarray:
     return np.searchsorted(sp.eigenvalues, energies, side="right").astype(float)
 
 
+def _check_emax(emax: float) -> None:
+    if not 0.0 < emax < math.inf:
+        raise DomainError(f"emax must be positive and finite, got {emax!r}")
+
+
 def rectangle_spectrum(a: float, b: float, emax: float) -> Spectrum:
     """Dirichlet eigenvalues pi^2 (m^2/a^2 + n^2/b^2) <= emax, m, n >= 1."""
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise DomainError("rectangle sides must be positive and finite")
-    if not math.isfinite(emax):
-        raise DomainError(f"emax must be finite, got {emax!r}")
-    first = math.pi**2 * (1.0 / a**2 + 1.0 / b**2)
-    if emax < first:
-        raise EmptySpectrumError(f"emax={emax} below first eigenvalue {first}")
-    m_max = int(math.floor(a * math.sqrt(emax) / math.pi))
-    vals = []
-    for m in range(1, m_max + 1):
-        rem = emax - math.pi**2 * m**2 / a**2
-        if rem < math.pi**2 / b**2:
-            continue
-        n_max = int(math.floor(b * math.sqrt(rem) / math.pi))
-        n = np.arange(1, n_max + 1)
-        vals.append(math.pi**2 * (m**2 / a**2 + n**2 / b**2))
-    ev = np.sort(np.concatenate(vals))
-    return Spectrum(eigenvalues=ev, shape=f"rectangle {a}x{b}", emax=emax)
+    if not all(0.0 < side and side * side < math.inf for side in (a, b)):
+        raise DomainError("rectangle sides must be positive, with finite squares")
+    _check_emax(emax)
+    counts = [math.floor(side * math.sqrt(emax) / math.pi) for side in (a, b)]
+    ev = np.empty(0)
+    if min(counts) > 0:     # else no mode, and the other side's count need not fit in memory
+        m, n = (np.arange(1, c + 1) for c in counts)
+        ev = math.pi**2 * (m[:, None]**2 / a**2 + n**2 / b**2)
+    return Spectrum(eigenvalues=np.sort(ev[ev <= emax]), shape=f"rectangle {a}x{b}", emax=emax)
 
 
-def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
-    """All positive zeros of J_order below ``upper``, by certified brackets.
+def _zero_ladder(upper: float):
+    """Zeros below ``upper`` of J_0, J_1, J_2, ..., one ascending array per order.
 
-    A sign-change scan (step well below the asymptotic zero spacing pi)
-    brackets each root; ``brentq`` then polishes it.  Zeros of J_m are
-    simple and exceed m, so the scan starts at max(order, tiny).
+    Nothing is probed: zeros of consecutive orders interlace, j_{m-1,k} <
+    j_{m,k} < j_{m-1,k+1}, and j_{0,k} lies between the zeros (k - 1/2) pi of
+    J_{-1/2} and k pi of J_{1/2} (DLMF 10.21).  So each bracket holds exactly
+    one zero, except the last, which is cut at ``upper`` and kept only if J_m
+    changes sign on it.  The ladder stops at the first order with no zero
+    below ``upper``; higher orders have none either, as j_{m+1,1} > j_{m,1}.
     """
     # deferred: scipy dominates import time
     from scipy.optimize import brentq
     from scipy.special import jv
-    lo = max(float(order), 1e-6)
-    if upper <= lo:
-        return np.array([])
-    xs = np.arange(lo, upper + 0.25, 0.25)
-    ys = jv(order, xs)
-    zeros = []
-    sign_change = np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
-    for i in sign_change:
-        try:
-            root = brentq(lambda x: jv(order, x), xs[i], xs[i + 1],
-                          xtol=1e-13, rtol=8.9e-16)
-        except ValueError as exc:
-            raise NumericalError(f"bracket failed for J_{order}: {exc}") from None
-        if root <= upper:
-            zeros.append(root)
-    return np.asarray(zeros)
+    k = np.arange(1, math.ceil(upper / math.pi + 0.5))     # (k - 1/2) pi < upper
+    lo, hi = (k - 0.5) * math.pi, np.minimum(k * math.pi, upper)
+    for m in itertools.count():
+        if len(lo) and jv(m, lo[-1]) * jv(m, hi[-1]) > 0:
+            lo, hi = lo[:-1], hi[:-1]
+        if not len(lo):
+            return
+        zeros = np.array([brentq(lambda x: jv(m, x), x0, x1, xtol=1e-13, rtol=8.9e-16)
+                          for x0, x1 in zip(lo, hi)])
+        yield zeros
+        lo, hi = zeros, np.append(zeros[1:], upper)
+
+
+def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
+    """All positive zeros of J_order below ``upper``, polished in interlacing brackets."""
+    return next(itertools.islice(_zero_ladder(upper), order, None), np.array([]))
 
 
 def disk_spectrum(radius: float, emax: float) -> Spectrum:
     """Dirichlet disk eigenvalues (j_{m,n}/R)^2 <= emax.
 
-    Angular orders m >= 1 are doubled (degeneracy); m = 0 is single.  The
-    order range is finite because j_{m,1} > m.
+    Angular orders m >= 1 are doubled (degeneracy); m = 0 is single.
     """
     if not 0 < radius < math.inf:
         raise DomainError("radius must be positive and finite")
-    if not math.isfinite(emax):
-        raise DomainError(f"emax must be finite, got {emax!r}")
-    k_max = math.sqrt(emax) * radius
-    vals = []
-    m = 0
-    while m < k_max:
-        zs = bessel_zeros_bracketed(m, k_max)
-        if len(zs) == 0:
-            break
-        ev = (zs / radius) ** 2
-        vals.append(ev)
-        if m >= 1:
-            vals.append(ev)
-        m += 1
-    if not vals:
-        raise EmptySpectrumError(f"no disk eigenvalues below emax={emax}")
-    ev = np.sort(np.concatenate(vals))
-    ev = ev[ev <= emax]
-    if len(ev) == 0:
-        raise EmptySpectrumError(f"no disk eigenvalues below emax={emax}")
-    return Spectrum(eigenvalues=ev, shape=f"disk R={radius}", emax=emax)
+    _check_emax(emax)
+    vals = [(zs / radius) ** 2 for zs in _zero_ladder(math.sqrt(emax) * radius)]
+    ev = np.sort(np.concatenate([np.empty(0), *vals, *vals[1:]]))
+    return Spectrum(eigenvalues=ev[ev <= emax], shape=f"disk R={radius}", emax=emax)
 
 
 def staircase_residual(sp: Spectrum, e: SpectralExpansion,

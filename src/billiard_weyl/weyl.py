@@ -128,8 +128,10 @@ def corner_coeffs(alpha: float) -> CornerCoefficients:
     (the right angle is the degenerate end of the acute family); beyond it
     they are absent.
     """
-    if not 0.0 < alpha < math.pi:
-        raise DomainError(f"corner_coeffs requires alpha in (0, pi), got {alpha!r}")
+    # below about 1e-162, sin(alpha)**2 underflows to 0 in the closed-orbit coefficient
+    if not (0.0 < alpha < math.pi and math.sin(alpha) ** 2 > 0.0):
+        raise DomainError(f"corner_coeffs requires alpha in (0, pi) with sin(alpha)**2 > 0, "
+                          f"got {alpha!r}")
     w = weyl_corner_coefficient(alpha)
     if alpha > math.pi / 2.0:
         return CornerCoefficients(alpha, w, None, None, None,

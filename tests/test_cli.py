@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import billiard_weyl
 from billiard_weyl import cli
@@ -195,6 +199,22 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["green", "--y", "1", "--k", "1", "--verify", "--tol", "0"],
         ["green", "--y", "1", "--k", "1", "--verify", "--tol", "nan"],
         ["green", "--y", "1", "--k", "1", "--verify", "--tol", "-1"],
+        ["fold", "--alpha", "2.0", "--tau-list", "1e-300,1e-301"],
+        ["fold", "--alpha", "2.0", "--tau-list", "1e-160,2e-160"],
+        ["fold", "--alpha", "2.0", "--tau-list", "1e-20,2e-20"],
+        ["staircase", "--shape", "disk", "--emax", "-1", "--window", "500,5000"],
+        ["staircase", "--shape", "rectangle", "--emax", "-1", "--window", "500,5000"],
+        ["staircase", "--shape", "rectangle", "--a", "1e-300", "--emax", "5000",
+         "--window", "500,5000"],
+        ["staircase", "--shape", "rectangle", "--emax", "10", "--window", "1,10"],
+        [*staircase, "--window", "4990,5000"],
+        ["staircase", "--shape", "disk", "--emax", "5000", "--radius", "1e300",
+         "--window", "500,5000"],
+        ["staircase", "--shape", "rectangle", "--emax", "1e8", "--window", "500,5000"],
+        ["green", "--y", "inf", "--k", "1"],
+        ["green", "--y", "1e200", "--k", "1e200"],
+        ["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "100001"],
+        ["corner", "--alpha-grid", "1e-300:1e-300:1"],
     ):
         monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
         with pytest.raises(SystemExit) as exc:
@@ -248,3 +268,60 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
         assert exc.value.code == 3, fmt
         assert out == "", fmt
         assert err.startswith("error:") and err.count("\n") == 1, fmt
+
+
+# Every flag value comes from one vocabulary: the values at and beyond the edges of
+# the floating-point range, a few ordinary numbers, and the geometry files.
+_NUMBERS = ("-1", "0", "nan", "inf", "1e-300", "1e300", "x", "1", "2", "2000")
+_GEOMETRY_DIR = Path(__file__).parents[1] / "geometries"
+_FILES = (*sorted(str(p) for p in _GEOMETRY_DIR.glob("*.bil")), str(_GEOMETRY_DIR / "missing.bil"))
+
+
+def _joined(sep, count):
+    return st.lists(st.sampled_from(_NUMBERS), min_size=count, max_size=count).map(sep.join)
+
+
+_NUMBER = st.sampled_from(_NUMBERS)
+_BC = st.sampled_from(("dirichlet", "neumann", "x"))
+# subcommand: (required flags, optional flags); None marks a switch
+_FLAGS = {
+    "weyl": ({"--geometry": st.sampled_from(_FILES)}, {"--bc": _BC}),
+    "staircase": ({"--shape": st.sampled_from(("rectangle", "disk")), "--emax": _NUMBER,
+                   "--window": _joined(",", 2)},
+                  {"--a": _NUMBER, "--b": _NUMBER, "--radius": _NUMBER, "--grid": _NUMBER}),
+    "corner": ({"--alpha-grid": _joined(":", 3)}, {"--count-both-orders": None}),
+    "ledger": ({}, {"--bc": _BC}),
+    "monodromy": ({"--geometry": st.sampled_from(_FILES), "--start": _joined(",", 2),
+                   "--bounces": _NUMBER}, {"--k": _NUMBER}),
+    "green": ({"--y": _NUMBER, "--k": _NUMBER}, {"--verify": None, "--tol": _NUMBER}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    optional = {**optional, "--format": st.sampled_from(("json", "csv"))}
+    argv = [command]
+    for flag, values in {**required, **optional}.items():
+        if flag in required or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON report")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(argv=_argv())
+def test_any_argv_exits_with_a_documented_code_and_a_parseable_report(argv):
+    code, out = cli.run(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code != 0:
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+    elif "csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows), argv
+    else:
+        json.loads(out, parse_constant=_refuse_constant)

@@ -47,10 +47,13 @@ def test_rectangle_empty_spectrum_error():
 
 
 def test_bessel_zeros_match_scipy_oracle():
-    for order in (0, 1, 5, 17):
-        mine = spc.bessel_zeros_bracketed(order, 60.0)
-        oracle = sp_special.jn_zeros(order, len(mine))
-        assert np.allclose(mine, oracle, rtol=1e-12, atol=1e-10)
+    # every zero below the cutoff, and none beyond it; orders 150 and 300 sit far
+    # up the interlacing ladder
+    for order, upper in ((0, 60.0), (1, 60.0), (5, 60.0), (17, 60.0), (150, 250.0), (300, 320.0)):
+        mine = spc.bessel_zeros_bracketed(order, upper)
+        oracle = sp_special.jn_zeros(order, len(mine) + 1)
+        assert np.allclose(mine, oracle[:-1], rtol=1e-12, atol=1e-10)
+        assert oracle[-1] > upper
 
 
 def test_disk_first_eigenvalue_and_degeneracy():
