@@ -412,7 +412,10 @@ def run(argv: list[str]) -> tuple[int, str]:
                   "provenance": provenance, "format": args.format, "version": __version__}
         return EXIT_OK, _emit(report, args.format)
     except NonConvergence as exc:
-        return EXIT_NUMERICAL, f"numerical non-convergence: {exc}\n"
+        part = exc.result
+        shown = "" if part is None else (f"; partial value {part.value:.6g}, "
+                                         f"error estimate {part.error_estimate:.3g}")
+        return EXIT_NUMERICAL, f"numerical non-convergence: {exc}{shown}\n"
     except (geometry.GeometryError, FileNotFoundError) as exc:
         return EXIT_GEOMETRY, f"geometry error: {exc}\n"
     except DomainError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BilliardError, DomainError
+from .errors import BilliardError, DomainError, NonConvergence
 from . import specfun
 from .specfun import QuadratureResult, hankel1_0
 
@@ -145,13 +145,21 @@ def green_fourier(y: float, k: float, tol: float = 1e-9) -> QuadratureResult:
 
     Integrates the propagator against exp(i E t) over t in (0, inf) using
     the damped ladder; independent numerical route to
-    :func:`single_reflection_green`.
+    :func:`single_reflection_green`.  Above 2ky = 200 the ladder cannot
+    resolve the phase: raises :class:`NonConvergence` carrying the amplitude.
     """
     if not (y > 0 and k > 0):
         raise DomainError("green_fourier requires y > 0 and k > 0")
-    res = specfun.hankel_time_integral(2.0 * k, y, tol=tol)
-    return QuadratureResult((-1.0 / 4j) * res.value, res.error_estimate / 4.0,
-                            res.evaluations)
+
+    def amplitude(res: QuadratureResult) -> QuadratureResult:
+        return QuadratureResult((-1.0 / 4j) * res.value, res.error_estimate / 4.0,
+                                res.evaluations)
+
+    try:
+        return amplitude(specfun.hankel_time_integral(2.0 * k, y, tol=tol))
+    except NonConvergence as exc:
+        exc.result = amplitude(exc.result)
+        raise
 
 
 def green_stationary(y: float, k: float) -> complex:

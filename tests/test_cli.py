@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import billiard_weyl
-from billiard_weyl import cli
+from billiard_weyl import cli, folding, orbit_terms
+from billiard_weyl.errors import NonConvergence
 
 SQUARE_DOC = """billiard v1
 line 0 0 1 0
@@ -268,6 +270,30 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
         assert exc.value.code == 3, fmt
         assert out == "", fmt
         assert err.startswith("error:") and err.count("\n") == 1, fmt
+
+
+def test_non_convergence_reports_the_partial_result(monkeypatch, capsys):
+    # green beyond the damping ladder's reach, and fold on a one-rung ladder
+    cases = ((["green", "--y", "1", "--k", "1000", "--verify"],
+              lambda: orbit_terms.green_fourier(1.0, 1000.0)),
+             (["fold", "--alpha", "2.0", "--grid", "1", "--tau-list", "0.02"],
+              lambda: folding.obtuse_corner_constant(2.0, grid=1, tau_ladder=(0.02,))))
+    for argv, call in cases:
+        with pytest.raises(NonConvergence) as raised:
+            call()
+        partial = raised.value.result
+        monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3, argv
+        assert out == "", argv
+        assert err.count("\n") == 1, err
+        shown = re.fullmatch(r"numerical non-convergence: (.+); partial value (\S+), "
+                             r"error estimate (\S+)\n", err)
+        assert shown and shown[1] == str(raised.value), err
+        assert complex(shown[2]) == pytest.approx(partial.value, rel=1e-5), err
+        assert float(shown[3]) == pytest.approx(partial.error_estimate, rel=1e-2), err
 
 
 # Every flag value comes from one vocabulary: the values at and beyond the edges of

@@ -7,6 +7,7 @@ import pytest
 from billiard_weyl import birkhoff as bk
 from billiard_weyl import orbit_terms as ot
 from billiard_weyl import specfun as sf
+from billiard_weyl.errors import NonConvergence
 
 
 def test_flat_factors():
@@ -91,6 +92,26 @@ def test_green_fourier_oracle():
         q = ot.green_fourier(y, k)
         exact = ot.single_reflection_green(y, k)
         assert abs(q.value - exact) <= max(3.0 * q.error_estimate, 1e-7)
+
+
+def test_green_fourier_at_high_k_lands_within_its_estimate_or_raises():
+    from scipy.special import hankel1
+
+    returned = []
+    for k in (30.0, 100.0, 300.0, 1000.0, 1e4):
+        exact = -0.25 / 1j * hankel1(0, 2.0 * k)
+        try:
+            q = ot.green_fourier(1.0, k)
+        except NonConvergence as exc:
+            # the partial result it carries is the amplitude, not the raw H0 ladder
+            with pytest.raises(NonConvergence) as raw:
+                sf.hankel_time_integral(2.0 * k, 1.0)
+            assert exc.result.value == (-1.0 / 4j) * raw.value.result.value
+            continue
+        assert abs(q.value - exact) <= 3.0 * q.error_estimate
+        returned.append(k)
+    # the damping ladder resolves 2ky up to 200
+    assert returned == [30.0, 100.0]
 
 
 def test_stationary_phase_magnitude_exact():

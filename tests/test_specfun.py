@@ -125,6 +125,85 @@ def test_integrate_budget_error_carries_result(monkeypatch):
     assert exc.value.result.error_estimate > 0
 
 
+def _depth_first_integrate(f, lo, hi, tol):
+    """The depth-first G7-K15 integrator that level-order ``integrate`` replaced.
+
+    Same panels, rule and acceptance test, one panel per call of ``f``;
+    returns the result and how many panels it evaluated at each depth.
+    """
+    total_len = hi - lo
+    values, errors, per_depth = [], [], {}
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        y = np.asarray(f(mid + half * sf._NODES))
+        vk = half * np.sum(sf._WEIGHTS_K * y)
+        err = abs(vk - half * np.sum(sf._WEIGHTS_G * y[np.arange(1, 15, 2)]))
+        per_depth[depth] = per_depth.get(depth, 0) + 1
+        width = b - a
+        if err <= tol * max(width / total_len, 1e-3) or width <= 1e-14 * total_len:
+            values.append(complex(vk))
+            errors.append(err)
+        else:
+            m = 0.5 * (a + b)
+            stack.append((m, b, depth + 1))
+            stack.append((a, m, depth + 1))
+    value = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    result = sf.QuadratureResult(value, math.fsum(errors), 15 * sum(per_depth.values()))
+    return result, [per_depth[d] for d in range(len(per_depth))]
+
+
+def _seeded_integrands():
+    """(f, lo, hi, tol) cases: polynomials, an oscillation and the three Hankel kernels."""
+    from scipy.special import hankel1
+
+    rng = np.random.default_rng(9)
+    real = np.polynomial.Polynomial(rng.standard_normal(30))
+    cplx = np.polynomial.Polynomial(rng.standard_normal(25) + 1j * rng.standard_normal(25))
+    cases = [
+        pytest.param(real, -1.0, 1.3, 1e-10, id="real polynomial"),
+        pytest.param(cplx, -0.7, 1.1, 1e-12, id="complex polynomial"),
+        pytest.param(lambda x: np.sin(17.3 * x) * np.exp(-0.2 * x), 0.0, 30.0, 1e-10,
+                     id="damped sine"),
+    ]
+    # the rung integrands of hankel_time_integral, hankel0_halfline_moment and
+    # corner_delta_by_quadrature at seeded parameters on their own tail cuts
+    for xz, eps in zip(rng.uniform(0.5, 12.0, 2), rng.choice(sf.DEFAULT_EPS_LADDER, 2)):
+        w = xz * complex(1.0, eps)
+        s_max = math.acosh(max(sf._TAIL_LOG / (xz * eps), 2.0))
+        cases.append(pytest.param(lambda s, w=w: np.exp(1j * w * np.cosh(s)), 0.0, s_max, 1e-9,
+                                  id=f"exp(i w cosh s), w={w:.4g}"))
+    for mu, a, eps in zip(rng.uniform(0.0, 1.0, 2), rng.uniform(0.5, 4.0, 2), (0.2, 0.025)):
+        aa = a * complex(1.0, eps)
+        cases.append(pytest.param(lambda z, mu=mu, aa=aa: z**mu * hankel1(0, aa * z),
+                                  0.0, sf._TAIL_LOG / (a * eps), 1e-8,
+                                  id=f"z**{mu:.3f} H0(a z), a={aa:.4g}"))
+    for alpha, eps in zip(rng.uniform(0.05, math.pi / 2, 2), (0.64, 0.08)):
+        a = 2.0 * complex(0.0, eps) ** 0.5 * math.sin(alpha)
+        cases.append(pytest.param(lambda rr, a=a: rr * hankel1(0, a * rr),
+                                  0.0, sf._TAIL_LOG / a.imag, 1e-8, id=f"rr H0(a rr), a={a:.4g}"))
+    return cases
+
+
+@pytest.mark.parametrize("f,lo,hi,tol", _seeded_integrands())
+def test_level_order_matches_depth_first_integrator(f, lo, hi, tol):
+    shapes = []
+
+    def recorded(x):
+        shapes.append(x.shape)
+        return f(x)
+
+    ref, per_depth = _depth_first_integrate(f, lo, hi, tol)
+    res = sf.integrate(recorded, lo, hi, tol)
+    assert len(per_depth) > 1                              # some panel was bisected
+    assert res.value == ref.value                          # bit-identical
+    assert res.evaluations == ref.evaluations
+    assert res.error_estimate == pytest.approx(ref.error_estimate, rel=1e-14, abs=0.0)
+    # one call of f per bisection level, on every pending panel of that level at once
+    assert shapes == [(n, 15) for n in per_depth]
+
+
 def test_halving_tolerance_does_not_drift():
     def f(x):
         return np.cos(3.0 * x) / (1.0 + x * x)
