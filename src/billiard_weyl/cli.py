@@ -316,7 +316,10 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     prov = {
         "hankel": "-(1/4i) H0^(1)(2ky), uniform closed-orbit amplitude",
         "stationary": "-(1/(4i sqrt(pi k y))) exp(2iky), stationary phase",
-        "fourier": "damped time integral of the reflected kernel (verification)",
+        "fourier": ("damped time integral of the reflected kernel (verification); "
+                    "fourier_error_estimate is the Neville spread of the damping ladder "
+                    "plus the largest rung quadrature error; --tol bounds each rung's "
+                    "quadrature only, not the spread"),
     }
     inputs = {"y": y, "k": k, "verify": args.verify, "tol": args.tol}
     return inputs, results, prov

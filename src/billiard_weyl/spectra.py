@@ -5,12 +5,30 @@ unit disk has squared Bessel zeros with double angular degeneracy for
 nonzero order.  The staircase residual compares the exact counting
 function against the E-dependent part of the smooth expansion; its window
 average estimates the delta(E) coefficient.
+
+Every disk zero below a cutoff comes from one pass over all orders.  The
+signs of J_m at the nodes upper - k h, h = ``_STEP`` = 1, bracket the
+zeros, and a bisection-safeguarded Newton polishes every bracket at once.
+Both take J_m from the forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}
+started at J_0 and J_1, run only where x > n, where it is stable (Gautschi,
+SIAM Rev. 9 (1967) 24).  The step sits below two bounds:
+
+* zeros are simple and more than 3.11 apart, so a cell of width h < 3.11
+  holds at most one and a sign change marks exactly one: for m >= 1 the gap
+  exceeds pi (Sturm comparison on sqrt(x) J_m(x), whose equation has
+  coefficient 1 - (m^2 - 1/4)/x^2 < 1), and for J_0 the gaps grow from
+  j_{0,2} - j_{0,1} = 3.115 towards pi;
+* j_{m,1} > m + 1.855 m^(1/3) (Qu & Wong, Trans. AMS 351 (1999) 2833), so for
+  h < 1.855 the cell holding j_{m,1} starts above m.  Row m of the sweep may
+  drop every node x <= m, where J_m > 0, and each Newton iterate of order m
+  stays where the recurrence is stable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,35 +96,93 @@ def rectangle_spectrum(a: float, b: float, emax: float) -> Spectrum:
     return Spectrum(eigenvalues=np.sort(ev[ev <= emax]), shape=f"rectangle {a}x{b}", emax=emax)
 
 
-def _zero_ladder(upper: float):
-    """Zeros below ``upper`` of J_0, J_1, J_2, ..., one ascending array per order.
+_STEP = 1.0      # node spacing of the bracket sweep: see the module docstring
 
-    Nothing is probed: zeros of consecutive orders interlace, j_{m-1,k} <
-    j_{m,k} < j_{m-1,k+1}, and j_{0,k} lies between the zeros (k - 1/2) pi of
-    J_{-1/2} and k pi of J_{1/2} (DLMF 10.21).  So each bracket holds exactly
-    one zero, except the last, which is cut at ``upper`` and kept only if J_m
-    changes sign on it.  The ladder stops at the first order with no zero
-    below ``upper``; higher orders have none either, as j_{m+1,1} > j_{m,1}.
+
+def _advance(n: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray, s: int) -> None:
+    """J_{n-1}, J_n -> J_n, J_{n+1} in place on ``[s:]``; callers keep x[s:] > n."""
+    nxt = (2.0 * n / x[s:]) * cur[s:] - prev[s:]
+    prev[s:] = cur[s:]
+    cur[s:] = nxt
+
+
+def _start_rows(x: np.ndarray):
+    """J_{-1} = -J_1 and J_0 at x, the rows the recurrence starts from."""
+    from scipy import special     # deferred: scipy dominates import time
+    return -special.j1(x), special.j0(x)
+
+
+def _sign_cells(upper: float):
+    """Cells (lo, hi] of width ``_STEP`` on (0, upper] where J_m changes sign.
+
+    Yields the cell ends, J_m at both and the order of each cell,
+    one tuple of arrays per order m = 0, 1, ..., from one pair of recurrence
+    rows on the nodes upper - k h.  Row m keeps only the nodes above m, and
+    each sign change between them is exactly one zero (module docstring).
+    The sweep stops at the first order with no zero below ``upper``:
+    j_{m+1,1} > j_{m,1}, so higher orders have none.
     """
-    # deferred: scipy dominates import time
-    from scipy.optimize import brentq
-    from scipy.special import jv
-    k = np.arange(1, math.ceil(upper / math.pi + 0.5))     # (k - 1/2) pi < upper
-    lo, hi = (k - 0.5) * math.pi, np.minimum(k * math.pi, upper)
+    x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
+    prev, cur = _start_rows(x)
+    s = 0
     for m in itertools.count():
-        if len(lo) and jv(m, lo[-1]) * jv(m, hi[-1]) > 0:
-            lo, hi = lo[:-1], hi[:-1]
-        if not len(lo):
+        pos = cur[s:] > 0
+        cells = s + np.flatnonzero(pos[:-1] != pos[1:])
+        if not len(cells):
             return
-        zeros = np.array([brentq(lambda x: jv(m, x), x0, x1, xtol=1e-13, rtol=8.9e-16)
-                          for x0, x1 in zip(lo, hi)])
-        yield zeros
-        lo, hi = zeros, np.append(zeros[1:], upper)
+        yield x[cells], x[cells + 1], cur[cells], cur[cells + 1], np.full(len(cells), m)
+        s = int(np.searchsorted(x, m + 1, side="right"))
+        _advance(m, x, prev, cur, s)
+
+
+def _polish(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
+            orders: np.ndarray) -> np.ndarray:
+    """The zero of J_order in each bracket (lo, hi], all brackets at once.
+
+    ``flo`` and ``fhi`` are J_order at the bracket ends, of opposite sign.
+    ``orders`` ascends, so each recurrence step advances one trailing slice.
+    From the secant root of the ends, each sweep evaluates J_m and
+    J_m' = J_{m-1} - (m/x) J_m at every iterate, shrinks its bracket to the
+    side of the sign change and takes the Newton step, or bisects when that
+    step leaves the bracket.  An iterate is final once its step is at most
+    1e-13 + 8.9e-16 x.
+    """
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    pos = flo > 0
+    live = np.arange(len(x))
+    while len(live):
+        xl, ml = x[live], orders[live]
+        prev, cur = _start_rows(xl)
+        for n, s in enumerate(np.searchsorted(ml, np.arange(1, ml[-1] + 1))):
+            _advance(n, xl, prev, cur, s)
+        above = (cur > 0) == pos[live]            # the zero lies above xl
+        a, b = np.where(above, xl, lo[live]), np.where(above, hi[live], xl)
+        lo[live], hi[live] = a, b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xl - cur / (prev - ml / xl * cur)
+        xn = np.where((a <= xn) & (xn <= b), xn, 0.5 * (a + b))
+        x[live] = xn
+        live = live[np.abs(xn - xl) > 1e-13 + 8.9e-16 * xn]
+    return x
+
+
+def _all_zeros(upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every zero of every J_m below ``upper`` and its order m, by ascending m."""
+    cells = [np.concatenate(c) for c in zip(*_sign_cells(upper))] or [np.empty(0)] * 5
+    return _polish(*cells), cells[-1]
 
 
 def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
-    """All positive zeros of J_order below ``upper``, polished in interlacing brackets."""
-    return next(itertools.islice(_zero_ladder(upper), order, None), np.array([]))
+    """All positive zeros of J_order below ``upper``.
+
+    Runs the bracket sweep up to row ``order`` and polishes only that row.
+    """
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise DomainError(f"order must be a non-negative integer, got {order!r}")
+    for m, cells in enumerate(_sign_cells(upper)):
+        if m == order:
+            return _polish(*cells)
+    return np.array([])
 
 
 def disk_spectrum(radius: float, emax: float) -> Spectrum:
@@ -117,8 +193,9 @@ def disk_spectrum(radius: float, emax: float) -> Spectrum:
     if not 0 < radius < math.inf:
         raise DomainError("radius must be positive and finite")
     _check_emax(emax)
-    vals = [(zs / radius) ** 2 for zs in _zero_ladder(math.sqrt(emax) * radius)]
-    ev = np.sort(np.concatenate([np.empty(0), *vals, *vals[1:]]))
+    zeros, orders = _all_zeros(math.sqrt(emax) * radius)
+    vals = (zeros / radius) ** 2
+    ev = np.sort(np.concatenate([vals, vals[orders > 0]]))
     return Spectrum(eigenvalues=ev[ev <= emax], shape=f"disk R={radius}", emax=emax)
 
 

@@ -140,6 +140,10 @@ def test_green_verify():
     res = json.loads(out)["results"]
     assert res["fourier_vs_hankel"] < 1e-6
     assert res["magnitude_ratio"] == pytest.approx(1.0, abs=0.05)
+    # the estimate is the ladder's spread, which --tol does not bound
+    fourier = json.loads(out)["provenance"]["fourier"]
+    assert "Neville spread of the damping ladder" in fourier
+    assert "--tol bounds each rung's quadrature only, not the spread" in fourier
 
 
 def test_monodromy_square(square_file):
@@ -228,14 +232,18 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize and scipy.special are imported on first use only: they dominate
-    # import time, and most commands never call them
+    # scipy.special is imported on first use only: it dominates import time, and
+    # most commands never call it; the disk spectrum needs scipy.special alone
     code = ("import sys, billiard_weyl, billiard_weyl.cli; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
+            "loaded = lambda: [m in sys.modules for m in ('scipy.optimize', 'scipy.special')]; "
+            "print(loaded()); "
+            "code, _ = billiard_weyl.cli.run(['staircase', '--shape', 'disk', "
+            "'--emax', '4000', '--window', '500,4000']); "
+            "print(code, loaded())")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[False, False]"
+    assert out.split("\n") == ["[False, False]", "0 [False, True]", ""]
 
 
 def test_exit_code_geometry_error(tmp_path, square_file):

@@ -56,6 +56,31 @@ def test_bessel_zeros_match_scipy_oracle():
         assert oracle[-1] > upper
 
 
+def test_bessel_zeros_reject_a_bad_order():
+    for order in (-1, 2.5):
+        with pytest.raises(DomainError):
+            spc.bessel_zeros_bracketed(order, 60.0)
+    assert np.array_equal(spc.bessel_zeros_bracketed(np.int64(1), 60.0),
+                          spc.bessel_zeros_bracketed(1, 60.0))
+
+
+def test_disk_zeros_are_complete_and_interlace():
+    # either side of j_{0,1} = 2.4048, exactly on a sweep node, and the disk's
+    # cutoffs; one order past the last holding a zero must hold none
+    for upper in (0.5, 2.40, 2.41, 7.0, math.sqrt(4000.0), math.sqrt(1e5)):
+        zeros, orders = spc._all_zeros(upper)
+        rows = [zeros[orders == m] for m in range(int(orders.max(initial=-1)) + 2)]
+        for m, row in enumerate(rows):
+            oracle = sp_special.jn_zeros(m, len(row) + 1)
+            assert oracle[-1] > upper, (upper, m, len(row))
+            np.testing.assert_allclose(row, oracle[:-1], rtol=1e-14, atol=0)
+            if m:
+                below = rows[m - 1]
+                assert len(row) <= len(below) <= len(row) + 1
+                assert np.all(below[:len(row)] < row)
+                assert np.all(row[:len(below) - 1] < below[1:])
+
+
 def test_disk_first_eigenvalue_and_degeneracy():
     s = spc.disk_spectrum(1.0, 60.0)
     assert s.eigenvalues[0] == pytest.approx(2.404825557695773**2, rel=1e-12)
