@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import BilliardError, DomainError
 from . import geometry
 from .geometry import Boundary, frame_at
@@ -72,7 +70,8 @@ class Mat2:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self) -> "numpy.ndarray":
+        import numpy as np  # deferred: numpy dominates import time
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
     @staticmethod

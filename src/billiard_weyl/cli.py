@@ -15,10 +15,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from . import birkhoff, folding, geometry, orbit_terms, spectra, weyl
+from . import geometry, weyl
 from .errors import BilliardError, DomainError, NonConvergence
 
 EXIT_OK = 0
@@ -71,6 +69,16 @@ def _numbers(flag: str, text: str, sep: str = ",", count: int | None = None) -> 
     return values
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``numpy.linspace(lo, hi, n)`` as floats, with numpy's arithmetic."""
+    delta = hi - lo
+    if n == 1:
+        return [lo + 0.0 * delta]
+    step = delta / (n - 1)
+    # numpy scales i/(n - 1) by delta instead where the step underflows to zero
+    return [lo + (i * step if step else i / (n - 1) * delta) for i in range(n - 1)] + [hi]
+
+
 def _load_boundary(path: str) -> geometry.Boundary:
     with open(path, "r", encoding="utf-8") as fh:
         return geometry.parse_geometry(fh.read())
@@ -116,6 +124,7 @@ def _cmd_staircase(args) -> tuple[dict, dict | list, dict]:
     if modes > _MAX_STAIRCASE_MODES:
         raise DomainError(f"--emax {args.emax!r} and the {args.shape}'s size give about "
                           f"{modes:.3g} modes; the bound is {_MAX_STAIRCASE_MODES}")
+    from . import spectra  # deferred: numpy dominates import time
     if args.shape == "rectangle":
         a, b_side = args.a, args.b
         sp = spectra.rectangle_spectrum(a, b_side, args.emax)
@@ -153,10 +162,9 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
     if not (1 <= steps <= _MAX_CORNER_STEPS and steps.is_integer()):
         raise DomainError(f"--alpha-grid MIN:MAX:STEPS needs an integer STEPS in "
                           f"[1, {_MAX_CORNER_STEPS}]: {args.alpha_grid!r}")
-    grid = np.linspace(lo, hi, int(steps))
     rows = []
-    for alpha in grid:
-        c = weyl.corner_coeffs(float(alpha))
+    for alpha in _linspace(lo, hi, int(steps)):
+        c = weyl.corner_coeffs(alpha)
         factor = 2.0 if args.count_both_orders else 1.0
         if c.orbit is None:
             orbit = edge = total = ratio = ""
@@ -166,7 +174,7 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
             total = factor * c.orbit + c.edge_correction
             ratio = total / c.weyl
         rows.append({
-            "alpha": float(alpha),
+            "alpha": alpha,
             "weyl_coeff": c.weyl,
             "orbit_coeff": orbit,
             "edge_correction": edge,
@@ -185,8 +193,9 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
     return inputs, rows, prov
 
 
-def _exact(v: folding.DeltaValue) -> str:
-    """Exact a+b/pi+c/pi^2 text with one sign per term, e.g. 0-2/pi+1/16/pi^2."""
+def _exact(v) -> str:
+    """A ledger ``DeltaValue`` as exact a+b/pi+c/pi^2 text with one sign per term,
+    e.g. 0-2/pi+1/16/pi^2."""
 
     def signed(x) -> str:
         return f"+{x}" if x >= 0 else f"{x}"
@@ -195,7 +204,8 @@ def _exact(v: folding.DeltaValue) -> str:
 
 
 def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
-    led = folding.signature_ledger(weyl.BoundaryCondition(args.bc))
+    from . import ledger  # deferred: only this command reads it
+    led = ledger.signature_ledger(weyl.BoundaryCondition(args.bc))
     rows = [{
         "signature": str(e.signature),
         "bounces": e.signature.bounce_count,
@@ -225,6 +235,7 @@ def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
 
 
 def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
+    from . import folding  # deferred: numpy dominates import time
     alpha = args.alpha
     tau_list = tuple(_numbers("--tau-list", args.tau_list)) if args.tau_list else None
     results: dict = {"alpha": alpha}
@@ -272,6 +283,7 @@ def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
     s0, v0 = _numbers("--start", args.start, count=2)
     if args.bounces > _MAX_MONODROMY_BOUNCES:
         raise DomainError(f"--bounces {args.bounces} exceeds {_MAX_MONODROMY_BOUNCES}")
+    from . import birkhoff  # deferred: only this command reads it
     pts = birkhoff.trace_orbit(b, birkhoff.BirkhoffCoord(s0, v0), args.bounces)
     m = birkhoff.chain_product(b, pts)
     results = {
@@ -298,6 +310,7 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
         raise DomainError(f"--tol {args.tol!r} must be positive and finite")
     if not (math.isfinite(y) and math.isfinite(k) and math.isfinite(2.0 * k * y)):
         raise DomainError(f"--y {y!r} and --k {k!r} need finite y, k and 2*k*y")
+    from . import orbit_terms  # deferred: numpy dominates import time
     g_hankel = orbit_terms.single_reflection_green(y, k)
     g_stat = orbit_terms.green_stationary(y, k)
     results = {

@@ -8,10 +8,11 @@ average estimates the delta(E) coefficient.
 
 Every disk zero below a cutoff comes from one pass over all orders.  The
 signs of J_m at the nodes upper - k h, h = ``_STEP`` = 1, bracket the
-zeros, and a bisection-safeguarded Newton polishes every bracket at once.
-Both take J_m from the forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}
-started at J_0 and J_1, run only where x > n, where it is stable (Gautschi,
-SIAM Rev. 9 (1967) 24).  The step sits below two bounds:
+zeros, and a bisection-safeguarded Newton polishes them, each block of
+``_POLISH_BLOCK`` brackets in one set of arrays.  Both take J_m from the
+forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} started at J_0 and J_1,
+run only where x > n, where it is stable (Gautschi, SIAM Rev. 9 (1967)
+24).  The step sits below two bounds:
 
 * zeros are simple and more than 3.11 apart, so a cell of width h < 3.11
   holds at most one and a sign change marks exactly one: for m >= 1 the gap
@@ -135,12 +136,16 @@ def _sign_cells(upper: float):
         _advance(m, x, prev, cur, s)
 
 
+_POLISH_BLOCK = 65_536   # brackets polished together: bounds the Newton sweep's arrays
+
+
 def _polish(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
             orders: np.ndarray) -> np.ndarray:
-    """The zero of J_order in each bracket (lo, hi], all brackets at once.
+    """The zero of J_order in each bracket (lo, hi], ``_POLISH_BLOCK`` brackets at a time.
 
     ``flo`` and ``fhi`` are J_order at the bracket ends, of opposite sign.
-    ``orders`` ascends, so each recurrence step advances one trailing slice.
+    ``orders`` ascends, so each recurrence step advances one trailing slice
+    of a block, and a block's steps stop at its own highest order.
     From the secant root of the ends, each sweep evaluates J_m and
     J_m' = J_{m-1} - (m/x) J_m at every iterate, shrinks its bracket to the
     side of the sign change and takes the Newton step, or bisects when that
@@ -149,20 +154,21 @@ def _polish(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
     """
     x = lo - flo * (hi - lo) / (fhi - flo)
     pos = flo > 0
-    live = np.arange(len(x))
-    while len(live):
-        xl, ml = x[live], orders[live]
-        prev, cur = _start_rows(xl)
-        for n, s in enumerate(np.searchsorted(ml, np.arange(1, ml[-1] + 1))):
-            _advance(n, xl, prev, cur, s)
-        above = (cur > 0) == pos[live]            # the zero lies above xl
-        a, b = np.where(above, xl, lo[live]), np.where(above, hi[live], xl)
-        lo[live], hi[live] = a, b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xl - cur / (prev - ml / xl * cur)
-        xn = np.where((a <= xn) & (xn <= b), xn, 0.5 * (a + b))
-        x[live] = xn
-        live = live[np.abs(xn - xl) > 1e-13 + 8.9e-16 * xn]
+    for start in range(0, len(x), _POLISH_BLOCK):
+        live = np.arange(start, min(start + _POLISH_BLOCK, len(x)))
+        while len(live):
+            xl, ml = x[live], orders[live]
+            prev, cur = _start_rows(xl)
+            for n, s in enumerate(np.searchsorted(ml, np.arange(1, ml[-1] + 1))):
+                _advance(n, xl, prev, cur, s)
+            above = (cur > 0) == pos[live]            # the zero lies above xl
+            a, b = np.where(above, xl, lo[live]), np.where(above, hi[live], xl)
+            lo[live], hi[live] = a, b
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = xl - cur / (prev - ml / xl * cur)
+            xn = np.where((a <= xn) & (xn <= b), xn, 0.5 * (a + b))
+            x[live] = xn
+            live = live[np.abs(xn - xl) > 1e-13 + 8.9e-16 * xn]
     return x
 
 

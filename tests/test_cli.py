@@ -8,8 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import billiard_weyl
 from billiard_weyl import cli, folding, orbit_terms
@@ -244,6 +245,66 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split("\n") == ["[False, False]", "0 [False, True]", ""]
+
+
+def test_exact_commands_never_load_numpy(square_file):
+    # weyl, corner, ledger and monodromy are exact formulas, Fractions and 2x2
+    # products: neither they nor a refused argv pay numpy's import; staircase does
+    argvs = [["weyl", "--geometry", square_file],
+             ["corner", "--alpha-grid", "0.1:1.5:15", "--format", "csv"],
+             ["ledger", "--format", "csv"],
+             ["monodromy", "--geometry", square_file, "--start", "0.5,0.0", "--bounces", "4"],
+             ["corner", "--alpha-grid", "1:2:0", "--format", "csv"],
+             ["staircase", "--shape", "rectangle", "--emax", "5000", "--window", "500,5000"]]
+    code = ("import sys, billiard_weyl, billiard_weyl.cli\n"
+            "print('numpy' in sys.modules)\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(billiard_weyl.cli.run(argv)[0], 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n") == ["False", "0 False", "0 False", "0 False", "0 False",
+                                "2 False", "0 True", ""]
+
+
+def test_every_top_level_name_resolves_to_its_home_object():
+    names = [n for n in billiard_weyl.__all__ if n != "__version__"]
+    assert len(names) == len(set(names))
+    listed = dir(billiard_weyl)
+    for name in names:
+        # __getattr__ is called directly: earlier accesses cache the name as a plain attribute
+        obj = billiard_weyl.__getattr__(name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert getattr(billiard_weyl, name) is obj, name
+        assert name in listed, name
+    assert "__version__" in listed
+    star: dict = {}
+    exec("from billiard_weyl import *", star)
+    assert all(star[name] is getattr(billiard_weyl, name) for name in names)
+    for lookup in (billiard_weyl.__getattr__, lambda n: getattr(billiard_weyl, n)):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lookup("no_such_name")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False),
+       steps=st.integers(1, 300))
+@example(lo=0.1, hi=1.5, steps=15)
+@example(lo=0.3, hi=0.3, steps=1)
+@example(lo=0.3, hi=0.3, steps=7)
+@example(lo=3.0, hi=0.1, steps=9)
+@example(lo=0.0, hi=5e-324, steps=4)            # the step underflows to zero
+@example(lo=-1e308, hi=1e308, steps=3)          # hi - lo overflows
+@example(lo=-1e308, hi=1e308, steps=1)
+def test_corner_grid_is_numpy_linspace(lo, hi, steps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(lo, hi, steps).tolist()
+    grid = cli._linspace(lo, hi, steps)
+    # repr compares the report's text: signed zeros differ and NaN (from an overflowing
+    # hi - lo) equals itself
+    assert [repr(a) for a in grid] == [repr(a) for a in expected]
+    assert grid == expected or any(math.isnan(a) for a in expected)
 
 
 def test_exit_code_geometry_error(tmp_path, square_file):

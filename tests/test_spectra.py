@@ -81,6 +81,16 @@ def test_disk_zeros_are_complete_and_interlace():
                 assert np.all(row[:len(below) - 1] < below[1:])
 
 
+def test_polishing_in_blocks_gives_the_same_zeros(monkeypatch):
+    # blocks hold brackets of several orders and split an order's brackets between them
+    upper = math.sqrt(4000.0)
+    zeros, orders = spc._all_zeros(upper)
+    assert len(zeros) > 3 * 7
+    monkeypatch.setattr(spc, "_POLISH_BLOCK", 7)
+    blocked, blocked_orders = spc._all_zeros(upper)
+    assert np.array_equal(blocked, zeros) and np.array_equal(blocked_orders, orders)
+
+
 def test_disk_first_eigenvalue_and_degeneracy():
     s = spc.disk_spectrum(1.0, 60.0)
     assert s.eigenvalues[0] == pytest.approx(2.404825557695773**2, rel=1e-12)
