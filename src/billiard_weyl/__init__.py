@@ -1,8 +1,8 @@
 """Mode-density asymptotics for planar billiards.
 
 Smooth-expansion coefficients from geometry, closed-orbit Green functions,
-bounce-map monodromy algebra, image-path corner ledgers, corner-flattening
-coordinates, and exact-spectrum verification harnesses.
+bounce-map monodromy algebra, image-path corner ledgers, and exact-spectrum
+verification harnesses.
 
 Importing the package loads no submodule: each top-level name is imported
 from its home module on first access (PEP 562), so a process that needs
@@ -28,8 +28,7 @@ _HOMES = {
                     "length_term_density", "single_reflection_factors",
                     "single_reflection_green", "single_reflection_propagator"),
     "ledger": ("PathContribution", "SignSignature", "signature_ledger"),
-    "folding": ("broken_path_propagator", "fold", "obtuse_corner_constant"),
-    "curvilinear": ("FlattenMap", "corner_coeff_identity", "flatten"),
+    "folding": ("broken_path_propagator", "obtuse_corner_constant"),
     "spectra": ("Spectrum", "disk_spectrum", "rectangle_spectrum", "staircase_residual"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

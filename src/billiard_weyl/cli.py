@@ -162,6 +162,8 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
     if not (1 <= steps <= _MAX_CORNER_STEPS and steps.is_integer()):
         raise DomainError(f"--alpha-grid MIN:MAX:STEPS needs an integer STEPS in "
                           f"[1, {_MAX_CORNER_STEPS}]: {args.alpha_grid!r}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"--alpha-grid {args.alpha_grid!r}: MAX - MIN overflows")
     rows = []
     for alpha in _linspace(lo, hi, int(steps)):
         c = weyl.corner_coeffs(alpha)
@@ -235,6 +237,9 @@ def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
 
 
 def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
+    for flag, value in (("--r", args.r), ("--tau", args.tau)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{flag} {value!r} must be positive and finite")
     from . import folding  # deferred: numpy dominates import time
     alpha = args.alpha
     tau_list = tuple(_numbers("--tau-list", args.tau_list)) if args.tau_list else None
@@ -283,6 +288,8 @@ def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
     s0, v0 = _numbers("--start", args.start, count=2)
     if args.bounces > _MAX_MONODROMY_BOUNCES:
         raise DomainError(f"--bounces {args.bounces} exceeds {_MAX_MONODROMY_BOUNCES}")
+    if args.bounces < 1:
+        raise DomainError(f"--bounces {args.bounces} must be at least 1")
     from . import birkhoff  # deferred: only this command reads it
     pts = birkhoff.trace_orbit(b, birkhoff.BirkhoffCoord(s0, v0), args.bounces)
     m = birkhoff.chain_product(b, pts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "ALL_SIGNATURES",
     "signature_ledger",
     "signature_oracle",
-    "free_kernel",
-    "fold",
     "broken_path_propagator",
     "corner_orbit_kernel_imag",
     "ObtuseCornerResult",
@@ -100,57 +98,6 @@ def signature_oracle(sig: SignSignature, tau: float = 0.25) -> dict:
         "length_units": sgn * pref * (ax * by + bx * ay) / u_len,
         "delta_units": sgn * pref * bx * by,
     }
-
-
-# ---------------------------------------------------------------------------
-# kernels and the folding composition
-
-
-def free_kernel(p, q, tau: float):
-    """Free imaginary-time kernel (1/(4 pi tau)) exp(-|p-q|^2/(4 tau))."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d2 = np.sum((p - q) ** 2, axis=-1)
-    return np.exp(-d2 / (4.0 * tau)) / (4.0 * math.pi * tau)
-
-
-def fold(k1: Callable, k2: Callable, region="plane", n_nodes: int = 64) -> Callable:
-    """Compose two kernels through a mediate point: the folding identity.
-
-    Returns a kernel ``K(p, q, tau)`` evaluating the composition with the
-    time split at the midpoint, the mediate point integrated over
-    ``region``: "plane", ("halfplane_y",) for y > 0, or ("cone", lo, hi)
-    for an angular sector about the origin.  Quadrature is a fixed
-    Gauss-Legendre grid on a Gaussian-localized box, so the composition of
-    two free kernels over the plane reproduces the free kernel to
-    quadrature accuracy; restricted regions leak probability near their
-    boundary, which is the physical content, not an error.
-    """
-
-    def folded(p, q, tau: float):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        half = 0.5 * tau
-        center = 0.5 * (p + q)
-        span = 9.0 * math.sqrt(2.0 * half) + 0.5 * float(np.linalg.norm(p - q))
-        xs, wxs = gauss_legendre(np.linspace(center[0] - span, center[0] + span, 9), n_nodes // 8)
-        ys, wys = gauss_legendre(np.linspace(center[1] - span, center[1] + span, 9), n_nodes // 8)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-        w = wxs[:, None] * wys[None, :]
-        if region == "plane":
-            mask = 1.0
-        elif isinstance(region, tuple) and region[0] == "halfplane_y":
-            mask = (gy > 0.0).astype(float)
-        elif isinstance(region, tuple) and region[0] == "cone":
-            ang = np.arctan2(gy, gx)
-            mask = ((ang >= region[1]) & (ang <= region[2])).astype(float)
-        else:
-            raise DomainError(f"unknown region {region!r}")
-        vals = k1(p, pts, half) * k2(pts, q, half) * mask
-        return float(np.sum(w * vals))
-
-    return folded
 
 
 # ---------------------------------------------------------------------------

@@ -223,13 +223,29 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "100001"],
         ["corner", "--alpha-grid", "1e-300:1e-300:1"],
     ):
-        monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2, argv
-        assert out == "", argv
-        assert err.startswith("usage error") and err.count("\n") == 1, argv
+        _usage_error(monkeypatch, capsys, argv)
+    # a refused boundary value is reported under the flag that carried it
+    for argv, flag in (
+        (["corner", "--alpha-grid=-1e308:1e308:3"], "--alpha-grid"),
+        (["corner", "--alpha-grid=-1e308:1e308:1"], "--alpha-grid"),
+        (["fold", "--alpha", "2.0", "--r", "-1"], "--r"),
+        (["fold", "--alpha", "1.0", "--tau", "-0.05"], "--tau"),
+        (["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "0"],
+         "--bounces"),
+    ):
+        assert flag in _usage_error(monkeypatch, capsys, argv), argv
+
+
+def _usage_error(monkeypatch, capsys, argv: list[str]) -> str:
+    """The one stderr line of ``argv``, which must exit 2 with nothing on stdout."""
+    monkeypatch.setattr("sys.argv", ["billiard-weyl", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2, argv
+    assert out == "", argv
+    assert err.startswith("usage error") and err.count("\n") == 1, argv
+    return err
 
 
 def test_import_does_not_load_scipy_optimize():

@@ -128,37 +128,6 @@ def test_table_vs_oracle_known_attribution_differences():
         assert e.delta_units.value() == pytest.approx(delta, rel=1e-12), s
 
 
-def test_fold_semigroup_on_the_plane():
-    K = fl.fold(fl.free_kernel, fl.free_kernel, "plane")
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        p = rng.uniform(-1, 1, 2)
-        q = rng.uniform(-1, 1, 2)
-        tau = rng.uniform(0.05, 0.3)
-        assert K(p, q, tau) == pytest.approx(float(fl.free_kernel(p, q, tau)),
-                                             rel=1e-6)
-
-
-def test_fold_five_point_pairs_midpoint_split():
-    K = fl.fold(fl.free_kernel, fl.free_kernel, "plane")
-    pairs = [((0.0, 0.0), (0.3, -0.2)), ((1.0, 0.5), (1.0, 0.5)),
-             ((-0.4, 0.1), (0.2, 0.6)), ((0.0, 1.0), (0.5, 0.0)),
-             ((0.7, 0.7), (-0.1, 0.2))]
-    for p, q in pairs:
-        p, q = np.array(p), np.array(q)
-        assert K(p, q, 0.2) == pytest.approx(float(fl.free_kernel(p, q, 0.2)),
-                                             rel=1e-6)
-
-
-def test_fold_halfplane_leaks():
-    Kh = fl.fold(fl.free_kernel, fl.free_kernel, ("halfplane_y",))
-    p = np.array([0.0, 0.08])
-    q = np.array([0.05, 0.1])
-    free = float(fl.free_kernel(p, q, 0.2))
-    leaked = Kh(p, q, 0.2)
-    assert leaked < 0.75 * free       # boundary truncation loses mass
-
-
 def test_broken_path_half_identity_at_right_angle():
     alpha = PI / 2
     for tau in (0.02, 0.05):
@@ -170,20 +139,35 @@ def test_broken_path_half_identity_at_right_angle():
                 assert broken.imag == 0.0
 
 
+def _two_free_legs_over_cone(p, q, tau, lo, hi, n=400):
+    """Two free imaginary-time kernels, time tau each, composed through a mediate
+    point over the cone lo <= theta0 <= hi: a Gauss-Legendre product rule in polar
+    (r0, theta0) on [0, R] x [lo, hi], R past the Gaussian range of both ends."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    big_r = max(np.hypot(*p), np.hypot(*q)) + 12.0 * math.sqrt(tau)
+    r0, wr = 0.5 * big_r * (x + 1.0), 0.5 * big_r * w
+    th0, wt = lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
+    mx = r0[:, None] * np.cos(th0)[None, :]
+    my = r0[:, None] * np.sin(th0)[None, :]
+    d2 = (mx - p[0])**2 + (my - p[1])**2 + (mx - q[0])**2 + (my - q[1])**2
+    legs = np.exp(-d2 / (4.0 * tau)) / (4.0 * math.pi * tau)**2
+    return float(wr @ (r0[:, None] * legs) @ wt)
+
+
 def test_fold_composition_matches_broken_path_in_the_unfolded_cone():
-    # composing two free kernels over the unfolded angular domain reproduces
-    # the broken-path kernel (small tau keeps the integrand exponentially
-    # dead at the masked region boundary)
-    alpha, th1, r, tau = 1.0, 0.5, 1.0, 0.01
-    th2 = 2 * alpha + th1
-    lo = max(0.0, th2 - math.pi)
-    hi = min(3 * alpha, th1 + math.pi)
-    K = fl.fold(fl.free_kernel, fl.free_kernel, ("cone", lo, hi), n_nodes=96)
-    p = np.array([r * math.cos(th1), r * math.sin(th1)])
-    q = np.array([r * math.cos(th2), r * math.sin(th2)])
-    composed = K(p, q, 2 * tau)
-    broken = fl.broken_path_propagator(r, th1, alpha, tau).real
-    assert composed == pytest.approx(broken, rel=1e-3)
+    # the broken-path kernel is the composition of two free kernels through a
+    # mediate point in the visible part of the unfolded triple sector
+    for alpha, th1, r, tau in ((1.0, 0.5, 1.0, 0.01), (0.6, 0.2, 0.8, 0.03),
+                               (1.4, 1.0, 0.5, 0.02)):
+        th2 = 2 * alpha + th1
+        lo = max(0.0, th2 - math.pi)
+        hi = min(3 * alpha, th1 + math.pi)
+        p = np.array([r * math.cos(th1), r * math.sin(th1)])
+        q = np.array([r * math.cos(th2), r * math.sin(th2)])
+        composed = _two_free_legs_over_cone(p, q, tau, lo, hi)
+        broken = fl.broken_path_propagator(r, th1, alpha, tau)
+        assert broken.real == pytest.approx(composed, rel=1e-10)
+        assert broken.imag == 0.0
 
 
 def test_broken_path_scaling_invariance():
