@@ -25,7 +25,6 @@ EXIT_NUMERICAL = 3
 EXIT_GEOMETRY = 4
 
 # Largest size flags; at alpha = 2.0 the fold error estimate meets its rounding floor at grid 3-4.
-_MAX_STAIRCASE_GRID = 1_000_000    # 50x the default
 _MAX_STAIRCASE_MODES = 1_000_000   # Weyl count A*emax/(4 pi); 40x the 25k-mode disk at emax 1e5
 _MAX_CORNER_STEPS = 100_000
 _MAX_MONODROMY_BOUNCES = 100_000
@@ -115,8 +114,6 @@ def _cmd_weyl(args) -> tuple[dict, dict | list, dict]:
 
 
 def _cmd_staircase(args) -> tuple[dict, dict | list, dict]:
-    if args.grid > _MAX_STAIRCASE_GRID:
-        raise DomainError(f"--grid {args.grid} exceeds {_MAX_STAIRCASE_GRID}")
     e1, e2 = _numbers("--window", args.window, count=2)
     area = args.a * args.b if args.shape == "rectangle" else math.pi * args.radius * args.radius
     modes = area * args.emax / (4.0 * math.pi)
@@ -135,7 +132,7 @@ def _cmd_staircase(args) -> tuple[dict, dict | list, dict]:
         m = geometry.measures(geometry.disk(args.radius))
         shape_inputs = {"radius": args.radius}
     e = weyl.weyl_expansion(m, weyl.DIRICHLET)
-    res = spectra.staircase_residual(sp, e, (e1, e2), grid_points=args.grid)
+    res = spectra.staircase_residual(sp, e, (e1, e2))
     results = {
         "shape": args.shape,
         "eigenvalues": len(sp),
@@ -149,11 +146,13 @@ def _cmd_staircase(args) -> tuple[dict, dict | list, dict]:
     prov = {
         "mean_residual": "window average of N(E) - [c0 E + 2 c_half sqrt(E)] "
                          "[dimensionless count]",
+        "stderr": "population standard deviation of the residual at each eigenvalue in "
+                  "the window, over sqrt(count): the staircase's scatter about the smooth "
+                  "part, not a quadrature error",
         "expected_delta_coef": "delta(E) weight of the smooth expansion",
         "route": "exact-spectrum staircase vs smooth counting",
     }
-    inputs = {"shape": args.shape, "emax": args.emax, "window": args.window,
-              "grid": args.grid, **shape_inputs}
+    inputs = {"shape": args.shape, "emax": args.emax, "window": args.window, **shape_inputs}
     return inputs, results, prov
 
 
@@ -237,6 +236,8 @@ def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
 
 
 def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
+    if not 0.0 < args.alpha < math.pi:
+        raise DomainError(f"--alpha {args.alpha!r} must lie in (0, pi)")
     for flag, value in (("--r", args.r), ("--tau", args.tau)):
         if not 0.0 < value < math.inf:
             raise DomainError(f"{flag} {value!r} must be positive and finite")
@@ -245,7 +246,7 @@ def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
     tau_list = tuple(_numbers("--tau-list", args.tau_list)) if args.tau_list else None
     results: dict = {"alpha": alpha}
     if alpha <= math.pi / 2.0 + 1e-12:
-        r, theta1, tau = args.r, min(0.5 * alpha, alpha - 1e-6), args.tau
+        r, theta1, tau = args.r, 0.5 * alpha, args.tau
         try:
             half = 0.5 * folding.corner_orbit_kernel_imag(r, alpha, 2.0 * tau)
         except OverflowError:
@@ -286,6 +287,10 @@ def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
 def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
     b = _load_boundary(args.geometry)
     s0, v0 = _numbers("--start", args.start, count=2)
+    if not abs(v0) < 1.0:
+        raise DomainError(f"--start {args.start!r} needs |V| < 1")
+    if not 0.0 < args.k < math.inf:
+        raise DomainError(f"--k {args.k!r} must be positive and finite")
     if args.bounces > _MAX_MONODROMY_BOUNCES:
         raise DomainError(f"--bounces {args.bounces} exceeds {_MAX_MONODROMY_BOUNCES}")
     if args.bounces < 1:
@@ -315,8 +320,8 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     y, k = args.y, args.k
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"--tol {args.tol!r} must be positive and finite")
-    if not (math.isfinite(y) and math.isfinite(k) and math.isfinite(2.0 * k * y)):
-        raise DomainError(f"--y {y!r} and --k {k!r} need finite y, k and 2*k*y")
+    if not (0.0 < y < math.inf and 0.0 < k < math.inf and math.isfinite(2.0 * k * y)):
+        raise DomainError(f"--y {y!r} and --k {k!r} need positive finite y, k and 2*k*y")
     from . import orbit_terms  # deferred: numpy dominates import time
     g_hankel = orbit_terms.single_reflection_green(y, k)
     g_stat = orbit_terms.green_stationary(y, k)
@@ -378,7 +383,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--radius", type=float, default=1.0)
     q.add_argument("--emax", type=float, required=True)
     q.add_argument("--window", required=True, help="E1,E2")
-    q.add_argument("--grid", type=int, default=20001)
     q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_staircase)
 

@@ -4,7 +4,7 @@ Rectangles have the separable eigenvalues pi^2 (m^2/a^2 + n^2/b^2); the
 unit disk has squared Bessel zeros with double angular degeneracy for
 nonzero order.  The staircase residual compares the exact counting
 function against the E-dependent part of the smooth expansion; its window
-average estimates the delta(E) coefficient.
+average, integrated in closed form, estimates the delta(E) coefficient.
 
 Every disk zero below a cutoff comes from one pass over all orders.  The
 signs of J_m at the nodes upper - k h, h = ``_STEP`` = 1, bracket the
@@ -45,7 +45,6 @@ __all__ = [
     "disk_spectrum",
     "bessel_zeros_bracketed",
     "staircase_residual",
-    "counting_function",
 ]
 
 
@@ -72,11 +71,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def counting_function(sp: Spectrum, energies: np.ndarray) -> np.ndarray:
-    """Right-continuous step count N(E) = #{eigenvalues <= E}."""
-    return np.searchsorted(sp.eigenvalues, energies, side="right").astype(float)
 
 
 def _check_emax(emax: float) -> None:
@@ -206,28 +200,29 @@ def disk_spectrum(radius: float, emax: float) -> Spectrum:
 
 
 def staircase_residual(sp: Spectrum, e: SpectralExpansion,
-                       window: tuple[float, float],
-                       grid_points: int = 20001) -> dict:
-    """Mean and naive standard error of N(E) minus the E-dependent smooth part.
+                       window: tuple[float, float]) -> dict:
+    """Window average of N(E) minus the E-dependent smooth part, in closed form.
 
-    The residual is averaged over a dense uniform grid on the window; its
-    mean estimates the delta(E) coefficient of the expansion.  Requires at
-    least 100 eigenvalues inside the window and at least 2 grid points.
+    Over [e1, e2] the step count N(E) = #{eigenvalues <= E} integrates to
+    N(e1) (e2 - e1) plus e2 - lambda per eigenvalue in (e1, e2], and
+    c0 E + 2 c_half sqrt(E) to a polynomial in sqrt(E).  The mean estimates
+    the delta(E) coefficient.  ``stderr`` is the population deviation of the
+    residual at each eigenvalue in [e1, e2], N counting it, over sqrt(count):
+    the staircase's scatter.  Requires at least 100 eigenvalues in the window.
     """
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points!r}")
     e1, e2 = window
     if not (0.0 < e1 < e2 <= sp.emax * (1 + 1e-12)):
         raise DomainError(f"window {window!r} must sit inside (0, emax]")
     ev = sp.eigenvalues
-    inside = np.count_nonzero((ev >= e1) & (ev <= e2))
+    first = int(np.searchsorted(ev, e1))
+    lo, hi = (int(i) for i in np.searchsorted(ev, (e1, e2), side="right"))
+    inside = hi - first
     if inside < 100:
         raise InsufficientDataError(
             f"window holds {inside} eigenvalues; need at least 100")
-    grid = np.linspace(e1, e2, grid_points)
-    n_exact = counting_function(sp, grid)
-    smooth = e.const_coef * grid + 2.0 * e.inv_sqrt_coef * np.sqrt(grid)
-    resid = n_exact - smooth
-    mean = float(np.mean(resid))
-    stderr = float(np.std(resid) / math.sqrt(len(resid)))
-    return {"mean": mean, "stderr": stderr, "count": int(inside)}
+    c0, c_half = e.const_coef, e.inv_sqrt_coef
+    integral = (lo * (e2 - e1) + float(np.sum(e2 - ev[lo:hi])) - 0.5 * c0 * (e2 * e2 - e1 * e1)
+                - (4.0 / 3.0) * c_half * (e2 * math.sqrt(e2) - e1 * math.sqrt(e1)))
+    at = ev[first:hi]
+    resid = np.arange(first + 1, hi + 1) - c0 * at - 2.0 * c_half * np.sqrt(at)
+    return {"mean": integral / (e2 - e1), "stderr": float(np.std(resid) / math.sqrt(inside)), "count": inside}

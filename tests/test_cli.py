@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import billiard_weyl
-from billiard_weyl import cli, folding, orbit_terms
+from billiard_weyl import birkhoff, cli, folding, orbit_terms
 from billiard_weyl.errors import NonConvergence
 
 SQUARE_DOC = """billiard v1
@@ -188,8 +188,6 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["fold", "--alpha", "2.0", "--tau-list", "x"],
         [*staircase, "--window", "400"],
         [*staircase, "--window", "a,b"],
-        [*staircase, "--window", "500,5000", "--grid", "-1"],
-        [*staircase, "--window", "500,5000", "--grid", "0"],
         ["monodromy", "--geometry", square_file, "--start", "0.5", "--bounces", "4"],
         ["staircase", "--shape", "rectangle", "--emax", "nan", "--window", "500,5000"],
         ["staircase", "--shape", "rectangle", "--a", "inf", "--emax", "5000",
@@ -200,7 +198,6 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["staircase", "--shape", "disk", "--emax", "nan", "--window", "500,5000"],
         ["fold", "--alpha", "1.0", "--tau", "1e-5"],
         ["fold", "--alpha", "1.0", "--r", "1e300"],
-        [*staircase, "--window", "500,5000", "--grid", "10000000000000"],
         ["corner", "--alpha-grid", "0.1:1.5:1e13"],
         ["fold", "--alpha", "2.0", "--tau-list", "0.02,0.01", "--grid", "10000000000000"],
         ["green", "--y", "1", "--k", "1", "--verify", "--tol", "0"],
@@ -232,9 +229,25 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         (["fold", "--alpha", "1.0", "--tau", "-0.05"], "--tau"),
         (["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "0"],
          "--bounces"),
+        ([*staircase, "--window", "500,5000", "--grid", "20001"], "--grid"),
+        (["monodromy", "--geometry", square_file, "--start", "0.5,1", "--bounces", "4"],
+         "--start"),
+        (["monodromy", "--geometry", square_file, "--start", "0.5,-1.5", "--bounces", "4"],
+         "--start"),
+        (["green", "--y", "-1", "--k", "1"], "--y"),
+        (["green", "--y", "1", "--k", "0"], "--k"),
+        (["fold", "--alpha", "0"], "--alpha"),
+        (["fold", "--alpha", "3.2"], "--alpha"),
+        (["fold", "--alpha", "nan"], "--alpha"),
     ):
         assert flag in _usage_error(monkeypatch, capsys, argv), argv
-
+    # --k is checked before the orbit is traced
+    monkeypatch.setattr(birkhoff, "trace_orbit",
+                        lambda *args: pytest.fail("the orbit was traced before --k was checked"))
+    for k in ("0", "-1", "inf", "nan"):
+        argv = ["monodromy", "--geometry", square_file, "--start", "0.5,0.1",
+                "--bounces", "100000", "--k", k]
+        assert "--k" in _usage_error(monkeypatch, capsys, argv), argv
 
 def _usage_error(monkeypatch, capsys, argv: list[str]) -> str:
     """The one stderr line of ``argv``, which must exit 2 with nothing on stdout."""
@@ -344,6 +357,10 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
                          "--tau-list", "0.02"])
     assert code == 3
     assert "non-convergence" in out
+    # so does a corner too sharp for the ladder; the broken path is evaluated at alpha/2
+    code, out = cli.run(["fold", "--alpha", "1e-7"])
+    assert code == 3
+    assert "non-convergence" in out
     # a non-finite result (m12/k overflows) is refused in both formats
     for fmt in ("json", "csv"):
         argv = ["monodromy", "--geometry", square_file, "--start", "0.5,0.0",
@@ -399,7 +416,7 @@ _FLAGS = {
     "weyl": ({"--geometry": st.sampled_from(_FILES)}, {"--bc": _BC}),
     "staircase": ({"--shape": st.sampled_from(("rectangle", "disk")), "--emax": _NUMBER,
                    "--window": _joined(",", 2)},
-                  {"--a": _NUMBER, "--b": _NUMBER, "--radius": _NUMBER, "--grid": _NUMBER}),
+                  {"--a": _NUMBER, "--b": _NUMBER, "--radius": _NUMBER}),
     "corner": ({"--alpha-grid": _joined(":", 3)}, {"--count-both-orders": None}),
     "ledger": ({}, {"--bc": _BC}),
     "monodromy": ({"--geometry": st.sampled_from(_FILES), "--start": _joined(",", 2),

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -114,18 +115,6 @@ def test_disk_count_tracks_smooth_counting():
     assert abs(len(s) - expect) < 6.0 * 1500.0**0.25
 
 
-def test_counting_function_right_continuous_step():
-    s = spc.rectangle_spectrum(1.0, 1.0, 300.0)
-    ev = s.eigenvalues
-    grid = np.concatenate([ev - 1e-9, ev + 1e-9])
-    n = spc.counting_function(s, grid)
-    k = len(ev)
-    assert np.all(n[k:] >= n[:k])
-    assert spc.counting_function(s, np.array([s.emax]))[0] == len(ev)
-    # value at an eigenvalue includes it
-    assert spc.counting_function(s, ev[:1])[0] >= 1.0
-
-
 def test_staircase_residual_square_quarter():
     s = spc.rectangle_spectrum(1.0, 1.0, 5000.0)
     e = w.weyl_expansion(g.measures(g.square()))
@@ -133,13 +122,61 @@ def test_staircase_residual_square_quarter():
     assert r["mean"] == pytest.approx(0.25, abs=0.03)
 
 
+def _step_integral(ev: np.ndarray, e1: float, e2: float) -> float:
+    """Integral of N(E) = #{eigenvalues <= E} over [e1, e2], one term per eigenvalue."""
+    return math.fsum(e2 - max(lam, e1) for lam in ev.tolist() if lam <= e2)
+
+
 def test_staircase_residual_zero_expansion_gives_mean_count():
     s = spc.rectangle_spectrum(1.0, 1.0, 3000.0)
+    ev = s.eigenvalues
     zero = w.SpectralExpansion(0.0, 0.0, 0.0, 0.0, 0.0)
-    r = spc.staircase_residual(s, zero, (100.0, 3000.0), grid_points=4001)
-    grid = np.linspace(100.0, 3000.0, 4001)
-    assert r["mean"] == pytest.approx(float(np.mean(spc.counting_function(s, grid))),
-                                      rel=1e-12)
+    # the square's spectrum is degenerate; the last two windows start and end on eigenvalues
+    for e1, e2 in ((100.0, 3000.0), (ev[10], ev[150]), (ev[3], ev[-1])):
+        r = spc.staircase_residual(s, zero, (e1, e2))
+        assert r["mean"] == pytest.approx(_step_integral(ev, e1, e2) / (e2 - e1), rel=1e-12)
+        inside = [i + 1 for i, lam in enumerate(ev.tolist()) if e1 <= lam <= e2]
+        assert r["count"] == len(inside)
+        # with no smooth part, the residual at the i-th eigenvalue is i
+        assert r["stderr"] == pytest.approx(statistics.pstdev(inside) / math.sqrt(len(inside)),
+                                            rel=1e-12)
+
+
+def _residual_integral_gauss_legendre(ev: np.ndarray, e: w.SpectralExpansion,
+                                      e1: float, e2: float) -> float:
+    """Integral of the residual over [e1, e2] by 3-node Gauss-Legendre per panel in u = sqrt(E).
+
+    N is constant between eigenvalues and dE = 2u du, so the integrand is a cubic
+    in u on each panel, which the rule integrates exactly.
+    """
+    cuts = np.sqrt(np.unique(np.concatenate([[e1, e2], ev[(ev > e1) & (ev < e2)]])))
+    a, b = cuts[:-1, None], cuts[1:, None]
+    x, wt = np.polynomial.legendre.leggauss(3)
+    u = 0.5 * (a + b) + 0.5 * (b - a) * x
+    n = np.searchsorted(ev, u * u, side="right")
+    resid = n - e.const_coef * u * u - 2.0 * e.inv_sqrt_coef * u
+    return math.fsum((0.5 * (b - a) * wt * resid * 2.0 * u).ravel().tolist())
+
+
+def test_staircase_residual_matches_gauss_legendre_reference():
+    a, b = 1.0, 2.0 ** (1.0 / 3.0)
+    cases = ((spc.rectangle_spectrum(a, b, 6000.0), g.rectangle(a, b), (1000.0, 6000.0)),
+             (spc.disk_spectrum(1.0, 4000.0), g.disk(), (500.0, 4000.0)))
+    for s, boundary, (e1, e2) in cases:
+        e = w.weyl_expansion(g.measures(boundary))
+        r = spc.staircase_residual(s, e, (e1, e2))
+        ref = _residual_integral_gauss_legendre(s.eigenvalues, e, e1, e2) / (e2 - e1)
+        assert r["mean"] == pytest.approx(ref, rel=1e-12), s.shape
+
+
+def test_staircase_residual_is_additive_over_windows():
+    a, b = 1.0, 2.0 ** (1.0 / 3.0)
+    s = spc.rectangle_spectrum(a, b, 6000.0)
+    e = w.weyl_expansion(g.measures(g.rectangle(a, b)))
+    whole = spc.staircase_residual(s, e, (1000.0, 6000.0))["mean"] * 5000.0
+    left = spc.staircase_residual(s, e, (1000.0, 3500.0))["mean"] * 2500.0
+    right = spc.staircase_residual(s, e, (3500.0, 6000.0))["mean"] * 2500.0
+    assert whole == pytest.approx(left + right, rel=1e-12)
 
 
 def test_staircase_residual_window_stability():
@@ -148,7 +185,7 @@ def test_staircase_residual_window_stability():
     e = w.weyl_expansion(g.measures(g.rectangle(a, b)))
     r1 = spc.staircase_residual(s, e, (1000.0, 3500.0))
     r2 = spc.staircase_residual(s, e, (1000.0, 6000.0))
-    assert abs(r2["mean"] - r1["mean"]) < 3.0 * (r1["stderr"] + r2["stderr"]) + 0.02
+    assert abs(r2["mean"] - r1["mean"]) < 0.02
 
 
 def test_staircase_residual_insufficient_data():
