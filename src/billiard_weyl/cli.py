@@ -165,7 +165,10 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
         raise DomainError(f"--alpha-grid {args.alpha_grid!r}: MAX - MIN overflows")
     rows = []
     for alpha in _linspace(lo, hi, int(steps)):
-        c = weyl.corner_coeffs(alpha)
+        try:
+            c = weyl.corner_coeffs(alpha)
+        except DomainError as exc:
+            raise DomainError(f"--alpha-grid {args.alpha_grid!r}: {exc}") from None
         factor = 2.0 if args.count_both_orders else 1.0
         if c.orbit is None:
             orbit = edge = total = ratio = ""
@@ -238,37 +241,18 @@ def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
 def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
     if not 0.0 < args.alpha < math.pi:
         raise DomainError(f"--alpha {args.alpha!r} must lie in (0, pi)")
-    for flag, value in (("--r", args.r), ("--tau", args.tau)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{flag} {value!r} must be positive and finite")
     from . import folding  # deferred: numpy dominates import time
     alpha = args.alpha
-    tau_list = tuple(_numbers("--tau-list", args.tau_list)) if args.tau_list else None
-    results: dict = {"alpha": alpha}
-    if alpha <= math.pi / 2.0 + 1e-12:
-        r, theta1, tau = args.r, 0.5 * alpha, args.tau
-        try:
-            half = 0.5 * folding.corner_orbit_kernel_imag(r, alpha, 2.0 * tau)
-        except OverflowError:
-            half = math.inf
-        if not 0.0 < half < math.inf:
-            raise DomainError(f"--r {r!r} and --tau {tau!r} put the half closed-orbit "
-                              "kernel outside the floating-point range")
-        broken = folding.broken_path_propagator(r, theta1, alpha, tau)
-        results.update({
-            "broken_path_kernel": broken.real,
-            "half_closed_orbit_kernel": half,
-            "half_identity_rel_residual": abs(broken.real - half) / half,
-        })
-    cres = folding.obtuse_corner_constant(alpha, grid=args.grid, tau_ladder=tau_list)
-    results.update({
+    cres = folding.obtuse_corner_constant(alpha, grid=args.grid)
+    results = {
+        "alpha": alpha,
         "corner_constant": cres.value,
         "error_estimate": cres.error_estimate,
         "main_paths_constant": cres.main_value,
         "weyl_coefficient": cres.weyl_value,
         "grid": cres.grid,
         "tau_ladder": ",".join(repr(t) for t in cres.tau_ladder),
-    })
+    }
     prov = {
         "corner_constant": "delta(E) weight from two-piece folded paths, (d,d) class "
                            "left out, area/edge parts removed, extrapolated to tau=0",
@@ -279,8 +263,7 @@ def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
         "weyl_coefficient": "(pi/alpha - alpha/pi)/24 for side-by-side comparison",
         "route": "imaginary-time folded kernels over the wedge",
     }
-    inputs = {"alpha": alpha, "tau_list": args.tau_list, "grid": args.grid,
-              "r": args.r, "tau": args.tau}
+    inputs = {"alpha": alpha, "grid": args.grid}
     return inputs, results, prov
 
 
@@ -318,8 +301,6 @@ def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
 
 def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     y, k = args.y, args.k
-    if not 0.0 < args.tol < math.inf:
-        raise DomainError(f"--tol {args.tol!r} must be positive and finite")
     if not (0.0 < y < math.inf and 0.0 < k < math.inf and math.isfinite(2.0 * k * y)):
         raise DomainError(f"--y {y!r} and --k {k!r} need positive finite y, k and 2*k*y")
     from . import orbit_terms  # deferred: numpy dominates import time
@@ -333,7 +314,7 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
         "magnitude_ratio": abs(g_stat) / abs(g_hankel),
     }
     if args.verify:
-        q = orbit_terms.green_fourier(y, k, tol=args.tol)
+        q = orbit_terms.green_fourier(y, k)
         results["fourier_re"] = q.value.real
         results["fourier_im"] = q.value.imag
         results["fourier_error_estimate"] = q.error_estimate
@@ -343,10 +324,10 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
         "stationary": "-(1/(4i sqrt(pi k y))) exp(2iky), stationary phase",
         "fourier": ("damped time integral of the reflected kernel (verification); "
                     "fourier_error_estimate is the Neville spread of the damping ladder "
-                    "plus the largest rung quadrature error; --tol bounds each rung's "
-                    "quadrature only, not the spread"),
+                    "plus the largest rung quadrature error; each rung is integrated to "
+                    "1e-9, which does not bound the spread"),
     }
-    inputs = {"y": y, "k": k, "verify": args.verify, "tol": args.tol}
+    inputs = {"y": y, "k": k, "verify": args.verify}
     return inputs, results, prov
 
 
@@ -400,10 +381,7 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("fold", help="two-piece folded-path corner analysis")
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--tau-list", default=None, help="comma-separated ladder")
     q.add_argument("--grid", type=int, default=1, choices=range(1, _MAX_FOLD_GRID + 1))
-    q.add_argument("--r", type=float, default=0.5)
-    q.add_argument("--tau", type=float, default=0.05)
     q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_fold)
 
@@ -420,7 +398,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--k", type=float, required=True)
     q.add_argument("--verify", action="store_true",
                    help="also run the damped time-integral quadrature")
-    q.add_argument("--tol", type=float, default=1e-9)
     q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_green)
     return p

@@ -316,10 +316,6 @@ def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
 
 # Largest error estimate obtuse_corner_constant accepts (absolute).
 _ERROR_TOL = 0.01
-# Smallest tau rung: below about 1e-16 the radial moments divide 0 by 0, and tau**2
-# underflows near 1e-160.  The floor sits four orders above the first and far below
-# the default ladder's smallest rung, 0.02 * 2**-13 (about 2.4e-6) at grid 6.
-_MIN_TAU = 1e-12
 
 
 @dataclass(frozen=True)
@@ -367,18 +363,15 @@ def _constant_at(alpha: float, tau_ladder: Sequence[float],
     return value.real, spread, main_value.real, {k: tuple(v) for k, v in per_class.items()}
 
 
-def obtuse_corner_constant(
-    alpha: float,
-    grid: int = 2,
-    tau_ladder: Sequence[float] | None = None,
-) -> ObtuseCornerResult:
+def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     """Numerical corner delta(E) constant from two-piece folded paths.
 
     All ordered leg-path class pairs are summed except the doubly-direct
     one, whose area and edge parts are not separated here, so its finite
     part is left out; the edge classes have their extensive per-side parts
     removed analytically.  The remaining
-    constant is Richardson-extrapolated over the imaginary-time ladder.
+    constant is Richardson-extrapolated over the imaginary-time ladder
+    0.02 * 0.5**j, j < 2 + 2*grid.
     The trace is windowed by exp(-r^2/_WINDOW_R^2), which regularizes the
     extensive parts without introducing a spurious cutoff boundary.
 
@@ -392,21 +385,14 @@ def obtuse_corner_constant(
     and the difference from a pass with three fewer Gauss-Legendre nodes
     per panel (4 + 3*grid in the main pass): it measures ladder and
     quadrature convergence only.  Raises
-    :class:`NonConvergence` when it exceeds 0.01 or is NaN, and
-    :class:`DomainError` unless the ladder's rungs are distinct, finite
-    and at least 1e-12.
+    :class:`NonConvergence` when it exceeds 0.01 or is NaN.
     """
     if not 0.0 < alpha < math.pi:
         raise DomainError("alpha must be in (0, pi)")
     if grid < 1:
         raise DomainError("grid must be >= 1")
-    if tau_ladder is None:
-        # two extra halvings per refinement level: deeper extrapolation
-        tau_ladder = tuple(0.02 * 0.5**j for j in range(2 + 2 * grid))
-    tau_ladder = tuple(tau_ladder)
-    if (not tau_ladder or len(set(tau_ladder)) < len(tau_ladder)
-            or not all(_MIN_TAU <= t < math.inf for t in tau_ladder)):
-        raise DomainError(f"tau_ladder must hold distinct finite rungs >= {_MIN_TAU:g}")
+    # two extra halvings per refinement level: deeper extrapolation
+    tau_ladder = tuple(0.02 * 0.5**j for j in range(2 + 2 * grid))
     n_gl = 4 + 3 * grid
     value, spread, main_value, per_class = _constant_at(alpha, tau_ladder, n_gl)
     coarse, _, _, _ = _constant_at(alpha, tau_ladder, n_gl - 3)

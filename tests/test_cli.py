@@ -141,10 +141,10 @@ def test_green_verify():
     res = json.loads(out)["results"]
     assert res["fourier_vs_hankel"] < 1e-6
     assert res["magnitude_ratio"] == pytest.approx(1.0, abs=0.05)
-    # the estimate is the ladder's spread, which --tol does not bound
+    # the estimate is the ladder's spread, which the per-rung tolerance does not bound
     fourier = json.loads(out)["provenance"]["fourier"]
     assert "Neville spread of the damping ladder" in fourier
-    assert "--tol bounds each rung's quadrature only, not the spread" in fourier
+    assert "each rung is integrated to 1e-9, which does not bound the spread" in fourier
 
 
 def test_monodromy_square(square_file):
@@ -166,7 +166,9 @@ def test_fold_right_angle():
     assert code == 0
     report = json.loads(out)
     res = report["results"]
-    assert res["half_identity_rel_residual"] < 1e-9
+    # the report is the corner constant from --alpha and --grid alone
+    assert set(report["inputs"]) == {"alpha", "grid"}
+    assert not [key for key in res if key.startswith(("half_", "broken_"))]
     target = 1.0 / 16 - 1.0 / (16 * math.pi**2)
     assert res["corner_constant"] == pytest.approx(target, rel=0.01)
     # the report says what its error estimate measures and what the constant leaves out
@@ -183,9 +185,6 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["corner", "--alpha-grid", "1:2:0", "--format", "csv"],
         ["corner", "--alpha-grid", "x:2:3"],
         ["corner", "--alpha-grid", "1:inf:3"],
-        ["fold", "--alpha", "2.0", "--tau-list", "0"],
-        ["fold", "--alpha", "2.0", "--tau-list", "nan"],
-        ["fold", "--alpha", "2.0", "--tau-list", "x"],
         [*staircase, "--window", "400"],
         [*staircase, "--window", "a,b"],
         ["monodromy", "--geometry", square_file, "--start", "0.5", "--bounces", "4"],
@@ -196,16 +195,8 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["staircase", "--shape", "disk", "--emax", "5000", "--radius", "inf",
          "--window", "500,5000"],
         ["staircase", "--shape", "disk", "--emax", "nan", "--window", "500,5000"],
-        ["fold", "--alpha", "1.0", "--tau", "1e-5"],
-        ["fold", "--alpha", "1.0", "--r", "1e300"],
         ["corner", "--alpha-grid", "0.1:1.5:1e13"],
-        ["fold", "--alpha", "2.0", "--tau-list", "0.02,0.01", "--grid", "10000000000000"],
-        ["green", "--y", "1", "--k", "1", "--verify", "--tol", "0"],
-        ["green", "--y", "1", "--k", "1", "--verify", "--tol", "nan"],
-        ["green", "--y", "1", "--k", "1", "--verify", "--tol", "-1"],
-        ["fold", "--alpha", "2.0", "--tau-list", "1e-300,1e-301"],
-        ["fold", "--alpha", "2.0", "--tau-list", "1e-160,2e-160"],
-        ["fold", "--alpha", "2.0", "--tau-list", "1e-20,2e-20"],
+        ["fold", "--alpha", "2.0", "--grid", "10000000000000"],
         ["staircase", "--shape", "disk", "--emax", "-1", "--window", "500,5000"],
         ["staircase", "--shape", "rectangle", "--emax", "-1", "--window", "500,5000"],
         ["staircase", "--shape", "rectangle", "--a", "1e-300", "--emax", "5000",
@@ -218,15 +209,19 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["green", "--y", "inf", "--k", "1"],
         ["green", "--y", "1e200", "--k", "1e200"],
         ["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "100001"],
-        ["corner", "--alpha-grid", "1e-300:1e-300:1"],
     ):
         _usage_error(monkeypatch, capsys, argv)
     # a refused boundary value is reported under the flag that carried it
     for argv, flag in (
         (["corner", "--alpha-grid=-1e308:1e308:3"], "--alpha-grid"),
         (["corner", "--alpha-grid=-1e308:1e308:1"], "--alpha-grid"),
-        (["fold", "--alpha", "2.0", "--r", "-1"], "--r"),
-        (["fold", "--alpha", "1.0", "--tau", "-0.05"], "--tau"),
+        (["corner", "--alpha-grid", "0:1:3"], "--alpha-grid"),
+        (["corner", "--alpha-grid", "1e-300:1e-300:1"], "--alpha-grid"),
+        # fold reads --alpha and --grid only, and green has no --tol
+        (["fold", "--alpha", "2.0", "--tau-list", "0.02,0.01"], "--tau-list"),
+        (["fold", "--alpha", "1.0", "--r", "0.5"], "--r"),
+        (["fold", "--alpha", "1.0", "--tau", "0.05"], "--tau"),
+        (["green", "--y", "1", "--k", "1", "--verify", "--tol", "1e-9"], "--tol"),
         (["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "0"],
          "--bounces"),
         ([*staircase, "--window", "500,5000", "--grid", "20001"], "--grid"),
@@ -296,6 +291,21 @@ def test_exact_commands_never_load_numpy(square_file):
                                 "2 False", "0 True", ""]
 
 
+def test_fold_never_loads_scipy_special():
+    # fold evaluates no Bessel or error function at any angle, and a flag it does not
+    # take is refused by argparse, before numpy is imported
+    argvs = [["fold", "--alpha", "2.0", "--tau-list", "0"],
+             ["fold", "--alpha", "1.0", "--grid", "1"]]
+    code = ("import sys, billiard_weyl, billiard_weyl.cli\n"
+            "loaded = lambda: [m in sys.modules for m in ('numpy', 'scipy.special')]\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(billiard_weyl.cli.run(argv)[0], loaded())\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n") == ["2 [False, False]", "0 [True, False]", ""]
+
+
 def test_every_top_level_name_resolves_to_its_home_object():
     names = [n for n in billiard_weyl.__all__ if n != "__version__"]
     assert len(names) == len(set(names))
@@ -351,13 +361,7 @@ def test_exit_code_geometry_error(tmp_path, square_file):
 
 
 def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
-    # a single-rung ladder leaves no extrapolation control, forcing the
-    # non-convergence path
-    code, out = cli.run(["fold", "--alpha", "2.0", "--grid", "1",
-                         "--tau-list", "0.02"])
-    assert code == 3
-    assert "non-convergence" in out
-    # so does a corner too sharp for the ladder; the broken path is evaluated at alpha/2
+    # a corner too sharp for the tau ladder forces the non-convergence path
     code, out = cli.run(["fold", "--alpha", "1e-7"])
     assert code == 3
     assert "non-convergence" in out
@@ -375,11 +379,11 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
 
 
 def test_non_convergence_reports_the_partial_result(monkeypatch, capsys):
-    # green beyond the damping ladder's reach, and fold on a one-rung ladder
+    # green beyond the damping ladder's reach, and fold on a corner too sharp for its ladder
     cases = ((["green", "--y", "1", "--k", "1000", "--verify"],
               lambda: orbit_terms.green_fourier(1.0, 1000.0)),
-             (["fold", "--alpha", "2.0", "--grid", "1", "--tau-list", "0.02"],
-              lambda: folding.obtuse_corner_constant(2.0, grid=1, tau_ladder=(0.02,))))
+             (["fold", "--alpha", "1e-7"],
+              lambda: folding.obtuse_corner_constant(1e-7, grid=1)))
     for argv, call in cases:
         with pytest.raises(NonConvergence) as raised:
             call()
@@ -421,7 +425,7 @@ _FLAGS = {
     "ledger": ({}, {"--bc": _BC}),
     "monodromy": ({"--geometry": st.sampled_from(_FILES), "--start": _joined(",", 2),
                    "--bounces": _NUMBER}, {"--k": _NUMBER}),
-    "green": ({"--y": _NUMBER, "--k": _NUMBER}, {"--verify": None, "--tol": _NUMBER}),
+    "green": ({"--y": _NUMBER, "--k": _NUMBER}, {"--verify": None}),
 }
 
 
