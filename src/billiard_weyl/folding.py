@@ -8,9 +8,9 @@ too.  ``signature_oracle`` recomputes the same decomposition of each
 signature by quadrature in imaginary time, independently of the table.
 
 For a general wedge the same two-piece construction is organised by leg
-path classes (direct, one bounce per side, double bounces in both orders)
-with explicit geometric validity, and the corner's delta(E) constant is
-extracted numerically: ``obtuse_corner_constant``.
+path classes (direct, one bounce per side, double bounces in both orders),
+each leg valid when its unfolded chord spans at most pi, and the corner's
+delta(E) constant is extracted numerically: ``obtuse_corner_constant``.
 
 All numerical propagator work here is done in imaginary time (t -> -i*tau),
 which turns the oscillatory kernels into Gaussians; the (E^0, E^-1/2,
@@ -189,73 +189,16 @@ def _image_angle(alpha: float, theta, sides: str):
     return theta
 
 
-def _leg_valid(alpha: float, th_x, th_y, path: str):
-    """Validity of one leg from angle th_x to angle th_y (unit radii) along ``path``.
-
-    The path's bounce word unfolds the leg into the chord from th_x to the image
-    th_i of th_y.  The leg is valid when the chord crosses each side's unfolded
-    line beta_k in turn (increasing chord parameter t_k), at a nonnegative ray
-    coordinate; the direct word is empty, so always valid.  Conditions are
-    homogeneous in the radii, so angles suffice.
-    """
-    th_x = np.asarray(th_x, dtype=float)
-    word = path.replace("d", "")
-    th_i = _image_angle(alpha, np.asarray(th_y, dtype=float), word[::-1])
-    ok = np.ones(np.broadcast(th_x, th_i).shape, dtype=bool)
-    t_prev = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, side in enumerate(word):
-            beta = _image_angle(alpha, 0.0 if side == "a" else alpha, word[:k])
-            s_x, s_i = np.sin(th_x - beta), np.sin(th_i - beta)
-            t = s_x / (s_x - s_i)
-            ok &= (s_x * s_i < 0.0) & (t > t_prev) & (np.sin(th_x - th_i) / (s_x - s_i) >= 0.0)
-            t_prev = t
-    return ok
-
-
-def _pair_sectors(alpha: float, thetas: np.ndarray) -> dict:
-    """Valid theta0 intervals in [0, alpha] per outer node, for every ordered class pair.
-
-    Returns ``{(p1, p2): (rows, lo, hi)}`` in ``product(PATH_CLASSES, repeat=2)`` order
-    but ("d", "d"): sector k is [lo[k], hi[k]] at ``thetas[rows[k]]``.
-
-    ``_leg_valid`` tests signs of sin(x - beta), sin(i - beta) and sin(x - i), where x
-    is the start angle, i the unfolded image of the end angle y and beta a side's
-    unfolded line; its order test reduces to the sign of sin(x - i) sin(beta_1 - beta_2).
-    Every argument is j alpha +- x, j alpha +- y or j alpha + x +- y with |j| at most the
-    longest word's length in ``PATH_CLASSES``.  So with one end at theta, validity
-    changes only at theta0 = j alpha or j alpha +- theta (mod pi).  Each class is
-    classified once per direction at the midpoints of the pieces between breakpoints;
-    a pair's piece is valid when its out leg (theta -> theta0) and back leg are.
-    """
-    n = len(thetas)
-    th = np.asarray(thetas, dtype=float)[:, None]
-    j_max = max(len(p.replace("d", "")) for p in PATH_CLASSES)
-    j_alpha = alpha * np.arange(-j_max, j_max + 1)
-    cand = np.mod(np.concatenate(np.broadcast_arrays(j_alpha, j_alpha + th, j_alpha - th),
-                                 axis=1), math.pi)
-    cand = np.where(cand < alpha, cand, 0.0)
-    breaks = np.sort(np.column_stack([np.zeros(n), cand, np.full(n, alpha)]), axis=1)
-    lo, hi = breaks[:, :-1], breaks[:, 1:]
-    mid = 0.5 * (lo + hi)
-    out = {p: _leg_valid(alpha, th, mid, p) for p in PATH_CLASSES}
-    back = {p: _leg_valid(alpha, mid, th, p) for p in PATH_CLASSES}
-    sectors = {}
-    for p1, p2 in product(PATH_CLASSES, repeat=2):
-        if p1 == p2 == "d":
-            continue
-        step = np.diff(np.pad(out[p1] & back[p2], ((0, 0), (1, 1))).astype(np.int8), axis=1)
-        rows, first = np.nonzero(step == 1)
-        _, after = np.nonzero(step == -1)
-        a, b = lo[rows, first], hi[rows, after - 1]
-        keep = b - a > 1e-12
-        sectors[p1, p2] = rows[keep], a[keep], b[keep]
-    return sectors
+def _visible_sector(alpha: float, psi_u, psi_v):
+    """[lo, hi], the theta0 in [0, alpha] within pi of both image angles (empty if hi <= lo)."""
+    lo = np.maximum(0.0, np.maximum(psi_u, psi_v) - math.pi)
+    hi = np.minimum(alpha, np.minimum(psi_u, psi_v) + math.pi)
+    return lo, hi
 
 
 def _stable_g(rho: np.ndarray) -> np.ndarray:
-    """[rho*arccos(-rho) + sqrt(1-rho^2)] / (1-rho^2)^(3/2), stably."""
-    rho = np.clip(rho, -1.0 + 1e-300, 1.0 - 1e-15)
+    """[rho*arccos(-rho) + sqrt(1-rho^2)] / (1-rho^2)^(3/2), stably, for |rho| < 1:
+    ``_radial_double_moment`` has |rho| <= (1 + 2 tau/_WINDOW_R^2)^(-1/2), as |c| <= 2."""
     s2 = 1.0 - rho * rho
     s = np.sqrt(s2)
     w = np.arccos(-rho)
@@ -288,23 +231,30 @@ _SECTOR_BLOCK = 64
 
 
 def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
-    """Unsigned windowed two-piece trace of every class pair at one rung, on one theta grid."""
+    """Unsigned windowed two-piece trace of every class pair at one rung, on one theta grid.
+
+    Unfolded, a leg is the chord from theta0 to theta reflected along its word (reversed
+    for the back leg), and it meets each side line in turn iff it spans at most pi.
+    """
     scale = math.sqrt(2.0 * tau) / (2.0 * _WINDOW_R)
     crit = [x for x in (2.0 * alpha - math.pi, math.pi - alpha, 3.0 * alpha - 2.0 * math.pi)
             if 0.0 < x < alpha]
     th_edges = np.unique(_panel_edges(0.0, alpha, [0.0, alpha] + crit, scale))
     thetas, th_w = gauss_legendre(th_edges, n_gl)
     traces = {}
-    for (p1, p2), (rows, lo, hi) in _pair_sectors(alpha, thetas).items():
+    for p1, p2 in product(PATH_CLASSES, repeat=2):
+        if p1 == p2 == "d":
+            continue
         psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
+        lo, hi = _visible_sector(alpha, psi_u, psi_v)
+        rows = np.flatnonzero(hi - lo > 1e-12)
         psi_mid = 0.5 * (psi_u + psi_v)
         two_cos_half = 2.0 * np.cos(0.5 * (psi_u - psi_v))
         total = 0.0
         for start in range(0, len(rows), _SECTOR_BLOCK):
-            block = slice(start, start + _SECTOR_BLOCK)
-            r = rows[block]
+            r = rows[start:start + _SECTOR_BLOCK]
             peaks = psi_mid[r, None] + math.pi * np.arange(-2, 3)
-            edges = _panel_edges(lo[block], hi[block], peaks, scale)
+            edges = _panel_edges(lo[r], hi[r], peaks, scale)
             sec, pan = np.nonzero(edges[:, 1:] > edges[:, :-1])    # the live panels
             th0, w0 = gauss_legendre(edges[sec[:, None], pan[:, None] + (0, 1)], n_gl)
             node = r[sec, None]

@@ -194,6 +194,110 @@ def test_broken_path_saddle_point_reverts_to_closed_orbit_kernel():
     assert ratios[-1] == pytest.approx(1.0, abs=1e-4)
 
 
+def _reflection(beta):
+    """Matrix of the reflection across the line through the corner at angle beta."""
+    c, s = math.cos(2 * beta), math.sin(2 * beta)
+    return np.array([[c, s], [s, -c]])
+
+
+def _reflecting_trace(alpha, th_x, th_y, word, r_x=1.0, r_y=1.0):
+    """Whether a ray in the wedge 0 <= theta <= alpha goes from (r_x, th_x) to (r_y, th_y)
+    bouncing on the sides in ``word`` order ("a" the side at angle 0, "b" at alpha).
+
+    The ray leaves toward the end point's mirror image across the sides of ``word`` taken
+    last to first, the one direction that can work.  It is then traced by specular
+    reflection: each side it meets first must be the next letter of ``word``, and after
+    the last bounce the end point must lie ahead on it.
+    """
+    th_x, th_y, r_x, r_y = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                 for v in (th_x, th_y, r_x, r_y)))
+    pos = r_x[..., None] * np.stack([np.cos(th_x), np.sin(th_x)], axis=-1)
+    end = r_y[..., None] * np.stack([np.cos(th_y), np.sin(th_y)], axis=-1)
+    sides = {"a": 0.0, "b": alpha}
+    image = end
+    for side in reversed(word):
+        image = image @ _reflection(sides[side])
+    step = image - pos
+    ok = np.ones(th_x.shape, dtype=bool)
+    for side in word:
+        hit = {}
+        for name, beta in sides.items():
+            along = np.array([math.cos(beta), math.sin(beta)])
+            normal = np.array([-math.sin(beta), math.cos(beta)])
+            dn = step @ normal
+            t = -(pos @ normal) / np.where(dn == 0.0, 1.0, dn)
+            on_ray = (pos + t[..., None] * step) @ along > 0.0
+            hit[name] = np.where((dn != 0.0) & (t > 1e-12) & on_ray, t, np.inf)
+        other = hit["b" if side == "a" else "a"]
+        ok &= hit[side] < other
+        t = np.where(ok, hit[side], 0.0)
+        pos = pos + t[..., None] * step
+        step = step @ _reflection(sides[side])
+    ahead = end - pos
+    cross = ahead[..., 0] * step[..., 1] - ahead[..., 1] * step[..., 0]
+    return ok & (np.sum(ahead * step, axis=-1) > 0.0) & (np.abs(cross) < 1e-9)
+
+
+# Reflection words up to length 3; "" is the direct path.
+WORDS = ("", "a", "b", "ab", "ba", "aba", "bab")
+TRACE_ALPHAS = (PI / 6, PI / 4, 0.9, PI / 2, 2.0, 2.5, 3.0)
+
+
+def _in_sector(alpha, psi_u, psi_v, th0, margin):
+    """Whether th0 lies inside ``_visible_sector``, and whether it is within margin of an end."""
+    lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
+    inside = (th0 > lo) & (th0 < hi)
+    near = (np.abs(th0 - lo) < margin) | (np.abs(th0 - hi) < margin)
+    return inside, near
+
+
+def test_leg_validity_against_explicit_wedge_trace():
+    # one leg from x to y along a word is valid exactly when y lies within pi of x
+    # reflected along the word; with the other leg direct (always visible, as
+    # alpha < pi) that is membership of y in the visible sector.  Checked against a
+    # reflecting ray trace between points of unequal radii, for words up to length 3
+    rng = np.random.default_rng(13)
+    valid_long = 0
+    for alpha in TRACE_ALPHAS:
+        x = rng.uniform(1e-3, alpha - 1e-3, 3000)
+        y = rng.uniform(1e-3, alpha - 1e-3, 3000)
+        r_x, r_y = rng.uniform(0.2, 2.0, (2, 3000))
+        for word in WORDS:
+            traced = _reflecting_trace(alpha, x, y, word, r_x, r_y)
+            inside, near = _in_sector(alpha, fl._image_angle(alpha, x, word), x, y, 1e-9)
+            assert np.array_equal(traced[~near], inside[~near]), (alpha, word)
+            if len(word) == 3:
+                valid_long += int(traced.sum())
+        # the one-bounce closed forms: the mirrored chord meets the side's ray; and
+        # "ba" is "ab" with the sides swapped (x, y -> alpha - x, alpha - y)
+        assert np.array_equal(_reflecting_trace(alpha, x, y, "a"), np.sin(x + y) > 0.0)
+        assert np.array_equal(_reflecting_trace(alpha, x, y, "b"),
+                              np.sin(2.0 * alpha - x - y) > 0.0)
+        assert np.array_equal(_reflecting_trace(alpha, x, y, "ba"),
+                              _reflecting_trace(alpha, alpha - x, alpha - y, "ab"))
+        assert _reflecting_trace(alpha, x, y, "").all()
+    # acute wedges have valid three-bounce legs
+    assert valid_long > 1000
+
+
+def test_leg_validity_reproduces_the_closed_forms():
+    # the one sector rule gives back each class's closed form: one bounce on a
+    # side is valid when the mirrored chord meets that side's ray, and the other
+    # double-bounce order is "ab" with the sides swapped (x, y -> alpha - x, alpha - y)
+    rng = np.random.default_rng(17)
+    for alpha in (0.3, 1.0, PI / 2, 2.0, 2.5, 3.0):
+        x = rng.uniform(0.0, alpha, 20000)
+        y = rng.uniform(0.0, alpha, 20000)
+
+        def valid(path, x=x, y=y):
+            return _in_sector(alpha, fl._image_angle(alpha, x, path), x, y, 0.0)[0]
+
+        assert np.array_equal(valid("a"), np.sin(x + y) > 0.0)
+        assert np.array_equal(valid("b"), np.sin(2.0 * alpha - x - y) > 0.0)
+        assert np.array_equal(valid("ba"), valid("ab", alpha - x, alpha - y))
+        assert valid("d").all()
+
+
 def test_leg_validity_complementary_orders_at_right_angle():
     # at the rectangular corner exactly one bounce order of the double
     # reflection is admissible for generic endpoints
@@ -201,61 +305,9 @@ def test_leg_validity_complementary_orders_at_right_angle():
     rng = np.random.default_rng(11)
     thx = rng.uniform(0.01, alpha - 0.01, 200)
     thy = rng.uniform(0.01, alpha - 0.01, 200)
-    ab = fl._leg_valid(alpha, thx, thy, "ab")
-    ba = fl._leg_valid(alpha, thx, thy, "ba")
+    ab, _ = _in_sector(alpha, fl._image_angle(alpha, thx, "ab"), thx, thy, 0.0)
+    ba, _ = _in_sector(alpha, fl._image_angle(alpha, thx, "ba"), thx, thy, 0.0)
     assert np.all(ab ^ ba)
-
-
-def test_leg_validity_against_explicit_wedge_trace():
-    # brute-force check: unfold the candidate path and verify the bounce
-    # points sit on the physical side rays in the right order
-    rng = np.random.default_rng(13)
-
-    def explicit_ab_valid(alpha, th_x, th_y):
-        x = np.array([math.cos(th_x), math.sin(th_x)])
-        img = np.array([math.cos(th_y - 2 * alpha), math.sin(th_y - 2 * alpha)])
-        d = img - x
-        # crossing with the x-axis
-        if abs(d[1]) < 1e-15 or abs(x[1]) < 1e-15:
-            return False
-        t_a = x[1] / (x[1] - img[1])
-        if not 0.0 < t_a < 1.0:
-            return False
-        if x[0] + t_a * d[0] < 0.0:
-            return False
-        # crossing with the reflected second side (angle -alpha)
-        n = np.array([math.sin(alpha), math.cos(alpha)])
-        sx, si = x @ n, img @ n
-        if sx * si >= 0.0:
-            return False
-        t_b = sx / (sx - si)
-        if not t_a < t_b < 1.0:
-            return False
-        u = np.array([math.cos(alpha), -math.sin(alpha)])
-        return (x + t_b * d) @ u >= 0.0
-
-    for alpha in (PI / 2, 2.0, 2.5, 3.0):
-        thx = rng.uniform(1e-3, alpha - 1e-3, 300)
-        thy = rng.uniform(1e-3, alpha - 1e-3, 300)
-        fast = fl._leg_valid(alpha, thx, thy, "ab")
-        slow = np.array([explicit_ab_valid(alpha, a, b) for a, b in zip(thx, thy)])
-        assert np.array_equal(fast, slow)
-
-
-def test_leg_validity_reproduces_the_closed_forms():
-    # the one unfolding rule gives back each class's closed form: one bounce on a
-    # side is valid when the mirrored chord meets that side's ray, and the other
-    # double-bounce order is "ab" with the sides swapped (x, y -> alpha - x, alpha - y)
-    rng = np.random.default_rng(17)
-    for alpha in (0.3, 1.0, PI / 2, 2.0, 2.5, 3.0):
-        x = rng.uniform(0.0, alpha, 20000)
-        y = rng.uniform(0.0, alpha, 20000)
-        assert np.array_equal(fl._leg_valid(alpha, x, y, "a"), np.sin(x + y) >= 0.0)
-        assert np.array_equal(fl._leg_valid(alpha, x, y, "b"),
-                              np.sin(2.0 * alpha - x - y) >= 0.0)
-        assert np.array_equal(fl._leg_valid(alpha, x, y, "ba"),
-                              fl._leg_valid(alpha, alpha - x, alpha - y, "ab"))
-        assert fl._leg_valid(alpha, x, y, "d").all()
 
 
 def test_sectors_resolve_a_narrow_invalid_gap():
@@ -263,47 +315,33 @@ def test_sectors_resolve_a_narrow_invalid_gap():
     # pi - alpha: the ("d", "a") pair is valid only up to theta0 = pi - theta,
     # which leaves an invalid gap 2.4e-4 wide below alpha
     alpha, theta = 2.5, 0.6418353226947738
-    rows, lo, hi = fl._pair_sectors(alpha, np.array([theta]))["d", "a"]
-    assert rows.tolist() == [0]
-    sector = (lo[0], hi[0])
-    assert sector[0] == 0.0
-    assert sector[1] == pytest.approx(2.499757331, abs=1e-9)
-    assert sector[1] == pytest.approx(PI - theta, abs=1e-15)
+    lo, hi = fl._visible_sector(alpha, fl._image_angle(alpha, theta, "d"),
+                                fl._image_angle(alpha, theta, "a"))
+    assert lo == 0.0
+    assert hi == pytest.approx(2.499757331, abs=1e-9)
+    assert hi == pytest.approx(PI - theta, abs=1e-15)
 
 
-@pytest.mark.parametrize("alpha", [1.0, PI / 2, 2.5, 0.96 * PI])
+@pytest.mark.parametrize("alpha", sorted(set(TRACE_ALPHAS) | {1.0, 0.96 * PI}))
 def test_sectors_match_a_dense_validity_scan(alpha):
-    # away from the sector ends, every angle of a uniform scan is valid
-    # exactly when it lies inside a sector
+    # away from the sector ends, every mediate angle theta0 of a uniform scan lies
+    # in the pair's visible sector exactly when the out leg (theta -> theta0) and
+    # the back leg (theta0 -> theta) both trace as reflecting rays
     n_scan = 20000
     h = alpha / n_scan
     scan = (np.arange(n_scan) + 0.5) * h
     thetas = alpha * np.array([0.13, 0.37, 0.61, 0.89])
     if PI - alpha < alpha:
         thetas = np.append(thetas, PI - alpha + 2.4e-4)
-    for (p1, p2), (rows, lo, hi) in fl._pair_sectors(alpha, thetas).items():
-        pair = p1, p2
-        sectors = [list(zip(lo[rows == i], hi[rows == i])) for i in range(len(thetas))]
-        valid = (fl._leg_valid(alpha, thetas[:, None], scan[None, :], p1)
-                 & fl._leg_valid(alpha, scan[None, :], thetas[:, None], p2))
-        for row, secs in zip(valid, sectors):
-            inside = np.zeros(n_scan, dtype=bool)
-            near = np.zeros(n_scan, dtype=bool)
-            for lo, hi in secs:
-                inside |= (scan > lo) & (scan < hi)
-                near |= (np.abs(scan - lo) < h) | (np.abs(scan - hi) < h)
-            assert np.array_equal(row[~near], inside[~near]), (pair, secs)
-            # adjacent valid pieces are merged into one sector
-            assert all(b < a for (_, b), (a, _) in zip(secs, secs[1:])), (pair, secs)
-
-
-def _extrapolate_sqrt_tau(taus, vals):
-    xs = [math.sqrt(t) for t in taus]
-    tab = list(vals)
-    for lv in range(1, len(xs)):
-        for i in range(len(xs) - lv):
-            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + lv] / (xs[i] - xs[i + lv])
-    return tab[0]
+    th, th0 = thetas[:, None], scan[None, :]
+    out = {w: _reflecting_trace(alpha, th, th0, w, 1.0, 0.6) for w in WORDS}
+    back = {w: _reflecting_trace(alpha, th0, th, w, 0.6, 1.0) for w in WORDS}
+    for p1, p2 in product(WORDS, repeat=2):
+        psi_u = fl._image_angle(alpha, th, p1)
+        psi_v = fl._image_angle(alpha, th, p2[::-1])
+        inside, near = _in_sector(alpha, psi_u, psi_v, th0, h)
+        valid = out[p1] & back[p2]
+        assert np.array_equal(valid[~near], inside[~near]), (p1, p2)
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +368,7 @@ def test_corner_constant_per_class_against_signature_values(right_angle_constant
 
     def const_of(*pairs):
         vals = np.sum([per[p] for p in pairs], axis=0)
-        return _extrapolate_sqrt_tau(taus, vals)
+        return extrapolate_to_zero([math.sqrt(t) for t in taus], vals)[0].real
 
     # ordered double-bounce classes split one Cartesian signature between
     # the two bounce orders; their sums land on the tabulated constants
@@ -364,6 +402,7 @@ def test_corner_constant_vanishes_toward_straight_angle():
 
 
 @pytest.mark.parametrize("alpha, value, main_value", [
+    (PI / 6, 0.21059967363925808, 0.13140009902271502),
     (1.0, 0.10542281615692589, 0.08366917286008727),
     (PI / 2, 0.05615430456530561, 0.062489475879648475),
     (2.5, 0.0159313956373167, 0.01682822365628247),
@@ -387,22 +426,6 @@ def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
         mains = [m + t for m, t in zip(mains, res.per_class[pair])]
     roots = [math.sqrt(t) for t in res.tau_ladder]
     assert res.main_value == extrapolate_to_zero(roots, mains)[0].real
-
-
-def test_corner_constant_classifies_each_leg_class_once_per_rung(monkeypatch):
-    # one validity table per rung and pass: each of the five classes is tested
-    # once per leg direction
-    calls = []
-    leg_valid = fl._leg_valid
-
-    def counting(*args):
-        calls.append(args[-1])
-        return leg_valid(*args)
-
-    monkeypatch.setattr(fl, "_leg_valid", counting)
-    res = fl.obtuse_corner_constant(2.5, grid=1)
-    passes = 2 * len(res.tau_ladder)           # the main and the n_gl - 3 pass
-    assert len(calls) == 10 * passes
 
 
 def test_corner_constant_rejects_bad_inputs():
