@@ -239,14 +239,16 @@ def _cmd_ledger(args) -> tuple[dict, dict | list, dict]:
 
 
 def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
-    if not 0.0 < args.alpha < math.pi:
-        raise DomainError(f"--alpha {args.alpha!r} must lie in (0, pi)")
+    if not (0.0 < args.alpha < math.pi and math.cos(args.alpha) < 1.0):
+        raise DomainError(f"--alpha {args.alpha!r} must lie in (0, pi) with cos(alpha) < 1")
     from . import folding  # deferred: numpy dominates import time
     alpha = args.alpha
     cres = folding.obtuse_corner_constant(alpha, grid=args.grid)
     results = {
         "alpha": alpha,
         "corner_constant": cres.value,
+        "dd_constant": cres.dd_constant,
+        "full_corner_constant": cres.full_value,
         "error_estimate": cres.error_estimate,
         "main_paths_constant": cres.main_value,
         "weyl_coefficient": cres.weyl_value,
@@ -255,8 +257,12 @@ def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
     }
     prov = {
         "corner_constant": "delta(E) weight from two-piece folded paths, (d,d) class "
-                           "left out, area/edge parts removed, extrapolated to tau=0",
-        "error_estimate": "absolute; tau-ladder and quadrature convergence only; "
+                           "left out; the 18 non-edge class pairs integrated at tau=0, "
+                           "the 6 edge pairs with area/edge parts removed and "
+                           "extrapolated to tau=0 over tau_ladder",
+        "dd_constant": "(d,d) class in closed form, (1 + (pi - alpha) cot alpha)/(16 pi^2)",
+        "full_corner_constant": "corner_constant + dd_constant: every class pair",
+        "error_estimate": "absolute; edge-pair tau-ladder and quadrature convergence only; "
                           "NonConvergence (exit 3) above 0.01",
         "main_paths_constant": "subtotal of the one-bounce-per-side classes "
                                "(both bounce orders enter through path validity)",

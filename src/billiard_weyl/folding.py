@@ -44,7 +44,10 @@ __all__ = [
     "corner_orbit_kernel_imag",
     "ObtuseCornerResult",
     "obtuse_corner_constant",
+    "dd_constant",
     "PATH_CLASSES",
+    "CLASS_PAIRS",
+    "EDGE_PAIRS",
 ]
 
 
@@ -182,11 +185,33 @@ def corner_orbit_kernel_imag(r: float, alpha: float, total_tau: float) -> float:
 PATH_CLASSES = ("d", "a", "b", "ab", "ba")
 
 
+def _word(pair: tuple[str, str]) -> str:
+    """The pair's bounce word: both legs' sides in order, direct legs dropped."""
+    return (pair[0] + pair[1]).replace("d", "")
+
+
+# Ordered leg-class pairs summed into the corner constant, in product order; ("d", "d") is
+# left out (its constant is ``dd_constant``).  The edge pairs' words use one side only.
+CLASS_PAIRS = tuple(p for p in product(PATH_CLASSES, repeat=2) if p != ("d", "d"))
+EDGE_PAIRS = tuple(p for p in CLASS_PAIRS if len(set(_word(p))) == 1)
+
+
+def _image_line(alpha: float, sides: str) -> tuple[float, float]:
+    """(s, k) with theta reflected across ``sides`` in order equal to s*theta + k.
+
+    Side "a" lies at angle 0 (theta -> -theta), side "b" at alpha (theta -> 2 alpha - theta);
+    "d" reflects nothing.
+    """
+    s, k = 1.0, 0.0
+    for side in sides.replace("d", ""):
+        s, k = -s, (-k if side == "a" else 2.0 * alpha - k)
+    return s, k
+
+
 def _image_angle(alpha: float, theta, sides: str):
     """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
-    for side in sides.replace("d", ""):
-        theta = -theta if side == "a" else 2.0 * alpha - theta
-    return theta
+    s, k = _image_line(alpha, sides)
+    return s * theta + k
 
 
 def _visible_sector(alpha: float, psi_u, psi_v):
@@ -196,16 +221,32 @@ def _visible_sector(alpha: float, psi_u, psi_v):
     return lo, hi
 
 
+def _sector_kinks(alpha: float, p1: str, p2: str) -> np.ndarray:
+    """Sorted theta in (0, alpha) where a max or min of the pair's ``_visible_sector`` may
+    switch branch: the crossings of its six lines 0, alpha, psi_u +- pi and psi_v +- pi,
+    each affine in theta (psi_u along p1, psi_v along p2 reversed)."""
+    (su, ku), (sv, kv) = _image_line(alpha, p1), _image_line(alpha, p2[::-1])
+    lines = [(0.0, 0.0), (0.0, alpha), (su, ku - math.pi), (su, ku + math.pi),
+             (sv, kv - math.pi), (sv, kv + math.pi)]
+    cross = [(k2 - k1) / (s1 - s2) for i, (s1, k1) in enumerate(lines)
+             for s2, k2 in lines[i + 1:] if s1 != s2]
+    return np.unique([x for x in cross if 0.0 < x < alpha])
+
+
 def _stable_g(rho: np.ndarray) -> np.ndarray:
-    """[rho*arccos(-rho) + sqrt(1-rho^2)] / (1-rho^2)^(3/2), stably, for |rho| < 1:
-    ``_radial_double_moment`` has |rho| <= (1 + 2 tau/_WINDOW_R^2)^(-1/2), as |c| <= 2."""
-    s2 = 1.0 - rho * rho
-    s = np.sqrt(s2)
+    """[rho*arccos(-rho) + sqrt(1-rho^2)] / (1-rho^2)^(3/2), stably, for -1 <= rho < 1.
+
+    Near rho = -1 numerator and denominator both vanish; where w = arccos(-rho) < 1e-2 the
+    series 1/3 + 2 w^2/15 is taken, and chosen before dividing, so g(-1) = 1/3 with no 0/0.
+    ``_radial_double_moment`` has |rho| <= (1 + 2 tau/_WINDOW_R^2)^(-1/2), as |c| <= 2; the
+    tau-free non-edge pairs reach rho = -1 at some sector ends, and rho < 1 while
+    cos(alpha) < 1.
+    """
     w = np.arccos(-rho)
-    direct = (rho * w + s) / (s2 * s)
     small = w < 1e-2
-    series = 1.0 / 3.0 + 2.0 * w * w / 15.0
-    return np.where(small, series, direct)
+    s2 = np.where(small, 1.0, 1.0 - rho * rho)
+    s = np.sqrt(s2)
+    return np.where(small, 1.0 / 3.0 + 2.0 * w * w / 15.0, (rho * w + s) / (s2 * s))
 
 
 # Radius of the Gaussian window exp(-r^2/_WINDOW_R^2) on the corner trace.
@@ -225,13 +266,40 @@ def _radial_double_moment(c: np.ndarray, tau: float) -> np.ndarray:
     return _stable_g(rho) / (4.0 * a * b)
 
 
+def _tau_free_constants(alpha: float, n_gl: int) -> dict:
+    """The tau -> 0 constant of every non-edge class pair, with no tau ladder.
+
+    ``_radial_double_moment`` is g(rho)/(4ab) with 4ab = (1 + 2 tau)/tau^2 and
+    rho = c/(2 sqrt(1 + 2 tau)), so a rung's trace is (-1)^|w|/(16 pi^2) times the integral
+    of g(rho)/(1 + 2 tau) over theta in [0, alpha] and theta0 in the visible sector, and its
+    limit is the same integral of g(c/2).  Off the edge pairs c/2 stays below 1, so the
+    integrand is smooth inside the sector; theta panels end at the sector's kinks, where
+    its ends are affine in theta, and each theta node takes one theta0 panel [lo, hi].
+    """
+    consts = {}
+    for p1, p2 in CLASS_PAIRS:
+        if (p1, p2) in EDGE_PAIRS:
+            continue
+        edges = np.concatenate([[0.0], _sector_kinks(alpha, p1, p2), [alpha]])
+        thetas, th_w = gauss_legendre(edges, n_gl)
+        psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
+        lo, hi = _visible_sector(alpha, psi_u, psi_v)
+        r = np.flatnonzero(hi - lo > 1e-12 * alpha)    # drops rounding-level slivers
+        th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
+        rho = np.cos(0.5 * (psi_u[r] - psi_v[r]))[:, None] \
+            * np.cos(th0 - 0.5 * (psi_u[r] + psi_v[r])[:, None])
+        total = float(np.sum(th_w[r, None] * w0 * _stable_g(rho)))
+        consts[p1, p2] = (-1.0) ** len(_word((p1, p2))) / (16.0 * math.pi**2) * total
+    return consts
+
+
 # Sectors per numpy pass of ``_rung_traces``: each carries ~90 panel edges, and one pass
 # over all of a pair's few hundred sectors adds ~3 MiB of peak memory for no clear speed-up.
 _SECTOR_BLOCK = 64
 
 
 def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
-    """Unsigned windowed two-piece trace of every class pair at one rung, on one theta grid.
+    """Unsigned windowed two-piece trace of every edge pair at one rung, on one theta grid.
 
     Unfolded, a leg is the chord from theta0 to theta reflected along its word (reversed
     for the back leg), and it meets each side line in turn iff it spans at most pi.
@@ -242,9 +310,7 @@ def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
     th_edges = np.unique(_panel_edges(0.0, alpha, [0.0, alpha] + crit, scale))
     thetas, th_w = gauss_legendre(th_edges, n_gl)
     traces = {}
-    for p1, p2 in product(PATH_CLASSES, repeat=2):
-        if p1 == p2 == "d":
-            continue
+    for p1, p2 in EDGE_PAIRS:
         psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
         lo, hi = _visible_sector(alpha, psi_u, psi_v)
         rows = np.flatnonzero(hi - lo > 1e-12)
@@ -268,77 +334,115 @@ def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
 _ERROR_TOL = 0.01
 
 
+# pi - math.pi, to double precision.
+_PI_LOW = 1.2246467991473532e-16
+
+
+def dd_constant(alpha: float) -> float:
+    """C_dd(alpha) = (1 + (pi - alpha) cot alpha)/(16 pi^2): the doubly-direct pair's constant.
+
+    The ("d", "d") trace is (16 pi^2 tau^2)^-1 times the integral over h of
+    exp(-|h|^2/(2 tau)) F(h), where F(h) is the integral of exp(-|x|^2) over W and W + h
+    (the window at unit radius).  With h = u e_a + v e_b (e_a, e_b the unit vectors along
+    the sides), that overlap is W moved to the apex p = u+ e_a + v+ e_b, and to second order
+        F = alpha/2 - (sqrt(pi)/2) sin(alpha) (u+ + v+)
+            + (1/2) sin(alpha) [2 u+ v+ + cos(alpha) (u+^2 + v+^2)] + O(|p|^3):
+    the area part, the edge part and the constant.  Scaling u, v by sqrt(2 tau) (so
+    dh = 2 tau sin(alpha) dU dV) takes the constant to
+    4 sin^2(alpha)/(16 pi^2) [M_uv + cos(alpha) M_uu], with Q = U^2 + V^2 + 2 U V cos(alpha),
+        M_uv = integral over U, V > 0 of U V exp(-Q) = (1 - alpha cot alpha)/(4 sin^2 alpha),
+        M_uu = integral over U > 0, all V, of U^2 exp(-Q) = pi/(4 sin^3 alpha);
+    they give (1 - alpha cot alpha)/(16 pi^2) and pi cot(alpha)/(16 pi^2).  At pi/2 this is
+    the ledger's '----' constant 1/(16 pi^2).
+    """
+    if not 0.0 < alpha < math.pi:
+        raise DomainError("alpha must be in (0, pi)")
+    # near pi, (pi - alpha) cot(alpha) -> -1 and math.tan sees the true pi, so pi - alpha
+    # must too: math.pi - alpha is exact there, and _PI_LOW adds the part of pi it drops
+    return (1.0 + (math.pi - alpha + _PI_LOW) / math.tan(alpha)) / (16.0 * math.pi**2)
+
+
 @dataclass(frozen=True)
 class ObtuseCornerResult:
     alpha: float
-    value: float
+    value: float                   # every class pair but ("d", "d")
     error_estimate: float
     weyl_value: float
     main_value: float              # classes with one bounce on each side
-    per_class: dict
-    tau_ladder: tuple[float, ...]
+    per_class: dict                # tau -> 0 constant of each pair in CLASS_PAIRS
+    tau_ladder: tuple[float, ...]  # the edge pairs' rungs
     grid: int
+
+    @property
+    def dd_constant(self) -> float:
+        """The left-out ("d", "d") pair's constant, in closed form (``dd_constant``)."""
+        return dd_constant(self.alpha)
+
+    @property
+    def full_value(self) -> float:
+        """Every class pair: ``value`` plus the doubly-direct constant."""
+        return self.value + self.dd_constant
 
 
 def _constant_at(alpha: float, tau_ladder: Sequence[float],
                  n_gl: int) -> tuple[float, float, float, dict]:
-    """delta-constant estimate: per-class traces, edge parts removed, tau -> 0.
+    """delta-constant estimate: per-pair constants, edge parts removed, tau -> 0.
 
-    A pair's bounce word w = (p1 + p2).replace("d", "") gives its sign (-1)^len(w), its
-    extensive edge part per unit length in units of 1/(8 sqrt(pi T)) when w is on one side
-    only (-1/2 once, +1/pi twice: folded-Gaussian values, see the oracle), and it is a
-    main pair when w is one "a" and one "b".
+    The non-edge pairs come tau-free from ``_tau_free_constants``.  An edge pair's word w is
+    on one side only, and its extensive edge part per unit length in units of
+    1/(8 sqrt(pi T)) (-1/2 once, +1/pi twice: folded-Gaussian values, see the oracle) is
+    removed at each rung before its ladder is Neville-extrapolated.  The spread is that of
+    the edge pairs' summed ladder; the main pairs have w one "a" and one "b".
     """
-    per_class: dict = {}
-    totals = []
-    mains = []
+    rungs = []
     for tau in tau_ladder:
         big_t = 2.0 * tau
         edge_unit = (math.sqrt(math.pi) * _WINDOW_R / 2.0) / (8.0 * math.sqrt(math.pi * big_t))
-        tot = main = 0.0
-        for (p1, p2), total in _rung_traces(alpha, tau, n_gl).items():
-            word = (p1 + p2).replace("d", "")
-            t_val = (-1.0) ** len(word) / (16.0 * math.pi**2 * tau**2) * total
-            if len(set(word)) == 1:
-                t_val -= (-0.5 if len(word) == 1 else 1.0 / math.pi) * edge_unit
-            per_class.setdefault((p1, p2), []).append(t_val)
-            tot += t_val
-            if sorted(word) == ["a", "b"]:
-                main += t_val
-        totals.append(tot)
-        mains.append(main)
+        rung = {}
+        for pair, total in _rung_traces(alpha, tau, n_gl).items():
+            word = _word(pair)
+            rung[pair] = (-1.0) ** len(word) / (16.0 * math.pi**2 * tau**2) * total \
+                - (-0.5 if len(word) == 1 else 1.0 / math.pi) * edge_unit
+        rungs.append(rung)
     roots = [math.sqrt(t) for t in tau_ladder]
-    value, spread = extrapolate_to_zero(roots, totals)
-    main_value, _ = extrapolate_to_zero(roots, mains)
-    return value.real, spread, main_value.real, {k: tuple(v) for k, v in per_class.items()}
+    _, spread = extrapolate_to_zero(roots, [sum(rung.values()) for rung in rungs])
+    limits = {pair: extrapolate_to_zero(roots, [rung[pair] for rung in rungs])[0].real
+              for pair in EDGE_PAIRS}
+    limits.update(_tau_free_constants(alpha, n_gl))
+    per_class = {pair: limits[pair] for pair in CLASS_PAIRS}
+    main_value = sum(v for pair, v in per_class.items() if sorted(_word(pair)) == ["a", "b"])
+    return sum(per_class.values()), spread, main_value, per_class
 
 
 def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     """Numerical corner delta(E) constant from two-piece folded paths.
 
     All ordered leg-path class pairs are summed except the doubly-direct
-    one, whose area and edge parts are not separated here, so its finite
-    part is left out; the edge classes have their extensive per-side parts
-    removed analytically.  The remaining
-    constant is Richardson-extrapolated over the imaginary-time ladder
+    one, whose closed form is ``dd_constant`` (``full_value`` adds it).
+    The 18 non-edge pairs, whose bounce word uses both sides, are
+    integrated at tau = 0 directly (``_tau_free_constants``).  The six
+    edge pairs have their extensive per-side parts removed analytically
+    and are Richardson-extrapolated over the imaginary-time ladder
     0.02 * 0.5**j, j < 2 + 2*grid.
     The trace is windowed by exp(-r^2/_WINDOW_R^2), which regularizes the
     extensive parts without introducing a spurious cutoff boundary.
 
-    Works for any wedge angle in (0, pi).  At alpha = pi/2 it reproduces
+    Works for any wedge angle in (0, pi) whose cosine is below 1 in floating
+    point (alpha above about 1.05e-8; below it the non-edge integrands reach
+    g's pole at rho = 1).  At alpha = pi/2 ``value`` is
     the sixteen-signature total 1/16 less the doubly-direct ('----')
-    constant 1/(16 pi^2), i.e. 1/16 - 1/(16 pi^2), because the ("d", "d")
-    class is excluded; that value is the calibration used by the acceptance
-    suite.
+    constant 1/(16 pi^2), and ``full_value`` is 1/16; the first is the
+    calibration used by the acceptance suite.
 
-    The error estimate is the larger of the Neville spread over the ladder
-    and the difference from a pass with three fewer Gauss-Legendre nodes
-    per panel (4 + 3*grid in the main pass): it measures ladder and
+    The error estimate is the larger of the Neville spread over the edge
+    pairs' ladder and the difference from a pass with three fewer
+    Gauss-Legendre nodes per panel (4 + 3*grid in the main pass; both
+    passes recompute the tau-free pairs): it measures ladder and
     quadrature convergence only.  Raises
     :class:`NonConvergence` when it exceeds 0.01 or is NaN.
     """
-    if not 0.0 < alpha < math.pi:
-        raise DomainError("alpha must be in (0, pi)")
+    if not (0.0 < alpha < math.pi and math.cos(alpha) < 1.0):
+        raise DomainError("alpha must be in (0, pi) with cos(alpha) < 1")
     if grid < 1:
         raise DomainError("grid must be >= 1")
     # two extra halvings per refinement level: deeper extrapolation

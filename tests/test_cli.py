@@ -175,6 +175,10 @@ def test_fold_right_angle():
     prov = report["provenance"]
     assert "absolute" in prov["error_estimate"] and "0.01" in prov["error_estimate"]
     assert "(d,d)" in prov["corner_constant"]
+    # the (d,d) class in closed form, and the total over every class pair
+    assert res["dd_constant"] == pytest.approx(1.0 / (16 * math.pi**2), rel=1e-12)
+    assert res["full_corner_constant"] == res["corner_constant"] + res["dd_constant"]
+    assert "cot" in prov["dd_constant"] and "every class pair" in prov["full_corner_constant"]
 
 
 def test_exit_code_usage_error(monkeypatch, capsys, square_file):
@@ -234,6 +238,7 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         (["fold", "--alpha", "0"], "--alpha"),
         (["fold", "--alpha", "3.2"], "--alpha"),
         (["fold", "--alpha", "nan"], "--alpha"),
+        (["fold", "--alpha", "1e-300"], "--alpha"),
     ):
         assert flag in _usage_error(monkeypatch, capsys, argv), argv
     # --k is checked before the orbit is traced

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,6 @@ import pytest
 from billiard_weyl import folding as fl
 from billiard_weyl import weyl as w
 from billiard_weyl.errors import DomainError
-from billiard_weyl.specfun import extrapolate_to_zero
 
 PI = math.pi
 
@@ -364,11 +364,9 @@ def test_corner_constant_main_paths_subtotal(right_angle_constant):
 
 def test_corner_constant_per_class_against_signature_values(right_angle_constant):
     per = right_angle_constant.per_class
-    taus = right_angle_constant.tau_ladder
 
     def const_of(*pairs):
-        vals = np.sum([per[p] for p in pairs], axis=0)
-        return extrapolate_to_zero([math.sqrt(t) for t in taus], vals)[0].real
+        return sum(per[p] for p in pairs)
 
     # ordered double-bounce classes split one Cartesian signature between
     # the two bounce orders; their sums land on the tabulated constants
@@ -389,6 +387,114 @@ def test_corner_constant_per_class_against_signature_values(right_angle_constant
         == pytest.approx(1 / (16 * PI**2), abs=3e-5)
 
 
+def test_dd_constant_is_the_ledger_doubly_direct_row_at_right_angle():
+    led = {str(e.signature): e for e in fl.signature_ledger().entries}
+    assert fl.dd_constant(PI / 2) == pytest.approx(led["----"].delta_units.value(), rel=1e-15)
+    assert fl.dd_constant(PI / 2) == pytest.approx(1 / (16 * PI**2), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", (0.7, 1.0, 2.0, 2.8))
+def test_dd_constant_moments_by_quadrature(alpha):
+    # the two Gaussian moments of the (d,d) derivation, Q = U^2 + V^2 + 2 U V cos(alpha),
+    # by 2-D quadrature, and the constant they assemble into
+    from scipy.integrate import nquad
+    c, s = math.cos(alpha), math.sin(alpha)
+
+    def gauss(v, u):
+        return math.exp(-(u * u + v * v + 2.0 * u * v * c))
+
+    opts = dict(limit=200, epsabs=0.0, epsrel=1e-13)
+    half_line = [0.0, math.inf]
+    m_uv = nquad(lambda v, u: u * v * gauss(v, u), [half_line, half_line], opts=opts)[0]
+    # V in two halves about the Gaussian's ridge V = -U cos(alpha)
+    m_uu = sum(nquad(lambda v, u: u * u * gauss(v, u), [v_range, half_line], opts=opts)[0]
+               for v_range in (lambda u: (-math.inf, -u * c), lambda u: (-u * c, math.inf)))
+    assert m_uv == pytest.approx((1 - alpha / math.tan(alpha)) / (4 * s * s), rel=1e-10)
+    assert m_uu == pytest.approx(PI / (4 * s**3), rel=1e-10)
+    assert fl.dd_constant(alpha) == pytest.approx(
+        4 * s * s * (m_uv + c * m_uu) / (16 * PI**2), rel=1e-10)
+
+
+def test_dd_constant_vanishes_toward_straight_angle():
+    # 1 + (pi - alpha) cot(alpha) = 1 - d cot(d) = d^2/3 + O(d^4) with d = pi - alpha, the
+    # exact gap to pi of the double alpha (math.pi - alpha plus the part of pi math.pi drops)
+    for alpha in (PI - 1e-3, PI - 1e-6, PI - 1e-15):
+        d = (PI - alpha) + math.sin(PI)
+        assert fl.dd_constant(alpha) == pytest.approx(
+            (d * d / 3 + d**4 / 45) / (16 * PI**2), rel=1e-9, abs=1e-18)
+
+
+def test_full_value_at_right_angle_is_weyl(right_angle_constant):
+    # every class pair, (d,d) included, rebuilds the quadrant's 1/16
+    res = right_angle_constant
+    assert res.full_value == res.value + res.dd_constant
+    assert abs(res.full_value - 1 / 16) <= res.error_estimate
+
+
+def test_stable_g_at_minus_one_takes_the_series_without_dividing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fl._stable_g(np.array([-1.0]))[0] == 1.0 / 3.0
+
+
+def test_stable_g_branches_agree_across_the_switch():
+    # w = arccos(-rho) just below 1e-2 takes the series, just above it the direct form;
+    # each matches the other branch's formula at the same point
+    for w in (1e-2 * (1 - 1e-9), 1e-2 * (1 + 1e-9)):
+        rho = -math.cos(w)
+        s2 = 1.0 - rho * rho
+        direct = (rho * math.acos(-rho) + math.sqrt(s2)) / s2**1.5
+        series = 1.0 / 3.0 + 2.0 * math.acos(-rho) ** 2 / 15.0
+        got = fl._stable_g(np.array([rho]))[0]
+        assert got == pytest.approx(direct, rel=1e-7)
+        assert got == pytest.approx(series, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha", (PI / 6, 1.0, PI / 2, 2.5, 0.96 * PI))
+def test_sector_branches_switch_only_at_listed_kinks(alpha):
+    # along a dense theta scan, the branch that wins the max (lo) and the min (hi) of
+    # every pair's visible sector, and whether the sector is empty, change only across
+    # a kink that _sector_kinks lists or an end of [0, alpha]
+    scan = np.linspace(0.0, alpha, 20001)
+    for p1, p2 in product(fl.PATH_CLASSES, repeat=2):
+        psi_u = fl._image_angle(alpha, scan, p1)
+        psi_v = fl._image_angle(alpha, scan, p2[::-1])
+        lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
+        winners = [np.argmax([np.zeros_like(scan), psi_u - PI, psi_v - PI], axis=0),
+                   np.argmin([np.full_like(scan, alpha), psi_u + PI, psi_v + PI], axis=0),
+                   hi - lo > 1e-12 * alpha]    # the integrator's sliver threshold
+        kinks = np.concatenate([[0.0], fl._sector_kinks(alpha, p1, p2), [alpha]])
+        for won in winners:
+            for i in np.flatnonzero(won[1:] != won[:-1]):
+                assert np.any((kinks >= scan[i] - 1e-12) & (kinks <= scan[i + 1] + 1e-12)), \
+                    (p1, p2, scan[i])
+
+
+# The grid-3 ladder's Neville-extrapolated sum of the 18 non-edge per-class values,
+# from the all-pairs tau ladder this module used before the tau-free integrals, and the
+# measured gap of the grid-1 tau-free sum to it (per pair up to 6e-10 at pi/6 and 1.4e-11
+# at 1.0), with margin.
+LADDER_NON_EDGE_SUMS = [
+    (PI / 6, 0.05891664144397868, 2e-9),
+    (1.0, 0.03610729395531335, 1e-10),
+    (2.5, 0.013839553674902198, 2e-12),
+]
+
+
+@pytest.mark.parametrize("alpha, ladder_sum, tol", LADDER_NON_EDGE_SUMS)
+def test_tau_free_pairs_match_the_ladder_limit(alpha, ladder_sum, tol):
+    res = fl.obtuse_corner_constant(alpha, grid=1)
+    non_edge = [p for p in fl.CLASS_PAIRS if p not in fl.EDGE_PAIRS]
+    assert len(non_edge) == 18
+    assert sum(res.per_class[p] for p in non_edge) == pytest.approx(ladder_sum, abs=tol)
+
+
+def test_corner_constant_converges_at_a_sharp_corner_on_grid_one():
+    res = fl.obtuse_corner_constant(0.35, grid=1)
+    assert res.error_estimate < 0.01
+    assert res.weyl_value == pytest.approx(w.weyl_corner_coefficient(0.35), rel=1e-12)
+
+
 def test_corner_constant_vanishes_toward_straight_angle():
     # no corner at alpha = pi: the constant decreases to zero along with the
     # counting-function coefficient it is compared against
@@ -402,30 +508,29 @@ def test_corner_constant_vanishes_toward_straight_angle():
 
 
 @pytest.mark.parametrize("alpha, value, main_value", [
-    (PI / 6, 0.21059967363925808, 0.13140009902271502),
-    (1.0, 0.10542281615692589, 0.08366917286008727),
-    (PI / 2, 0.05615430456530561, 0.062489475879648475),
-    (2.5, 0.0159313956373167, 0.01682822365628247),
-])
+    (PI / 6, 0.2107415289844493, 0.13164059017942037),
+    (1.0, 0.1054408527608417, 0.08370039404385024),
+    (PI / 2, 0.05616034881190129, 0.062499999999999986),
+    (2.5, 0.015932610640490823, 0.01682968473200572),
+], ids=("pi_over_6", "1.0", "pi_over_2", "2.5"))
 def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
     # grid-1 values; a change in the order of the inner quadrature's sums
     # may move them only at rounding level
     res = fl.obtuse_corner_constant(alpha, grid=1)
     assert res.value == pytest.approx(value, rel=1e-11)
     assert res.main_value == pytest.approx(main_value, rel=1e-11)
-    # the 24 ordered class pairs, ("d", "d") left out, in product order
+    # one tau -> 0 constant for each of the 24 ordered class pairs, ("d", "d") left out,
+    # in product order
     pairs = [p for p in product(fl.PATH_CLASSES, repeat=2) if p != ("d", "d")]
     assert list(res.per_class) == pairs
+    assert all(isinstance(v, float) for v in res.per_class.values())
     # a double bounce in both legs has no valid path at an obtuse or right corner
     if alpha >= PI / 2:
         for pair in (("ab", "ab"), ("ba", "ba")):
-            assert res.per_class[pair] == (0.0,) * len(res.tau_ladder)
-    # the main value is the tau -> 0 limit of the six one-a-one-b pairs, summed in order
-    mains = [0.0] * len(res.tau_ladder)
-    for pair in [("d", "ab"), ("d", "ba"), ("a", "b"), ("b", "a"), ("ab", "d"), ("ba", "d")]:
-        mains = [m + t for m, t in zip(mains, res.per_class[pair])]
-    roots = [math.sqrt(t) for t in res.tau_ladder]
-    assert res.main_value == extrapolate_to_zero(roots, mains)[0].real
+            assert res.per_class[pair] == 0.0
+    # the main value is the plain sum of the six one-a-one-b pairs, in order
+    mains = [("d", "ab"), ("d", "ba"), ("a", "b"), ("b", "a"), ("ab", "d"), ("ba", "d")]
+    assert res.main_value == sum(res.per_class[p] for p in mains)
 
 
 def test_corner_constant_rejects_bad_inputs():
@@ -435,6 +540,11 @@ def test_corner_constant_rejects_bad_inputs():
         fl.obtuse_corner_constant(3.5)
     with pytest.raises(DomainError):
         fl.obtuse_corner_constant(1.0, grid=0)
+    # below about 1.05e-8 cos(alpha) rounds to 1
+    with pytest.raises(DomainError):
+        fl.obtuse_corner_constant(1e-300)
+    with pytest.raises(DomainError):
+        fl.dd_constant(0.0)
 
 
 def test_signature_helpers():
