@@ -24,7 +24,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_GEOMETRY = 4
 
-# Largest size flags; at alpha = 2.0 the fold error estimate meets its rounding floor at grid 3-4.
+# Largest size flags; the fold error estimate meets its rounding floor (about 1e-14) at grid 3.
 _MAX_STAIRCASE_MODES = 1_000_000   # Weyl count A*emax/(4 pi); 40x the 25k-mode disk at emax 1e5
 _MAX_CORNER_STEPS = 100_000
 _MAX_MONODROMY_BOUNCES = 100_000
@@ -253,16 +253,14 @@ def _cmd_fold(args) -> tuple[dict, dict | list, dict]:
         "main_paths_constant": cres.main_value,
         "weyl_coefficient": cres.weyl_value,
         "grid": cres.grid,
-        "tau_ladder": ",".join(repr(t) for t in cres.tau_ladder),
     }
     prov = {
         "corner_constant": "delta(E) weight from two-piece folded paths, (d,d) class "
-                           "left out; the 18 non-edge class pairs integrated at tau=0, "
-                           "the 6 edge pairs with area/edge parts removed and "
-                           "extrapolated to tau=0 over tau_ladder",
+                           "left out; each class pair's tau -> 0 constant with its "
+                           "area/edge parts removed, taken at tau=0 with no extrapolation",
         "dd_constant": "(d,d) class in closed form, (1 + (pi - alpha) cot alpha)/(16 pi^2)",
         "full_corner_constant": "corner_constant + dd_constant: every class pair",
-        "error_estimate": "absolute; edge-pair tau-ladder and quadrature convergence only; "
+        "error_estimate": "absolute; quadrature convergence only (grid vs grid - 1); "
                           "NonConvergence (exit 3) above 0.01",
         "main_paths_constant": "subtotal of the one-bounce-per-side classes "
                                "(both bounce orders enter through path validity)",

@@ -12,10 +12,11 @@ path classes (direct, one bounce per side, double bounces in both orders),
 each leg valid when its unfolded chord spans at most pi, and the corner's
 delta(E) constant is extracted numerically: ``obtuse_corner_constant``.
 
-All numerical propagator work here is done in imaginary time (t -> -i*tau),
-which turns the oscillatory kernels into Gaussians; the (E^0, E^-1/2,
-delta(E)) coefficients map onto the (1/tau, 1/sqrt(tau), 1) terms of the
-trace, so nothing is lost by the rotation.
+All propagator work here is done in imaginary time (t -> -i*tau), which
+turns the oscillatory kernels into Gaussians; the (E^0, E^-1/2, delta(E))
+coefficients map onto the (1/tau, 1/sqrt(tau), 1) terms of the trace, so
+nothing is lost by the rotation.  The corner constant is the tau -> 0 limit
+of the trace's constant term, taken in closed form under the integral.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .ledger import (ALL_SIGNATURES, DeltaValue, Ledger, PathContribution, SignSignature,
                      signature_ledger)
-from .specfun import extrapolate_to_zero, gauss_legendre
+from .specfun import gauss_legendre
 
 __all__ = [
     "SignSignature",
@@ -121,18 +121,12 @@ _REFINE_LEVELS = 7
 _BROKEN_PATH_NODES = 12
 
 
-def _panel_edges(lo, hi, peaks, scale: float) -> np.ndarray:
-    """Sorted panel edges on [lo, hi] per row, refined geometrically near the row's ``peaks``.
-
-    Edges outside [lo, hi] are clipped onto it, so a row may repeat an edge;
-    ``np.unique`` of a row, or dropping its zero-width panels, leaves the distinct ones.
-    """
+def _panel_edges(lo: float, hi: float, peaks, scale: float) -> np.ndarray:
+    """Distinct sorted panel edges on [lo, hi], refined geometrically near ``peaks``."""
     steps = scale * 2.0 ** np.arange(_REFINE_LEVELS + 1)
     offsets = np.concatenate([-steps, [0.0], steps])
-    peaks = np.asarray(peaks, dtype=float)
-    lo, hi = (np.asarray(x, dtype=float)[..., None] for x in (lo, hi))
-    cand = (peaks[..., None] + offsets).reshape(*peaks.shape[:-1], -1)
-    return np.sort(np.concatenate([lo, np.clip(cand, lo, hi), hi], axis=-1), axis=-1)
+    cand = (np.asarray(peaks, dtype=float)[:, None] + offsets).ravel()
+    return np.unique(np.concatenate([[lo], np.clip(cand, lo, hi), [hi]]))
 
 
 def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) -> complex:
@@ -159,8 +153,7 @@ def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) ->
     psi_mid = 0.5 * (theta1 + theta2)
     peaks = [psi_mid, psi_mid - math.pi, psi_mid + math.pi]
     scale = math.sqrt(2.0 * tau) / (2.0 * max(r, math.sqrt(tau)))
-    edges = np.unique(_panel_edges(lo, hi, peaks, scale))
-    th0, w = gauss_legendre(edges, _BROKEN_PATH_NODES)
+    th0, w = gauss_legendre(_panel_edges(lo, hi, peaks, scale), _BROKEN_PATH_NODES)
     c = np.cos(th0 - theta1) + np.cos(th0 - theta2)
     envelope = np.exp(-(r * r) * (1.0 - 0.25 * c * c) / (2.0 * tau))
     integrand = envelope * _radial_first_moment(0.5 * r * c, tau)
@@ -233,101 +226,106 @@ def _sector_kinks(alpha: float, p1: str, p2: str) -> np.ndarray:
     return np.unique([x for x in cross if 0.0 < x < alpha])
 
 
-def _stable_g(rho: np.ndarray) -> np.ndarray:
-    """[rho*arccos(-rho) + sqrt(1-rho^2)] / (1-rho^2)^(3/2), stably, for -1 <= rho < 1.
+def _stable_g(a, b):
+    """g(rho) = [rho*arccos(-rho) + sqrt(1-rho^2)] / (1-rho^2)^(3/2) at rho = cos(a) cos(b).
 
-    Near rho = -1 numerator and denominator both vanish; where w = arccos(-rho) < 1e-2 the
-    series 1/3 + 2 w^2/15 is taken, and chosen before dividing, so g(-1) = 1/3 with no 0/0.
-    ``_radial_double_moment`` has |rho| <= (1 + 2 tau/_WINDOW_R^2)^(-1/2), as |c| <= 2; the
-    tau-free non-edge pairs reach rho = -1 at some sector ends, and rho < 1 while
-    cos(alpha) < 1.
+    1 - rho^2 is formed as sin^2 a + cos^2 a sin^2 b and arccos(-rho) as the angle of
+    (-rho, sqrt(1 - rho^2)), so neither loses digits as rho -> 1, where the (d, a) integrand
+    cancels r*g against pi/r^2.  Near rho = -1 numerator and denominator both vanish; where
+    w = arccos(-rho) < 1e-2 the series 1/3 + 2 w^2/15 is taken, and chosen before dividing,
+    so g(-1) = 1/3 with no 0/0 (the non-edge pairs reach rho = -1 at some sector ends).
     """
-    w = np.arccos(-rho)
+    rho = np.cos(a) * np.cos(b)
+    s = np.hypot(np.sin(a), np.cos(a) * np.sin(b))
+    w = np.arctan2(s, -rho)
     small = w < 1e-2
-    s2 = np.where(small, 1.0, 1.0 - rho * rho)
-    s = np.sqrt(s2)
-    return np.where(small, 1.0 / 3.0 + 2.0 * w * w / 15.0, (rho * w + s) / (s2 * s))
+    s = np.where(small, 1.0, s)
+    return np.where(small, 1.0 / 3.0 + 2.0 * w * w / 15.0, (rho * w + s) / s**3)
 
 
-# Radius of the Gaussian window exp(-r^2/_WINDOW_R^2) on the corner trace.
-_WINDOW_R = 1.0
+def _non_edge_constant(alpha: float, p1: str, p2: str, n_gl: int) -> float:
+    """A non-edge pair's constant, (-1)^|w|/(16 pi^2) times the integral of g(c/2).
 
-
-def _radial_double_moment(c: np.ndarray, tau: float) -> np.ndarray:
-    """Closed form of the windowed radial double integral.
-
-    integral over (0,inf)^2 of r r0 exp(-[2r^2 + 2r0^2 - 2 r r0 c]/(4 tau)
-    - r^2/_WINDOW_R^2) dr dr0, expressed through the positive-quadrant
-    moment of a correlated Gaussian.
+    In imaginary time tau per leg, with the window exp(-r^2) on the corner, the radial
+    double integral of a pair's two-piece trace is closed form: the trace is
+    (-1)^|w|/(16 pi^2) times the integral of g(rho)/(1 + 2 tau) over theta in [0, alpha] and
+    theta0 in the visible sector, with rho = c/(2 sqrt(1 + 2 tau)) and
+    c = cos(theta0 - psi_u) + cos(theta0 - psi_v).  Off the edge pairs c/2 stays below 1, so
+    the tau -> 0 limit is the same integral of g(c/2), smooth inside the sector; theta panels
+    end at the sector's kinks, where its ends are affine in theta, and each theta node takes
+    one theta0 panel [lo, hi].
     """
-    a = 1.0 / (2.0 * tau) + 1.0 / _WINDOW_R**2
-    b = 1.0 / (2.0 * tau)
-    rho = (c / (4.0 * tau)) / math.sqrt(a * b)
-    return _stable_g(rho) / (4.0 * a * b)
+    edges = np.concatenate([[0.0], _sector_kinks(alpha, p1, p2), [alpha]])
+    thetas, th_w = gauss_legendre(edges, n_gl)
+    psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
+    lo, hi = _visible_sector(alpha, psi_u, psi_v)
+    r = np.flatnonzero(hi - lo > 1e-12 * alpha)    # drops rounding-level slivers
+    th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
+    half_diff, mid = 0.5 * (psi_u[r] - psi_v[r]), 0.5 * (psi_u[r] + psi_v[r])
+    g = _stable_g(half_diff[:, None], th0 - mid[:, None])
+    sign = (-1.0) ** len(_word((p1, p2)))
+    return sign / (16.0 * math.pi**2) * float(np.sum(th_w[r, None] * w0 * g))
 
 
-def _tau_free_constants(alpha: float, n_gl: int) -> dict:
-    """The tau -> 0 constant of every non-edge class pair, with no tau ladder.
+def _aa_constant(alpha: float) -> float:
+    """C_aa(alpha), the (a, a) pair's constant in closed form; (b, b) is its mirror.
 
-    ``_radial_double_moment`` is g(rho)/(4ab) with 4ab = (1 + 2 tau)/tau^2 and
-    rho = c/(2 sqrt(1 + 2 tau)), so a rung's trace is (-1)^|w|/(16 pi^2) times the integral
-    of g(rho)/(1 + 2 tau) over theta in [0, alpha] and theta0 in the visible sector, and its
-    limit is the same integral of g(c/2).  Off the edge pairs c/2 stays below 1, so the
-    integrand is smooth inside the sector; theta panels end at the sector's kinks, where
-    its ends are affine in theta, and each theta node takes one theta0 panel [lo, hi].
+    Both legs bounce once on side a, so psi_u = psi_v = -theta and the trace's integrand
+    depends on theta and theta0 only through phi = theta + theta0: rho = cos(phi)/sqrt(1 + 2 tau),
+    weighted by the length L(phi) = min(phi, 2 alpha - phi) of its line in the sector, on
+    0 < phi < Phi = min(2 alpha, pi).  Near phi = 0, g ~ pi/(phi^2 + 2 tau)^(3/2), and
+    L pi/(phi^2 + 2 tau)^(3/2) integrates to pi/sqrt(2 tau) - pi/Phi as tau -> 0.  The first
+    term is the edge part, 16 pi^2 / pi times 1/(16 sqrt(2 tau)) (the folded-Gaussian +1/pi
+    per unit length in units of 1/(8 sqrt(pi T)), T = 2 tau, over the window's length
+    sqrt(pi)/2 along the side), so
+        16 pi^2 C_aa = integral over (0, Phi) of [L g(cos phi) - pi/phi^2] dphi - pi/Phi.
+    Now g(cos phi) = ((pi - phi) cos phi + sin phi)/sin^3 phi is the derivative of
+    G = -(pi - phi)/(2 sin^2 phi) - cot(phi)/2, and phi g that of
+    H = -phi (pi - phi)/(2 sin^2 phi) - (pi/2) cot phi, with H + pi/phi -> 1/2 at 0,
+    G(pi) = 0 and H(pi) = 1/2.  The integral is then 2 H(alpha) - 2 alpha G(alpha) - 1
+    = -(1 + (pi - alpha) cot alpha) when 2 alpha >= pi, and gains
+    2 alpha G(2 alpha) - H(2 alpha) + 1/2 = (1 + (pi - 2 alpha) cot 2 alpha)/2 when
+    2 alpha < pi: C_aa = -C_dd(alpha) + C_dd(2 alpha)/2 if 2 alpha < pi, else -C_dd(alpha).
+    ``dd_constant`` keeps this accurate up to pi.
     """
-    consts = {}
-    for p1, p2 in CLASS_PAIRS:
-        if (p1, p2) in EDGE_PAIRS:
-            continue
-        edges = np.concatenate([[0.0], _sector_kinks(alpha, p1, p2), [alpha]])
-        thetas, th_w = gauss_legendre(edges, n_gl)
-        psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
-        lo, hi = _visible_sector(alpha, psi_u, psi_v)
-        r = np.flatnonzero(hi - lo > 1e-12 * alpha)    # drops rounding-level slivers
-        th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
-        rho = np.cos(0.5 * (psi_u[r] - psi_v[r]))[:, None] \
-            * np.cos(th0 - 0.5 * (psi_u[r] + psi_v[r])[:, None])
-        total = float(np.sum(th_w[r, None] * w0 * _stable_g(rho)))
-        consts[p1, p2] = (-1.0) ** len(_word((p1, p2))) / (16.0 * math.pi**2) * total
-    return consts
+    half_turn = 0.5 * dd_constant(2.0 * alpha) if 2.0 * alpha < math.pi else 0.0
+    return half_turn - dd_constant(alpha)
 
 
-# Sectors per numpy pass of ``_rung_traces``: each carries ~90 panel edges, and one pass
-# over all of a pair's few hundred sectors adds ~3 MiB of peak memory for no clear speed-up.
-_SECTOR_BLOCK = 64
+def _da_constant(alpha: float, n_gl: int) -> float:
+    """C_da(alpha), the (d, a) pair's constant, as one polar integral about the corner.
 
-
-def _rung_traces(alpha: float, tau: float, n_gl: int) -> dict:
-    """Unsigned windowed two-piece trace of every edge pair at one rung, on one theta grid.
-
-    Unfolded, a leg is the chord from theta0 to theta reflected along its word (reversed
-    for the back leg), and it meets each side line in turn iff it spans at most pi.
+    Here psi_u = theta and psi_v = -theta, so rho = cos(theta) cos(theta0)/sqrt(1 + 2 tau)
+    on D = {theta, theta0 in [0, alpha], theta + theta0 <= pi}, and the sign is -1.  rho
+    reaches 1 only at (0, 0), where 1 - rho^2 ~ r^2 + 2 tau in polar (r, beta) about it and
+    the part pi r/(r^2 + 2 tau)^(3/2) integrates to (pi^2/2)/sqrt(2 tau) less the integral
+    of pi/R(beta).  The first term is the edge part, 16 pi^2 times 1/2 times
+    1/(16 sqrt(2 tau)) (the folded-Gaussian -1/2 per unit length, as for (a, a)), so
+        16 pi^2 C_da = -integral over (0, pi/2) of
+                       [integral over (0, R) of (r g - pi/r^2) dr - pi/R] dbeta,
+    R(beta) = min(alpha/max(cos beta, sin beta), pi/(cos beta + sin beta)).  beta panels end
+    at pi/4 and, for alpha > pi/2, where the cut theta + theta0 = pi takes over,
+    beta1 = atan(pi/alpha - 1) and pi/2 - beta1; n_gl nodes per panel in beta and in r.
+    Reversing the legs gives (a, d), and the mirror theta -> alpha - theta (d, b) and (b, d).
     """
-    scale = math.sqrt(2.0 * tau) / (2.0 * _WINDOW_R)
-    crit = [x for x in (2.0 * alpha - math.pi, math.pi - alpha, 3.0 * alpha - 2.0 * math.pi)
-            if 0.0 < x < alpha]
-    th_edges = np.unique(_panel_edges(0.0, alpha, [0.0, alpha] + crit, scale))
-    thetas, th_w = gauss_legendre(th_edges, n_gl)
-    traces = {}
-    for p1, p2 in EDGE_PAIRS:
-        psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
-        lo, hi = _visible_sector(alpha, psi_u, psi_v)
-        rows = np.flatnonzero(hi - lo > 1e-12)
-        psi_mid = 0.5 * (psi_u + psi_v)
-        two_cos_half = 2.0 * np.cos(0.5 * (psi_u - psi_v))
-        total = 0.0
-        for start in range(0, len(rows), _SECTOR_BLOCK):
-            r = rows[start:start + _SECTOR_BLOCK]
-            peaks = psi_mid[r, None] + math.pi * np.arange(-2, 3)
-            edges = _panel_edges(lo[r], hi[r], peaks, scale)
-            sec, pan = np.nonzero(edges[:, 1:] > edges[:, :-1])    # the live panels
-            th0, w0 = gauss_legendre(edges[sec[:, None], pan[:, None] + (0, 1)], n_gl)
-            node = r[sec, None]
-            c = two_cos_half[node] * np.cos(th0 - psi_mid[node])
-            total += float(np.sum(th_w[node] * w0 * _radial_double_moment(c, tau)))
-        traces[p1, p2] = total
-    return traces
+    edges = [0.0, 0.25 * math.pi, 0.5 * math.pi]
+    if alpha > 0.5 * math.pi:
+        beta1 = math.atan(math.pi / alpha - 1.0)
+        edges += [beta1, 0.5 * math.pi - beta1]
+    beta, w_beta = gauss_legendre(np.unique(edges), n_gl)
+    cos_b, sin_b = np.cos(beta), np.sin(beta)
+    big_r = np.minimum(alpha / np.maximum(cos_b, sin_b), math.pi / (cos_b + sin_b))
+    r, w_r = gauss_legendre(np.stack([np.zeros_like(big_r), big_r], axis=-1), n_gl)
+    g = _stable_g(r * cos_b[:, None], r * sin_b[:, None])
+    inner = np.sum(w_r * (r * g - math.pi / r**2), axis=-1) - math.pi / big_r
+    return -float(w_beta @ inner) / (16.0 * math.pi**2)
+
+
+def _pair_constants(alpha: float, n_gl: int) -> dict:
+    """The tau -> 0 constant of every pair in CLASS_PAIRS, in order, with no tau ladder."""
+    c_aa, c_da = _aa_constant(alpha), _da_constant(alpha, n_gl)
+    return {(p1, p2): (c_aa if p1 == p2 else c_da) if (p1, p2) in EDGE_PAIRS
+            else _non_edge_constant(alpha, p1, p2, n_gl) for p1, p2 in CLASS_PAIRS}
 
 
 # Largest error estimate obtuse_corner_constant accepts (absolute).
@@ -370,8 +368,8 @@ class ObtuseCornerResult:
     weyl_value: float
     main_value: float              # classes with one bounce on each side
     per_class: dict                # tau -> 0 constant of each pair in CLASS_PAIRS
-    tau_ladder: tuple[float, ...]  # the edge pairs' rungs
     grid: int
+    tau_ladder: tuple[float, ...] = ()   # always empty; kept for callers that still pass it
 
     @property
     def dd_constant(self) -> float:
@@ -384,48 +382,18 @@ class ObtuseCornerResult:
         return self.value + self.dd_constant
 
 
-def _constant_at(alpha: float, tau_ladder: Sequence[float],
-                 n_gl: int) -> tuple[float, float, float, dict]:
-    """delta-constant estimate: per-pair constants, edge parts removed, tau -> 0.
-
-    The non-edge pairs come tau-free from ``_tau_free_constants``.  An edge pair's word w is
-    on one side only, and its extensive edge part per unit length in units of
-    1/(8 sqrt(pi T)) (-1/2 once, +1/pi twice: folded-Gaussian values, see the oracle) is
-    removed at each rung before its ladder is Neville-extrapolated.  The spread is that of
-    the edge pairs' summed ladder; the main pairs have w one "a" and one "b".
-    """
-    rungs = []
-    for tau in tau_ladder:
-        big_t = 2.0 * tau
-        edge_unit = (math.sqrt(math.pi) * _WINDOW_R / 2.0) / (8.0 * math.sqrt(math.pi * big_t))
-        rung = {}
-        for pair, total in _rung_traces(alpha, tau, n_gl).items():
-            word = _word(pair)
-            rung[pair] = (-1.0) ** len(word) / (16.0 * math.pi**2 * tau**2) * total \
-                - (-0.5 if len(word) == 1 else 1.0 / math.pi) * edge_unit
-        rungs.append(rung)
-    roots = [math.sqrt(t) for t in tau_ladder]
-    _, spread = extrapolate_to_zero(roots, [sum(rung.values()) for rung in rungs])
-    limits = {pair: extrapolate_to_zero(roots, [rung[pair] for rung in rungs])[0].real
-              for pair in EDGE_PAIRS}
-    limits.update(_tau_free_constants(alpha, n_gl))
-    per_class = {pair: limits[pair] for pair in CLASS_PAIRS}
-    main_value = sum(v for pair, v in per_class.items() if sorted(_word(pair)) == ["a", "b"])
-    return sum(per_class.values()), spread, main_value, per_class
-
-
 def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     """Numerical corner delta(E) constant from two-piece folded paths.
 
     All ordered leg-path class pairs are summed except the doubly-direct
     one, whose closed form is ``dd_constant`` (``full_value`` adds it).
-    The 18 non-edge pairs, whose bounce word uses both sides, are
-    integrated at tau = 0 directly (``_tau_free_constants``).  The six
-    edge pairs have their extensive per-side parts removed analytically
-    and are Richardson-extrapolated over the imaginary-time ladder
-    0.02 * 0.5**j, j < 2 + 2*grid.
-    The trace is windowed by exp(-r^2/_WINDOW_R^2), which regularizes the
-    extensive parts without introducing a spurious cutoff boundary.
+    Each pair's constant is the tau -> 0 limit of its imaginary-time trace
+    with the area and edge parts removed, taken under the integral: the 18
+    non-edge pairs, whose bounce word uses both sides, as 2-D integrals
+    (``_non_edge_constant``), (a, a) and (b, b) in closed form
+    (``_aa_constant``) and the four one-bounce edge pairs as one polar
+    integral (``_da_constant``).  ``grid`` sets 4 + 3*grid Gauss-Legendre
+    nodes per panel.
 
     Works for any wedge angle in (0, pi) whose cosine is below 1 in floating
     point (alpha above about 1.05e-8; below it the non-edge integrands reach
@@ -434,30 +402,25 @@ def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     constant 1/(16 pi^2), and ``full_value`` is 1/16; the first is the
     calibration used by the acceptance suite.
 
-    The error estimate is the larger of the Neville spread over the edge
-    pairs' ladder and the difference from a pass with three fewer
-    Gauss-Legendre nodes per panel (4 + 3*grid in the main pass; both
-    passes recompute the tau-free pairs): it measures ladder and
-    quadrature convergence only.  Raises
-    :class:`NonConvergence` when it exceeds 0.01 or is NaN.
+    The error estimate is the change in ``value`` from a pass with three
+    fewer nodes per panel (grid against grid - 1): it measures quadrature
+    convergence only.  Raises :class:`NonConvergence` when it exceeds 0.01
+    or is NaN.
     """
     if not (0.0 < alpha < math.pi and math.cos(alpha) < 1.0):
         raise DomainError("alpha must be in (0, pi) with cos(alpha) < 1")
     if grid < 1:
         raise DomainError("grid must be >= 1")
-    # two extra halvings per refinement level: deeper extrapolation
-    tau_ladder = tuple(0.02 * 0.5**j for j in range(2 + 2 * grid))
     n_gl = 4 + 3 * grid
-    value, spread, main_value, per_class = _constant_at(alpha, tau_ladder, n_gl)
-    coarse, _, _, _ = _constant_at(alpha, tau_ladder, n_gl - 3)
-    err = max(spread, abs(value - coarse))
+    per_class = _pair_constants(alpha, n_gl)
+    value = sum(per_class.values())
+    err = abs(value - sum(_pair_constants(alpha, n_gl - 3).values()))
     from .weyl import weyl_corner_coefficient
     result = ObtuseCornerResult(
         alpha=alpha, value=value, error_estimate=err,
         weyl_value=weyl_corner_coefficient(alpha),
-        main_value=main_value,
-        per_class=per_class,
-        tau_ladder=tau_ladder, grid=grid,
+        main_value=sum(v for pair, v in per_class.items() if sorted(_word(pair)) == ["a", "b"]),
+        per_class=per_class, grid=grid,
     )
     if not err <= _ERROR_TOL:
         raise NonConvergence(

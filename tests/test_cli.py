@@ -366,7 +366,7 @@ def test_exit_code_geometry_error(tmp_path, square_file):
 
 
 def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
-    # a corner too sharp for the tau ladder forces the non-convergence path
+    # a corner too sharp for the grid-1 quadrature forces the non-convergence path
     code, out = cli.run(["fold", "--alpha", "1e-7"])
     assert code == 3
     assert "non-convergence" in out
@@ -384,7 +384,7 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
 
 
 def test_non_convergence_reports_the_partial_result(monkeypatch, capsys):
-    # green beyond the damping ladder's reach, and fold on a corner too sharp for its ladder
+    # green beyond the damping ladder's reach, and fold on a corner too sharp for grid 1
     cases = ((["green", "--y", "1", "--k", "1000", "--verify"],
               lambda: orbit_terms.green_fourier(1.0, 1000.0)),
              (["fold", "--alpha", "1e-7"],

@@ -374,12 +374,12 @@ def test_corner_constant_per_class_against_signature_values(right_angle_constant
     assert const_of(("ab", "d"), ("ba", "d")) == pytest.approx(1 / 64, abs=2e-5)
     assert const_of(("a", "b")) == pytest.approx(1 / 64, abs=2e-5)
     assert const_of(("b", "a")) == pytest.approx(1 / 64, abs=2e-5)
-    # singles keep their +1/(32 pi) constants after the edge part is removed
-    assert const_of(("d", "a")) == pytest.approx(1 / (32 * PI), abs=3e-5)
-    assert const_of(("a", "d")) == pytest.approx(1 / (32 * PI), abs=3e-5)
-    # same-side doubles carry -1/(16 pi^2)
-    assert const_of(("a", "a")) == pytest.approx(-1 / (16 * PI**2), abs=3e-5)
-    assert const_of(("b", "b")) == pytest.approx(-1 / (16 * PI**2), abs=3e-5)
+    # singles keep their +1/(32 pi) constants after the edge part is removed, and
+    # same-side doubles carry -1/(16 pi^2), both to rounding
+    assert const_of(("d", "a")) == pytest.approx(1 / (32 * PI), rel=1e-13)
+    assert const_of(("a", "d")) == pytest.approx(1 / (32 * PI), rel=1e-13)
+    assert const_of(("a", "a")) == pytest.approx(-1 / (16 * PI**2), rel=1e-15)
+    assert const_of(("b", "b")) == pytest.approx(-1 / (16 * PI**2), rel=1e-15)
     # triples and the quadruple group
     assert const_of(("a", "ab"), ("a", "ba")) == pytest.approx(-1 / (32 * PI),
                                                                abs=3e-5)
@@ -434,7 +434,8 @@ def test_full_value_at_right_angle_is_weyl(right_angle_constant):
 def test_stable_g_at_minus_one_takes_the_series_without_dividing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fl._stable_g(np.array([-1.0]))[0] == 1.0 / 3.0
+        # rho = cos(0) cos(pi) = -1
+        assert fl._stable_g(np.array([0.0]), np.array([PI]))[0] == 1.0 / 3.0
 
 
 def test_stable_g_branches_agree_across_the_switch():
@@ -445,7 +446,7 @@ def test_stable_g_branches_agree_across_the_switch():
         s2 = 1.0 - rho * rho
         direct = (rho * math.acos(-rho) + math.sqrt(s2)) / s2**1.5
         series = 1.0 / 3.0 + 2.0 * math.acos(-rho) ** 2 / 15.0
-        got = fl._stable_g(np.array([rho]))[0]
+        got = fl._stable_g(np.array([0.0]), np.array([PI - w]))[0]
         assert got == pytest.approx(direct, rel=1e-7)
         assert got == pytest.approx(series, rel=1e-7)
 
@@ -489,10 +490,67 @@ def test_tau_free_pairs_match_the_ladder_limit(alpha, ladder_sum, tol):
     assert sum(res.per_class[p] for p in non_edge) == pytest.approx(ladder_sum, abs=tol)
 
 
-def test_corner_constant_converges_at_a_sharp_corner_on_grid_one():
-    res = fl.obtuse_corner_constant(0.35, grid=1)
+MIXED_EDGE_PAIRS = (("d", "a"), ("a", "d"), ("d", "b"), ("b", "d"))
+
+# The grid-3 ladder's Neville-extrapolated (d, a) and (a, a) constants, from the tau ladder
+# this module used before the edge pairs were taken at tau = 0, and the measured gap of
+# the grid-1 constants of all six edge pairs to them (largest 8.4e-11 at 0.6, 1.7e-11 at 1.0,
+# 1.6e-11 at 2.0, 1.4e-11 at 2.5 and 3.1e-11 at 3.0), with margin.  The ladder's (d, b) and
+# (b, b) differ from these by up to 7e-13 and 4e-13.
+LADDER_EDGE_CONSTANTS = [
+    (0.6, 0.04484662827168882, -0.024301948582094633, 2e-10),
+    (1.0, 0.024102492961042315, -0.01352846826610535, 3e-11),
+    (2.0, 0.003918896038313698, -0.0030240668578671082, 3e-11),
+    (2.5, 0.0009709668533340068, -0.0008937363928477643, 3e-11),
+    (3.0, 4.254649080794265e-05, -4.237615823696692e-05, 5e-11),
+]
+
+
+@pytest.mark.parametrize("alpha, ladder_da, ladder_aa, tol", LADDER_EDGE_CONSTANTS)
+def test_edge_pairs_match_the_ladder_limit(alpha, ladder_da, ladder_aa, tol):
+    per = fl.obtuse_corner_constant(alpha, grid=1).per_class
+    assert per["d", "a"] == pytest.approx(ladder_da, abs=tol)
+    assert per["a", "a"] == pytest.approx(ladder_aa, abs=tol)
+    # leg reversal and the mirror theta -> alpha - theta map the one-bounce edge pairs onto
+    # each other, and (a, a) onto (b, b)
+    assert len({per[p] for p in MIXED_EDGE_PAIRS}) == 1
+    assert per["a", "a"] == per["b", "b"]
+
+
+def _g_of_cos(phi):
+    """g(cos(phi)) = ((pi - phi) cos(phi) + sin(phi))/sin(phi)^3 for 0 < phi < pi."""
+    return ((PI - phi) * math.cos(phi) + math.sin(phi)) / math.sin(phi) ** 3
+
+
+@pytest.mark.parametrize("alpha", (1.0, 2.5))
+def test_aa_constant_against_the_phi_integral(alpha):
+    # 16 pi^2 C_aa = integral over (0, Phi) of [L g(cos phi) - pi/phi^2] dphi - pi/Phi, with
+    # L = min(phi, 2 alpha - phi) and Phi = min(2 alpha, pi), by adaptive quadrature
+    from scipy.integrate import quad
+    big_phi = min(2.0 * alpha, PI)
+
+    def integrand(phi):
+        return min(phi, 2.0 * alpha - phi) * _g_of_cos(phi) - PI / phi**2
+
+    total = sum(quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                for a, b in ((0.0, alpha), (alpha, big_phi)))
+    c_aa = (total - PI / big_phi) / (16 * PI**2)
+    assert fl.obtuse_corner_constant(alpha, grid=1).per_class["a", "a"] == pytest.approx(
+        c_aa, rel=1e-10)
+
+
+def test_da_constant_keeps_its_digits_at_a_sharp_corner():
+    # the (d, a) integrand cancels r g against pi/r^2 near the corner; with 1 - rho^2 and
+    # arccos(-rho) formed from the two angles, 7 and 30 nodes per panel agree to rounding
+    # (with 1 - rho^2 from rho they differ by 1.4e-6 at alpha = 0.05)
+    assert fl._da_constant(0.05, 30) == pytest.approx(fl._da_constant(0.05, 7), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", (0.35, 1e-3))
+def test_corner_constant_converges_at_a_sharp_corner_on_grid_one(alpha):
+    res = fl.obtuse_corner_constant(alpha, grid=1)
     assert res.error_estimate < 0.01
-    assert res.weyl_value == pytest.approx(w.weyl_corner_coefficient(0.35), rel=1e-12)
+    assert res.weyl_value == pytest.approx(w.weyl_corner_coefficient(alpha), rel=1e-12)
 
 
 def test_corner_constant_vanishes_toward_straight_angle():
@@ -508,10 +566,10 @@ def test_corner_constant_vanishes_toward_straight_angle():
 
 
 @pytest.mark.parametrize("alpha, value, main_value", [
-    (PI / 6, 0.2107415289844493, 0.13164059017942037),
-    (1.0, 0.1054408527608417, 0.08370039404385024),
-    (PI / 2, 0.05616034881190129, 0.062499999999999986),
-    (2.5, 0.015932610640490823, 0.01682968473200572),
+    (PI / 6, 0.21086163482060666, 0.13164059017942037),
+    (1.0, 0.10546032937195939, 0.08370039404385024),
+    (PI / 2, 0.05616742605887241, 0.062499999999999986),
+    (2.5, 0.015935948345134215, 0.01682968473200572),
 ], ids=("pi_over_6", "1.0", "pi_over_2", "2.5"))
 def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
     # grid-1 values; a change in the order of the inner quadrature's sums
