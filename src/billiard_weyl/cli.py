@@ -326,10 +326,10 @@ def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     prov = {
         "hankel": "-(1/4i) H0^(1)(2ky), uniform closed-orbit amplitude",
         "stationary": "-(1/(4i sqrt(pi k y))) exp(2iky), stationary phase",
-        "fourier": ("damped time integral of the reflected kernel (verification); "
-                    "fourier_error_estimate is the Neville spread of the damping ladder "
-                    "plus the largest rung quadrature error; each rung is integrated to "
-                    "1e-9, which does not bound the spread"),
+        "fourier": ("time integral of the reflected kernel on the rotated contour "
+                    "(verification): the arc |t| = y, then the imaginary-time axis; "
+                    "fourier_error_estimate is the sum of the two quadrature "
+                    "estimates and bounds fourier_vs_hankel"),
     }
     inputs = {"y": y, "k": k, "verify": args.verify}
     return inputs, results, prov

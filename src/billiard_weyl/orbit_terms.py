@@ -143,10 +143,11 @@ def single_reflection_green(y: float, k: float) -> complex:
 def green_fourier(y: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     """Single-reflection Green amplitude recomputed from the time integral.
 
-    Integrates the propagator against exp(i E t) over t in (0, inf) using
-    the damped ladder; independent numerical route to
-    :func:`single_reflection_green`.  Above 2ky = 200 the ladder cannot
-    resolve the phase: raises :class:`NonConvergence` carrying the amplitude.
+    Integrates the propagator against exp(i E t) over t in (0, inf) on the
+    rotated contour of :func:`specfun.hankel_time_integral`: an independent
+    numerical route to :func:`single_reflection_green`.  Where the contour's
+    arc runs out of panels (from 2ky ≈ 1.47e5 on), raises
+    :class:`NonConvergence` carrying the amplitude.
     """
     if not (y > 0 and k > 0):
         raise DomainError("green_fourier requires y > 0 and k > 0")
@@ -188,7 +189,7 @@ def length_term_density_quadrature(length: float, energy: float,
     """Perimeter density term recomputed from the Green-function strip integral.
 
     Integrates the single-reflection amplitude over the distance to the
-    wall (damped half-line Hankel moment of order zero) and takes
+    wall (half-line Hankel moment of order zero, on the imaginary axis) and takes
     -(L/pi) Im of it.  Verifies the closed form of
     :func:`length_term_density` without using it.
     """
@@ -204,10 +205,6 @@ def length_term_density_quadrature(length: float, energy: float,
 
 # ---------------------------------------------------------------------------
 # acute-corner double-reflection family
-
-# Absolute damping ladder (energy units) of corner_delta_by_quadrature.
-_CORNER_EPS_LADDER = (0.64, 0.32, 0.16, 0.08, 0.04)
-
 
 def _polar(r: float, theta: float) -> tuple[float, float]:
     return (r * math.cos(theta), r * math.sin(theta))
@@ -268,23 +265,18 @@ def corner_delta_by_quadrature(alpha: float, tol: float = 1e-8) -> QuadratureRes
     """Corner delta(E) coefficient of the double-reflection family by quadrature.
 
     The wedge integral of the family's Green amplitude reduces to the
-    first Hankel moment; writing E as E + i*eps resolves 1/(E + i*eps)
-    into a principal value plus -i*pi*delta(E), and the delta coefficient
-    is extracted at E = 0 as pi*eps times the damped density, extrapolated
-    over the eps ladder ``_CORNER_EPS_LADDER``.  Closed form:
+    first Hankel moment M1(a) = integral of r*H0^(1)(a r) dr, with
+    a = 2 sqrt(E + i*eps) sin(alpha).  Writing E as E + i*eps resolves
+    1/(E + i*eps) into a principal value plus -i*pi*delta(E), and the delta
+    coefficient is pi*eps times the density at E = 0.  M1 is analytic in a
+    and scales as a^-2, so pi*eps*density does not depend on eps: it is
+    taken at eps = 1, where a = |a| exp(i*pi/4) and M1(a) = M1(|a|) exp(-i*pi/2),
+    with M1(|a|) from :func:`specfun.hankel0_halfline_moment`.  Closed form:
     alpha / (8 pi sin(alpha)^2).
     """
     _require_acute(alpha)
-    from scipy.special import hankel1  # deferred: scipy dominates import time
-    s = math.sin(alpha)
-
-    def rung(eps: float, integral) -> float:
-        a = 2.0 * complex(0.0, eps) ** 0.5 * s      # 2 sqrt(E + i eps) sin(alpha) at E = 0
-        moment = integral(lambda rr: rr * hankel1(0, a * rr), specfun._TAIL_LOG / a.imag)
-        # density at E = 0: -(alpha/(4 pi)) Im[(1/i) * moment]; the delta
-        # coefficient is pi*eps times it.
-        dens0 = -(alpha / (4.0 * math.pi)) * (moment / 1j).imag
-        return math.pi * eps * dens0
-
-    res = specfun.damped_ladder(rung, _CORNER_EPS_LADDER, tol)
-    return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)
+    moment = specfun.hankel0_halfline_moment(1.0, 2.0 * math.sin(alpha), tol=tol)
+    # density at E = 0: -(alpha/(4 pi)) Im[(1/i) M1(a)] = (alpha/(4 pi)) Im M1(|a|)
+    density = (alpha / (4.0 * math.pi)) * moment.value.imag
+    return QuadratureResult(math.pi * density, alpha / 4.0 * moment.error_estimate,
+                            moment.evaluations)

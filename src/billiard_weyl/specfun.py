@@ -6,9 +6,9 @@ with ``math.fsum``, correctly rounded in any order, so the sum does not
 depend on panel order and repeated calls are bit-identical.
 
 Oscillatory half-line integrals (Hankel kernels) are never integrated raw:
-the caller declares a damping substitution ``a -> a*(1 + i*eps)``, truncates
-the damped tail, and :func:`damped_ladder` extrapolates the results for a
-geometric ladder of ``eps`` values to ``eps -> 0`` by Neville's scheme.
+Cauchy's theorem moves each off the real axis (to imaginary time, or to the
+imaginary axis), where its tail decays without oscillating, and it is
+integrated there once, so its error estimate is the quadrature's own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,27 +28,15 @@ __all__ = [
     "hankel1_0",
     "integrate",
     "gauss_legendre",
-    "extrapolate_to_zero",
-    "damped_ladder",
     "hankel_time_integral",
     "hankel0_halfline_moment",
-    "DEFAULT_EPS_LADDER",
 ]
 
-# Geometric damping ladder, relative units.  Small enough that the Neville
-# limit is accurate, large enough that the damped tails stay cheap.
-DEFAULT_EPS_LADDER: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
-
-# Damped Gaussian/oscillatory tails are truncated where the envelope drops
-# below exp(-_TAIL_LOG).
+# Decaying tails are truncated where the envelope drops below exp(-_TAIL_LOG).
 _TAIL_LOG = 45.0
 
 # Panels one adaptive integration may evaluate before it gives up.
 _PANEL_BUDGET = 65536
-
-# Largest x*z hankel_time_integral trusts: over x*z = 10..1000 (tol 1e-6..1e-12)
-# the gap to H0 is 0.66 of its estimate at 200 and exceeds it from 247 on.
-_MAX_TIME_PHASE = 200.0
 
 
 @dataclass(frozen=True)
@@ -164,97 +152,60 @@ def gauss_legendre(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# damping ladders
-
-
-def extrapolate_to_zero(eps: Sequence[float], values: Sequence[complex]) -> tuple[complex, float]:
-    """Neville polynomial extrapolation of values(eps) to eps = 0.
-
-    Returns the limit and a spread-based error estimate (the change in the
-    final extrapolant when the last ladder rung is dropped).
-    """
-    eps = [float(e) for e in eps]
-    vals = [complex(v) for v in values]
-    n = len(eps)
-    if n == 0:
-        raise ValueError("empty ladder")
-    if n == 1:
-        return vals[0], abs(vals[0])
-
-    def neville(es, vs):
-        tab = list(vs)
-        m = len(es)
-        for level in range(1, m):
-            for i in range(m - level):
-                tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * es[i + level] / (es[i] - es[i + level])
-        return tab[0]
-
-    full = neville(eps, vals)
-    reduced = neville(eps[:-1], vals[:-1])
-    return full, abs(full - reduced)
-
-
-def damped_ladder(rung: Callable, ladder: Sequence[float], tol: float) -> QuadratureResult:
-    """Neville limit eps -> 0 of ``rung(eps, integral)`` over the damping ``ladder``.
-
-    ``integral(f, upper)`` integrates ``f`` over (0, upper) to ``tol`` and
-    returns the value; ``rung`` builds the damped integrand, picks the tail
-    cut ``upper`` and scales the integral into the rung's value.  The error
-    estimate is the Neville spread plus the largest quadrature error of any
-    rung; the evaluations are summed over the ladder.
-    """
-    evals = 0
-    err_quad = 0.0
-
-    def integral(f: Callable, upper: float) -> complex:
-        nonlocal evals, err_quad
-        res = integrate(f, 0.0, upper, tol)
-        evals += res.evaluations
-        err_quad = max(err_quad, res.error_estimate)
-        return res.value
-
-    vals = [rung(eps, integral) for eps in ladder]
-    limit, spread = extrapolate_to_zero(ladder, vals)
-    return QuadratureResult(limit, spread + err_quad, evals)
+# Hankel integrals on rotated contours
 
 
 def hankel_time_integral(x: float, z: float, tol: float = 1e-9) -> QuadratureResult:
     """H0^(1)(x*z) recomputed from its oscillatory time integral.
 
-    The kernel exp(i*x*(t + z^2/t)/2)/t is integrated over t in (0, inf)
-    after the damping substitution x -> x*(1+i*eps); the substitution
-    t = z*exp(s) turns the exponent into i*x*z*(1+i*eps)*cosh(s), absolutely
-    convergent for eps > 0.  The ladder is extrapolated to eps -> 0.
-    Above x*z = ``_MAX_TIME_PHASE`` the rungs are damped too hard for the
-    limit: raises :class:`NonConvergence` carrying the result.
+    The kernel exp(i*x*(t + z^2/t)/2)/t over t in (0, inf) becomes, with
+    t = z*exp(s) and w = x*z, (2/(i*pi)) times the integral of
+    exp(i*w*cosh(s)) over s in (0, inf).  Turning s by a quarter turn (the
+    circle |t| = z, then the imaginary-time axis) gives, by Cauchy's theorem,
+
+        H0^(1)(w) = (2/pi) [ int_0^{pi/2} exp(i*w*cos(phi)) dphi
+                             - i int_0^inf exp(-w*sinh(t)) dt ]
+
+    (DLMF 10.9.7 at nu = 0): a bounded arc and a decaying leg, cut where
+    w*sinh(t) passes ``_TAIL_LOG``.  The error estimate is 2/pi times the
+    sum of the two quadrature estimates.  The arc's panels grow with w; if
+    they run out, raises :class:`NonConvergence` carrying the partial H0.
     """
     if x <= 0 or z <= 0:
         raise DomainError("hankel_time_integral requires x > 0 and z > 0")
+    w = x * z
+    log_w = math.log(w)
+    # w*sinh(t) = (exp(t + ln w) - w*exp(-t))/2 overflows for no w > 0
+    leg = integrate(lambda t: np.exp(-0.5 * (np.exp(t + log_w) - w * np.exp(-t))),
+                    0.0, math.log(2.0 * _TAIL_LOG + w) - log_w, tol)
 
-    def rung(eps: float, integral: Callable) -> complex:
-        w = x * z * complex(1.0, eps)
-        s_max = math.acosh(max(_TAIL_LOG / (x * z * eps), 2.0))
-        return integral(lambda s: np.exp(1j * w * np.cosh(s)), s_max) * (2.0 / (1j * math.pi))
+    def h0(arc: QuadratureResult) -> QuadratureResult:
+        return QuadratureResult((2.0 / math.pi) * (arc.value - 1j * leg.value),
+                                (2.0 / math.pi) * (arc.error_estimate + leg.error_estimate),
+                                arc.evaluations + leg.evaluations)
 
-    res = damped_ladder(rung, DEFAULT_EPS_LADDER, tol)
-    if x * z > _MAX_TIME_PHASE:
-        raise NonConvergence(f"the damping ladder resolves x*z up to {_MAX_TIME_PHASE:g}, "
-                             f"not {x * z:.6g}", result=res)
-    return res
+    try:
+        arc = integrate(lambda phi: np.exp(1j * w * np.cos(phi)), 0.0, 0.5 * math.pi, tol)
+    except NonConvergence as exc:
+        exc.result = h0(exc.result)
+        raise
+    return h0(arc)
 
 
 def hankel0_halfline_moment(mu: float, a: float, tol: float = 1e-9) -> QuadratureResult:
-    """Damped half-line moment  integral of z^mu * H0^(1)(a z) dz over (0, inf).
+    """Half-line moment  integral of z^mu * H0^(1)(a z) dz over (0, inf).
 
-    Evaluated with the substitution a -> a*(1+i*eps) on a ladder of eps
-    values, extrapolated to eps -> 0.
+    The moment is the limit of the damped integral (a -> a*(1 + i*eps),
+    eps -> 0); on the rotated contour z = i*y it is
+
+        i^(mu+1) int_0^inf y^mu H0^(1)(i*a*y) dy,
+
+    whose kernel (2/(i*pi)) K0(a*y) decays without oscillating.  The ray is
+    cut where a*y passes ``_TAIL_LOG``.
     """
     if a <= 0:
         raise DomainError("hankel0_halfline_moment requires a > 0")
     from scipy.special import hankel1  # deferred: scipy dominates import time
 
-    def rung(eps: float, integral: Callable) -> complex:
-        aa = a * complex(1.0, eps)
-        return integral(lambda z: z**mu * hankel1(0, aa * z), _TAIL_LOG / (a * eps))
-
-    return damped_ladder(rung, DEFAULT_EPS_LADDER, tol)
+    res = integrate(lambda y: y**mu * hankel1(0, 1j * a * y), 0.0, _TAIL_LOG / a, tol)
+    return QuadratureResult(1j ** (mu + 1.0) * res.value, res.error_estimate, res.evaluations)

@@ -140,11 +140,20 @@ def test_green_verify():
     assert code == 0
     res = json.loads(out)["results"]
     assert res["fourier_vs_hankel"] < 1e-6
+    assert res["fourier_vs_hankel"] <= res["fourier_error_estimate"]
     assert res["magnitude_ratio"] == pytest.approx(1.0, abs=0.05)
-    # the estimate is the ladder's spread, which the per-rung tolerance does not bound
     fourier = json.loads(out)["provenance"]["fourier"]
-    assert "Neville spread of the damping ladder" in fourier
-    assert "each rung is integrated to 1e-9, which does not bound the spread" in fourier
+    assert "on the rotated contour" in fourier
+    assert "sum of the two quadrature estimates and bounds fourier_vs_hankel" in fourier
+
+
+def test_green_verify_at_a_subnormal_2ky():
+    # 2ky = 2e-310: H0 is finite (Y0 near -454), and so is its rotated-contour quadrature
+    code, out = cli.run(["green", "--y", "1e-300", "--k", "1e-10", "--verify"])
+    assert code == 0, out
+    res = json.loads(out)["results"]
+    assert res["hankel_re"] == pytest.approx(-0.25 * -454.05, rel=1e-4)
+    assert res["fourier_vs_hankel"] <= res["fourier_error_estimate"]
 
 
 def test_monodromy_square(square_file):
@@ -384,9 +393,10 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
 
 
 def test_non_convergence_reports_the_partial_result(monkeypatch, capsys):
-    # green beyond the damping ladder's reach, and fold on a corner too sharp for grid 1
-    cases = ((["green", "--y", "1", "--k", "1000", "--verify"],
-              lambda: orbit_terms.green_fourier(1.0, 1000.0)),
+    # green past the panel budget of the rotated contour's arc, and fold on a
+    # corner too sharp for grid 1
+    cases = ((["green", "--y", "1", "--k", "1e5", "--verify"],
+              lambda: orbit_terms.green_fourier(1.0, 1e5)),
              (["fold", "--alpha", "1e-7"],
               lambda: folding.obtuse_corner_constant(1e-7, grid=1)))
     for argv, call in cases:

@@ -91,27 +91,24 @@ def test_green_fourier_oracle():
     for y, k in ((1.0, 1.0), (0.5, 2.0), (2.0, 3.0)):
         q = ot.green_fourier(y, k)
         exact = ot.single_reflection_green(y, k)
-        assert abs(q.value - exact) <= max(3.0 * q.error_estimate, 1e-7)
+        assert abs(q.value - exact) <= q.error_estimate
 
 
 def test_green_fourier_at_high_k_lands_within_its_estimate_or_raises():
     from scipy.special import hankel1
 
-    returned = []
     for k in (30.0, 100.0, 300.0, 1000.0, 1e4):
+        q = ot.green_fourier(1.0, k)
         exact = -0.25 / 1j * hankel1(0, 2.0 * k)
-        try:
-            q = ot.green_fourier(1.0, k)
-        except NonConvergence as exc:
-            # the partial result it carries is the amplitude, not the raw H0 ladder
-            with pytest.raises(NonConvergence) as raw:
-                sf.hankel_time_integral(2.0 * k, 1.0)
-            assert exc.result.value == (-1.0 / 4j) * raw.value.result.value
-            continue
-        assert abs(q.value - exact) <= 3.0 * q.error_estimate
-        returned.append(k)
-    # the damping ladder resolves 2ky up to 200
-    assert returned == [30.0, 100.0]
+        assert abs(q.value - exact) <= q.error_estimate, k
+    # past 2ky = 1.47e5 the arc of the rotated contour runs out of panels; the
+    # partial result it carries is the amplitude, not the raw H0
+    with pytest.raises(NonConvergence) as exc:
+        ot.green_fourier(1.0, 1e5)
+    with pytest.raises(NonConvergence) as raw:
+        sf.hankel_time_integral(2e5, 1.0)
+    assert exc.value.result.value == (-1.0 / 4j) * raw.value.result.value
+    assert exc.value.result.error_estimate == raw.value.result.error_estimate / 4.0
 
 
 def test_stationary_phase_magnitude_exact():
@@ -166,7 +163,8 @@ def test_length_term_closed_form():
 def test_length_term_quadrature_verification():
     q = ot.length_term_density_quadrature(1.0, 4.0)
     closed = ot.length_term_density(1.0, 4.0)
-    assert abs(q.value - closed) / abs(closed) < 0.005
+    assert abs(q.value - closed) <= q.error_estimate
+    assert abs(q.value - closed) / abs(closed) < 1e-10
 
 
 def test_acute_corner_orbit_lengths():
@@ -225,13 +223,14 @@ def test_corner_orbit_propagator_scaling():
 
 
 def test_corner_delta_quadrature_matches_closed_form():
-    for alpha in (math.pi / 2, math.pi / 3, 0.7):
+    for alpha in (math.pi / 2, math.pi / 3, 0.7, 0.05):
         q = ot.corner_delta_by_quadrature(alpha)
-        assert q.value == pytest.approx(alpha / (8 * math.pi * math.sin(alpha)**2),
-                                        abs=max(5.0 * q.error_estimate, 1e-7))
+        closed = alpha / (8 * math.pi * math.sin(alpha)**2)
+        assert abs(q.value - closed) <= q.error_estimate, alpha
+        assert q.value == pytest.approx(closed, rel=1e-10)
 
 
 def test_first_hankel_moment_oracle_behind_corner_quadrature():
     # the wedge reduction rests on the first half-line moment 2i/(pi a^2)
     res = sf.hankel0_halfline_moment(1.0, 3.0)
-    assert res.value == pytest.approx(2j / (math.pi * 9.0), abs=1e-5)
+    assert abs(res.value - 2j / (math.pi * 9.0)) <= res.error_estimate
