@@ -115,7 +115,6 @@ class OrbitSpec:
     chords: tuple[float, ...]
     y_first: float
     y_last: float
-    k: float = 1.0
 
     def __post_init__(self):
         n = len(self.v_perp)
@@ -125,8 +124,6 @@ class OrbitSpec:
             raise DomainError("inconsistent per-bounce data lengths")
         if any(l <= 0 for l in self.chords):
             raise DomainError("chord lengths must be positive")
-        if not self.k > 0:
-            raise DomainError("k must be positive")
 
     @property
     def n(self) -> int:

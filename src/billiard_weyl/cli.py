@@ -401,7 +401,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--y", type=float, required=True)
     q.add_argument("--k", type=float, required=True)
     q.add_argument("--verify", action="store_true",
-                   help="also run the damped time-integral quadrature")
+                   help="also run the rotated-contour time-integral quadrature")
     q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_green)
     return p

@@ -120,10 +120,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class Corner:
-    position: tuple[float, float]
     alpha: float                    # interior angle, in (0, 2*pi)
     arclength: float                # cumulative arclength of the junction
-    segments: tuple[int, int]       # incoming, outgoing segment indices
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,19 @@ def _build_boundary(segments: list[Segment]) -> Boundary:
         if abs(turn) < CORNER_TOL:
             continue
         alpha = math.pi - turn
-        corners.append(Corner(position=nxt.p0, alpha=alpha,
-                              arclength=cum[i + 1] % cum[-1], segments=(i, (i + 1) % n)))
+        corners.append(Corner(alpha=alpha, arclength=cum[i + 1] % cum[-1]))
     return Boundary(segments=tuple(segments), corners=tuple(corners), cumlen=tuple(cum))
+
+
+def _numbers(tokens: list[str], lineno: int) -> list[float]:
+    """The finite floats a record's number tokens spell."""
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise GeometrySyntaxError(f"bad number: {exc}", lineno) from None
+    if not all(map(math.isfinite, values)):
+        raise GeometrySyntaxError(f"non-finite number in {' '.join(tokens)!r}", lineno)
+    return values
 
 
 def parse_geometry(text: str) -> Boundary:
@@ -228,18 +236,12 @@ def parse_geometry(text: str) -> Boundary:
         if kind == "line":
             if len(tokens) != 5:
                 raise GeometrySyntaxError("'line' needs 4 numbers: x0 y0 x1 y1", lineno)
-            try:
-                x0, y0, x1, y1 = (float(t) for t in tokens[1:])
-            except ValueError as exc:
-                raise GeometrySyntaxError(f"bad number: {exc}", lineno) from None
+            x0, y0, x1, y1 = _numbers(tokens[1:], lineno)
             segments.append(Segment("line", (x0, y0), (x1, y1)))
         elif kind == "arc":
             if len(tokens) != 7:
                 raise GeometrySyntaxError("'arc' needs: cx cy r a0 a1 ccw|cw", lineno)
-            try:
-                cx, cy, r, a0, a1 = (float(t) for t in tokens[1:6])
-            except ValueError as exc:
-                raise GeometrySyntaxError(f"bad number: {exc}", lineno) from None
+            cx, cy, r, a0, a1 = _numbers(tokens[1:6], lineno)
             direction = tokens[6]
             if direction not in ("ccw", "cw"):
                 raise GeometrySyntaxError("arc direction must be 'ccw' or 'cw'",

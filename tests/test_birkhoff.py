@@ -124,11 +124,11 @@ def test_monodromy_curved_single_bounce():
 
 def test_jacobian_r_p():
     spec = bk.OrbitSpec(v_perp=(1.0,), curvature=(0.0,), chords=(),
-                        y_first=1.0, y_last=-1.0, k=2.0)
+                        y_first=1.0, y_last=-1.0)
     m = bk.monodromy(spec)
     assert bk.jacobian_r_p(m, 2.0) == pytest.approx(-2.0 / 2.0, rel=1e-13)
     spec2 = bk.OrbitSpec(v_perp=(1.0, 1.0), curvature=(0.0, 0.0), chords=(1.0,),
-                         y_first=0.5, y_last=-0.5, k=3.0)
+                         y_first=0.5, y_last=-0.5)
     assert bk.jacobian_r_p(bk.monodromy(spec2), 3.0) == pytest.approx(2.0 / 3.0,
                                                                       rel=1e-13)
     assert bk.jacobian_r_p(bk.Mat2.identity(), 5.0) == 0.0

@@ -367,6 +367,15 @@ def test_exit_code_geometry_error(tmp_path, square_file):
     assert code == 4
     code, out = cli.run(["weyl", "--geometry", str(tmp_path / "missing.bil")])
     assert code == 4
+    # a non-finite number in a record is a syntax error on its line
+    for record in ("line 0 0 nan 0", "line 0 0 1 inf", "arc 0 0 nan 0 1 ccw"):
+        bad.write_text(f"billiard v1\n{record}\nline 1 0 0 0\n", encoding="utf-8")
+        for argv in (["weyl", "--geometry", str(bad)],
+                     ["monodromy", "--geometry", str(bad), "--start", "0.5,0.0",
+                      "--bounces", "4"]):
+            code, out = cli.run(argv)
+            assert code == 4, (record, argv[0])
+            assert out.startswith("geometry error") and "line 2" in out, (record, out)
     # a start on a corner is a geometry error too
     code, out = cli.run(["monodromy", "--geometry", square_file, "--start", "0,0.1",
                          "--bounces", "4"])

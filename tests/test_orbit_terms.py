@@ -7,7 +7,8 @@ import pytest
 from billiard_weyl import birkhoff as bk
 from billiard_weyl import orbit_terms as ot
 from billiard_weyl import specfun as sf
-from billiard_weyl.errors import NonConvergence
+from billiard_weyl import weyl as w
+from billiard_weyl.errors import DomainError, NonConvergence
 
 
 def test_flat_factors():
@@ -48,7 +49,7 @@ def test_amplitude_agrees_with_chain_product_route():
         k = rng.uniform(0.5, 3.0)
         c = rng.uniform(-0.5, 0.5)
         spec = bk.OrbitSpec(v_perp=(1.0,), curvature=(c,), chords=(),
-                            y_first=y, y_last=-y, k=k)
+                            y_first=y, y_last=-y)
         m12 = abs(bk.monodromy(spec).m12)
         a = ot.single_reflection_factors(y, k, c)
         assert a.d_factor == pytest.approx(1.0 / (4.0 * k * m12), rel=1e-12)
@@ -106,7 +107,7 @@ def test_green_fourier_at_high_k_lands_within_its_estimate_or_raises():
     with pytest.raises(NonConvergence) as exc:
         ot.green_fourier(1.0, 1e5)
     with pytest.raises(NonConvergence) as raw:
-        sf.hankel_time_integral(2e5, 1.0)
+        sf.hankel_time_integral(2e5)
     assert exc.value.result.value == (-1.0 / 4j) * raw.value.result.value
     assert exc.value.result.error_estimate == raw.value.result.error_estimate / 4.0
 
@@ -228,6 +229,39 @@ def test_corner_delta_quadrature_matches_closed_form():
         closed = alpha / (8 * math.pi * math.sin(alpha)**2)
         assert abs(q.value - closed) <= q.error_estimate, alpha
         assert q.value == pytest.approx(closed, rel=1e-10)
+
+
+def test_acute_family_ends_at_the_right_angle():
+    # one float past pi/2 the family is absent everywhere: corner_coeffs, the
+    # corner quadrature and the orbit construction agree
+    alpha = math.nextafter(math.pi / 2, 4)
+    assert w.corner_coeffs(alpha).absent_reason == w.OBTUSE_NO_CLOSED_ORBIT
+    with pytest.raises(ot.ObtuseNoClosedOrbitError):
+        ot.corner_delta_by_quadrature(alpha)
+    with pytest.raises(ot.ObtuseNoClosedOrbitError):
+        ot.acute_corner_orbit(alpha, 1.0, 0.3)
+
+
+def test_moment_oracles_at_small_arguments_cost_what_they_cost_at_one():
+    # the Hankel moment integrates an a-free kernel, so a small corner angle or
+    # energy lands within its estimate at the same evaluation count
+    at_one = ot.corner_delta_by_quadrature(1.0).evaluations
+    for alpha in (1e-4, 1e-5, 1e-8):
+        q = ot.corner_delta_by_quadrature(alpha)
+        closed = alpha / (8 * math.pi * math.sin(alpha)**2)
+        assert abs(q.value - closed) <= q.error_estimate, alpha
+        assert q.evaluations == at_one, alpha
+    q = ot.length_term_density_quadrature(1.0, 1e-18)
+    assert abs(q.value - ot.length_term_density(1.0, 1e-18)) <= q.error_estimate
+    assert q.evaluations == ot.length_term_density_quadrature(1.0, 4.0).evaluations
+
+
+def test_moment_scale_overflow_is_a_domain_error():
+    # not an OverflowError, and no RuntimeWarning (the suite makes those errors)
+    with pytest.raises(DomainError):
+        ot.corner_delta_by_quadrature(1e-200)
+    with pytest.raises(DomainError):
+        sf.hankel0_halfline_moment(0.0, 5e-324)
 
 
 def test_first_hankel_moment_oracle_behind_corner_quadrature():
