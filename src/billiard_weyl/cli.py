@@ -169,13 +169,10 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
             c = weyl.corner_coeffs(alpha)
         except DomainError as exc:
             raise DomainError(f"--alpha-grid {args.alpha_grid!r}: {exc}") from None
-        factor = 2.0 if args.count_both_orders else 1.0
         if c.orbit is None:
             orbit = edge = total = ratio = ""
         else:
-            orbit = factor * c.orbit
-            edge = c.edge_correction
-            total = factor * c.orbit + c.edge_correction
+            orbit, edge, total = c.orbit, c.edge_correction, c.total_semiclassical
             ratio = total / c.weyl
         rows.append({
             "alpha": alpha,
@@ -188,12 +185,11 @@ def _cmd_corner(args) -> tuple[dict, dict | list, dict]:
         })
     prov = {
         "weyl_coeff": "(pi/alpha - alpha/pi)/24 [delta(E) weight]",
-        "orbit_coeff": "alpha/(8 pi sin^2 alpha), closed-orbit family"
-                       + (" x2 (both bounce orders counted)" if args.count_both_orders else ""),
+        "orbit_coeff": "alpha/(8 pi sin^2 alpha), closed-orbit family",
         "edge_correction": "1/(4 pi tan alpha), edge-domain restriction",
         "total_semiclassical": "orbit_coeff + edge_correction",
     }
-    inputs = {"alpha_grid": args.alpha_grid, "count_both_orders": args.count_both_orders}
+    inputs = {"alpha_grid": args.alpha_grid}
     return inputs, rows, prov
 
 
@@ -373,8 +369,6 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("corner", help="corner coefficient comparison table")
     q.add_argument("--alpha-grid", required=True, help="MIN:MAX:STEPS")
-    q.add_argument("--count-both-orders", action="store_true",
-                   help="double the closed-orbit coefficient to count both bounce orders")
     q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_corner)
 

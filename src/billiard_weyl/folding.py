@@ -3,9 +3,9 @@
 A closed path at a rectangular corner splits into two legs through a
 mediate point; expanding each leg in wall images gives sixteen "four
 signs" signatures.  Their exact folded-Gaussian (area, length, delta(E))
-content is the ``ledger`` module's table, whose names are imported here
-too.  ``signature_oracle`` recomputes the same decomposition of each
-signature by quadrature in imaginary time, independently of the table.
+content is the ``ledger`` module's table.  ``signature_oracle`` recomputes
+the same decomposition of each signature by quadrature in imaginary time,
+independently of the table.
 
 For a general wedge the same two-piece construction is organised by leg
 path classes (direct, one bounce per side, double bounces in both orders),
@@ -28,17 +28,11 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .ledger import (ALL_SIGNATURES, DeltaValue, Ledger, PathContribution, SignSignature,
-                     signature_ledger)
+# ALL_SIGNATURES is unused here but kept: the benchmark sweeps folding.ALL_SIGNATURES
+from .ledger import ALL_SIGNATURES, SignSignature
 from .specfun import gauss_legendre
 
 __all__ = [
-    "SignSignature",
-    "DeltaValue",
-    "PathContribution",
-    "Ledger",
-    "ALL_SIGNATURES",
-    "signature_ledger",
     "signature_oracle",
     "broken_path_propagator",
     "corner_orbit_kernel_imag",
@@ -143,8 +137,7 @@ def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) ->
     if not 0.0 <= theta1 <= alpha:
         raise DomainError("theta1 must lie in [0, alpha]")
     theta2 = 2.0 * alpha + theta1
-    lo = max(0.0, theta2 - math.pi)
-    hi = min(3.0 * alpha, theta1 + math.pi)
+    lo, hi = _visible_sector(3.0 * alpha, theta1, theta2)
     if hi <= lo:
         return complex(0.0)
     psi_mid = 0.5 * (theta1 + theta2)
@@ -204,10 +197,10 @@ def _image_angle(alpha: float, theta, sides: str):
     return s * theta + k
 
 
-def _visible_sector(alpha: float, psi_u, psi_v):
-    """[lo, hi], the theta0 in [0, alpha] within pi of both image angles (empty if hi <= lo)."""
+def _visible_sector(top: float, psi_u, psi_v):
+    """[lo, hi], the theta0 in [0, top] within pi of both image angles (empty if hi <= lo)."""
     lo = np.maximum(0.0, np.maximum(psi_u, psi_v) - math.pi)
-    hi = np.minimum(alpha, np.minimum(psi_u, psi_v) + math.pi)
+    hi = np.minimum(top, np.minimum(psi_u, psi_v) + math.pi)
     return lo, hi
 
 

@@ -24,7 +24,6 @@ from .errors import DomainError, NonConvergence
 
 __all__ = [
     "QuadratureResult",
-    "bessel_j0y0",
     "hankel1_0",
     "integrate",
     "gauss_legendre",
@@ -50,17 +49,12 @@ class QuadratureResult:
 # special functions
 
 
-def bessel_j0y0(x: float) -> tuple[float, float]:
-    """Bessel functions J0(x) and Y0(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"bessel_j0y0 requires x > 0, got {x!r}")
-    from scipy.special import j0, y0  # deferred: scipy dominates import time
-    return float(j0(x)), float(y0(x))
-
-
 def hankel1_0(x: float) -> complex:
     """Outgoing Hankel function H0^(1)(x) = J0(x) + i*Y0(x) for real x > 0."""
-    return complex(*bessel_j0y0(x))
+    if not x > 0.0:
+        raise DomainError(f"hankel1_0 requires x > 0, got {x!r}")
+    from scipy.special import j0, y0  # deferred: scipy dominates import time
+    return complex(float(j0(x)), float(y0(x)))
 
 
 # ---------------------------------------------------------------------------

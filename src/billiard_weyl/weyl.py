@@ -128,7 +128,7 @@ def corner_coeffs(alpha: float) -> CornerCoefficients:
     (the right angle is the degenerate end of the acute family); beyond it
     they are absent.
     """
-    # below about 1e-162, sin(alpha)**2 underflows to 0 in the closed-orbit coefficient
+    # the domain's sharp-corner edge: below about 1.6e-162 sin(alpha)**2 underflows to 0
     if not (0.0 < alpha < math.pi and math.sin(alpha) ** 2 > 0.0):
         raise DomainError(f"corner_coeffs requires alpha in (0, pi) with sin(alpha)**2 > 0, "
                           f"got {alpha!r}")
@@ -136,8 +136,8 @@ def corner_coeffs(alpha: float) -> CornerCoefficients:
     if alpha > math.pi / 2.0:
         return CornerCoefficients(alpha, w, None, None, None,
                                   absent_reason=OBTUSE_NO_CLOSED_ORBIT)
+    # divided by sin(alpha) twice, never by sin(alpha)**2, which is subnormal below ~1.5e-154
     s = math.sin(alpha)
-    orbit = alpha / (8.0 * math.pi * s * s)
+    orbit = alpha / (8.0 * math.pi * s) / s
     edge = 1.0 / (4.0 * math.pi * math.tan(alpha))
-    total = (alpha / (s * s) + 2.0 / math.tan(alpha)) / (8.0 * math.pi)
-    return CornerCoefficients(alpha, w, orbit, edge, total)
+    return CornerCoefficients(alpha, w, orbit, edge, orbit + edge)

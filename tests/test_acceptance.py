@@ -13,6 +13,7 @@ import pytest
 from billiard_weyl import birkhoff as bk
 from billiard_weyl import folding as fl
 from billiard_weyl import geometry as g
+from billiard_weyl import ledger
 from billiard_weyl import orbit_terms as ot
 from billiard_weyl import spectra as spc
 from billiard_weyl import weyl as w
@@ -110,9 +111,9 @@ def test_criterion_5_signature_ledger():
     which is independent of the table, to 1e-6.
     """
     with _Criterion(5, "signature-ledger", 30.0) as c:
-        led = fl.signature_ledger()
+        led = ledger.signature_ledger()
         assert led.total_area == Fraction(1)
-        assert led.total_length == fl.DeltaValue(const=Fraction(-2))
+        assert led.total_length == ledger.DeltaValue(const=Fraction(-2))
         assert led.total_delta.const == Fraction(1, 16)
         assert led.total_delta.over_pi == 0
         assert led.total_delta.over_pi2 == 0

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
@@ -85,17 +87,6 @@ def test_corner_table_csv():
     first = lines[1].split(",")
     alpha = float(first[0])
     assert alpha == pytest.approx(0.1)
-
-
-def test_corner_table_both_orders_flag():
-    code1, out1 = cli.run(["corner", "--alpha-grid", "0.5:0.5:1", "--format", "json"])
-    code2, out2 = cli.run(["corner", "--alpha-grid", "0.5:0.5:1",
-                           "--count-both-orders", "--format", "json"])
-    assert code1 == code2 == 0
-    row1 = json.loads(out1)["results"][0]
-    row2 = json.loads(out2)["results"][0]
-    assert row2["orbit_coeff"] == pytest.approx(2.0 * row1["orbit_coeff"], rel=1e-14)
-    assert row2["edge_correction"] == row1["edge_correction"]
 
 
 def test_ledger_totals_json():
@@ -230,7 +221,9 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         (["corner", "--alpha-grid=-1e308:1e308:1"], "--alpha-grid"),
         (["corner", "--alpha-grid", "0:1:3"], "--alpha-grid"),
         (["corner", "--alpha-grid", "1e-300:1e-300:1"], "--alpha-grid"),
-        # fold reads --alpha and --grid only, and green has no --tol
+        # fold reads --alpha and --grid only, corner --alpha-grid only, and green has no --tol
+        (["corner", "--alpha-grid", "0.5:0.5:1", "--count-both-orders"],
+         "--count-both-orders"),
         (["fold", "--alpha", "2.0", "--tau-list", "0.02,0.01"], "--tau-list"),
         (["fold", "--alpha", "1.0", "--r", "0.5"], "--r"),
         (["fold", "--alpha", "1.0", "--tau", "0.05"], "--tau"),
@@ -320,23 +313,32 @@ def test_fold_never_loads_scipy_special():
     assert out.split("\n") == ["2 [False, False]", "0 [True, False]", ""]
 
 
-def test_every_top_level_name_resolves_to_its_home_object():
-    names = [n for n in billiard_weyl.__all__ if n != "__version__"]
-    assert len(names) == len(set(names))
-    listed = dir(billiard_weyl)
-    for name in names:
-        # __getattr__ is called directly: earlier accesses cache the name as a plain attribute
-        obj = billiard_weyl.__getattr__(name)
-        assert getattr(sys.modules[obj.__module__], name) is obj, name
-        assert getattr(billiard_weyl, name) is obj, name
-        assert name in listed, name
-    assert "__version__" in listed
-    star: dict = {}
-    exec("from billiard_weyl import *", star)
-    assert all(star[name] is getattr(billiard_weyl, name) for name in names)
-    for lookup in (billiard_weyl.__getattr__, lambda n: getattr(billiard_weyl, n)):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            lookup("no_such_name")
+_HOME_MODULES = ("geometry", "weyl", "birkhoff", "orbit_terms", "ledger", "folding", "spectra",
+                 "specfun")
+
+
+def test_every_public_name_has_one_home():
+    homes: dict = {}
+    for module_name in _HOME_MODULES:
+        module = importlib.import_module(f"billiard_weyl.{module_name}")
+        for name in module.__all__:
+            assert hasattr(module, name), (module_name, name)
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, (module_name, name)
+            homes.setdefault(name, []).append(module_name)
+    assert {name: m for name, m in homes.items() if len(m) > 1} == {}
+
+
+def test_package_import_holds_only_the_version():
+    code = ("import sys, billiard_weyl\n"
+            "print([n for n in dir(billiard_weyl) if not n.startswith('_')], "
+            "billiard_weyl.__version__, sorted(m for m in sys.modules if '.' in m "
+            "and m.startswith('billiard_weyl')))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == f"[] {billiard_weyl.__version__} []\n"
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -445,7 +447,7 @@ _FLAGS = {
     "staircase": ({"--shape": st.sampled_from(("rectangle", "disk")), "--emax": _NUMBER,
                    "--window": _joined(",", 2)},
                   {"--a": _NUMBER, "--b": _NUMBER, "--radius": _NUMBER}),
-    "corner": ({"--alpha-grid": _joined(":", 3)}, {"--count-both-orders": None}),
+    "corner": ({"--alpha-grid": _joined(":", 3)}, {}),
     "ledger": ({}, {"--bc": _BC}),
     "monodromy": ({"--geometry": st.sampled_from(_FILES), "--start": _joined(",", 2),
                    "--bounces": _NUMBER}, {"--k": _NUMBER}),

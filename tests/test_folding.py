@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from billiard_weyl import folding as fl
+from billiard_weyl import ledger
 from billiard_weyl import weyl as w
 from billiard_weyl.errors import DomainError
 
@@ -40,15 +41,15 @@ EXACT_GAUSSIAN = {
 }
 
 
-def _sig(s: str) -> fl.SignSignature:
-    return fl.SignSignature(*s)
+def _sig(s: str) -> ledger.SignSignature:
+    return ledger.SignSignature(*s)
 
 
 def test_ledger_exact_totals():
     # the exact Dirichlet quadrant trace A/(4 pi T) - L/(8 sqrt(pi T)) + 1/16
-    led = fl.signature_ledger()
+    led = ledger.signature_ledger()
     assert led.total_area == Fraction(1)
-    assert led.total_length == fl.DeltaValue(const=Fraction(-2))
+    assert led.total_length == ledger.DeltaValue(const=Fraction(-2))
     assert led.total_delta.const == Fraction(1, 16)
     assert led.total_delta.over_pi == 0
     assert led.total_delta.over_pi2 == 0
@@ -56,26 +57,26 @@ def test_ledger_exact_totals():
 
 
 def test_ledger_tabulated_entries():
-    led = {str(e.signature): e for e in fl.signature_ledger().entries}
+    led = {str(e.signature): e for e in ledger.signature_ledger().entries}
     assert led["----"].area_units == 1
-    assert led["----"].length_units == fl.DeltaValue(over_pi=Fraction(-2))
-    assert led["----"].delta_units == fl.DeltaValue(over_pi2=Fraction(1, 16))
+    assert led["----"].length_units == ledger.DeltaValue(over_pi=Fraction(-2))
+    assert led["----"].delta_units == ledger.DeltaValue(over_pi2=Fraction(1, 16))
     for s in ("-+-+", "+-+-"):
-        assert led[s].length_units == fl.DeltaValue(over_pi=Fraction(1))
-        assert led[s].delta_units == fl.DeltaValue(over_pi2=Fraction(-1, 16))
+        assert led[s].length_units == ledger.DeltaValue(over_pi=Fraction(1))
+        assert led[s].delta_units == ledger.DeltaValue(over_pi2=Fraction(-1, 16))
     for s in ("+---", "-+--", "--+-", "---+"):
-        assert led[s].length_units == fl.DeltaValue(const=Fraction(-1, 2))
-        assert led[s].delta_units == fl.DeltaValue(over_pi=Fraction(1, 32))
+        assert led[s].length_units == ledger.DeltaValue(const=Fraction(-1, 2))
+        assert led[s].delta_units == ledger.DeltaValue(over_pi=Fraction(1, 32))
     for s in ("+--+", "-++-", "++--", "--++"):
-        assert led[s].delta_units == fl.DeltaValue(const=Fraction(1, 64))
+        assert led[s].delta_units == ledger.DeltaValue(const=Fraction(1, 64))
     for s in ("+++-", "++-+", "+-++", "-+++"):
-        assert led[s].delta_units == fl.DeltaValue(over_pi=Fraction(-1, 32))
-    assert led["++++"].delta_units == fl.DeltaValue(over_pi2=Fraction(1, 16))
+        assert led[s].delta_units == ledger.DeltaValue(over_pi=Fraction(-1, 32))
+    assert led["++++"].delta_units == ledger.DeltaValue(over_pi2=Fraction(1, 16))
 
 
 def test_ledger_neumann_parity():
-    led_d = fl.signature_ledger(w.DIRICHLET)
-    led_n = fl.signature_ledger(w.NEUMANN)
+    led_d = ledger.signature_ledger(w.DIRICHLET)
+    led_n = ledger.signature_ledger(w.NEUMANN)
     assert "DERIVED-ONLY" in led_n.flags
     for ed, en in zip(led_d.entries, led_n.entries):
         flip = -1 if ed.signature.bounce_count % 2 == 1 else 1
@@ -88,8 +89,8 @@ def test_ledger_neumann_parity():
         led_d.total_delta.value(), abs=1e-16)
     assert led_n.total_area == led_d.total_area
     # Neumann quadrant trace: A/(4 pi T) + L/(8 sqrt(pi T)) + 1/16
-    assert led_n.total_length == fl.DeltaValue(const=Fraction(2))
-    assert led_n.total_delta == fl.DeltaValue(const=Fraction(1, 16))
+    assert led_n.total_length == ledger.DeltaValue(const=Fraction(2))
+    assert led_n.total_delta == ledger.DeltaValue(const=Fraction(1, 16))
 
 
 def test_oracle_matches_exact_gaussian_decomposition():
@@ -120,7 +121,7 @@ def test_table_vs_oracle_known_attribution_differences():
     # the tabulated ledger is the exact folded-Gaussian decomposition: every
     # one of the sixteen rows equals the analytic value, so no attribution
     # difference remains between table and oracle
-    led = {str(e.signature): e for e in fl.signature_ledger().entries}
+    led = {str(e.signature): e for e in ledger.signature_ledger().entries}
     for s, (area, length, delta) in EXACT_GAUSSIAN.items():
         e = led[s]
         assert float(e.area_units) == pytest.approx(area, rel=1e-12), s
@@ -388,7 +389,7 @@ def test_corner_constant_per_class_against_signature_values(right_angle_constant
 
 
 def test_dd_constant_is_the_ledger_doubly_direct_row_at_right_angle():
-    led = {str(e.signature): e for e in fl.signature_ledger().entries}
+    led = {str(e.signature): e for e in ledger.signature_ledger().entries}
     assert fl.dd_constant(PI / 2) == pytest.approx(led["----"].delta_units.value(), rel=1e-15)
     assert fl.dd_constant(PI / 2) == pytest.approx(1 / (16 * PI**2), rel=1e-15)
 
@@ -606,9 +607,9 @@ def test_corner_constant_rejects_bad_inputs():
 
 
 def test_signature_helpers():
-    s = fl.SignSignature("-", "+", "-", "+")
+    s = ledger.SignSignature("-", "+", "-", "+")
     assert str(s) == "-+-+"
     assert s.bounce_count == 2
     with pytest.raises(DomainError):
-        fl.SignSignature("x", "+", "-", "+")
-    assert len(fl.ALL_SIGNATURES) == 16
+        ledger.SignSignature("x", "+", "-", "+")
+    assert len(ledger.ALL_SIGNATURES) == 16

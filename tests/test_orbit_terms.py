@@ -77,8 +77,7 @@ def test_reflection_parity_between_families():
 
 def test_green_from_hankel():
     val = ot.single_reflection_green(1.0, 1.0)
-    j0, y0 = sf.bessel_j0y0(2.0)
-    assert val == pytest.approx((-1.0 / 4j) * complex(j0, y0), rel=1e-14)
+    assert val == pytest.approx((-1.0 / 4j) * sf.hankel1_0(2.0), rel=1e-14)
 
 
 def test_green_asymptotic_magnitude():
@@ -262,6 +261,18 @@ def test_moment_scale_overflow_is_a_domain_error():
         ot.corner_delta_by_quadrature(1e-200)
     with pytest.raises(DomainError):
         sf.hankel0_halfline_moment(0.0, 5e-324)
+
+
+def test_sharp_corner_oracle_stops_before_the_closed_form():
+    # documented deviation: corner_coeffs answers down to alpha ~ 1.6e-162, where sin^2
+    # underflows, but the oracle's moment scale (2 sin alpha)^-2 passes e^709 below ~5.5e-155,
+    # so between the two the closed-form orbit coefficient has no oracle
+    q = ot.corner_delta_by_quadrature(5.6e-155)
+    assert abs(q.value - w.corner_coeffs(5.6e-155).orbit) <= q.error_estimate
+    for alpha in (5.5e-155, 1e-158, 1e-161):
+        assert w.corner_coeffs(alpha).orbit > 0
+        with pytest.raises(DomainError):
+            ot.corner_delta_by_quadrature(alpha)
 
 
 def test_first_hankel_moment_oracle_behind_corner_quadrature():

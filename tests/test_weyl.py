@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,17 @@ def test_corner_coeffs_small_angle_ratio():
     c = w.corner_coeffs(1e-3)
     assert c.total_semiclassical / c.weyl == pytest.approx(9.0 / math.pi**2,
                                                            rel=1e-3)
+
+
+def test_corner_coeffs_sharp_corner_keeps_every_digit():
+    # sin(alpha)**2 is subnormal below ~1.5e-154; sin(alpha) = alpha in floating point here,
+    # so orbit = 1/(8 pi alpha) and total = orbit + 1/(4 pi tan alpha) = 3/(8 pi alpha)
+    for alpha in (1e-150, 1e-158, 1e-161):
+        c = w.corner_coeffs(alpha)
+        with mpmath.workdps(30):
+            ref = 1 / (8 * mpmath.pi * mpmath.mpf(alpha))
+            assert abs(c.orbit / ref - 1) <= 4e-16, alpha
+            assert abs(c.total_semiclassical / (3 * ref) - 1) <= 4e-16, alpha
 
 
 def test_weyl_coefficient_three_forms_identity():
