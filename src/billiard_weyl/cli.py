@@ -301,7 +301,7 @@ def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
 
 def _cmd_green(args) -> tuple[dict, dict | list, dict]:
     y, k = args.y, args.k
-    if not (0.0 < y < math.inf and 0.0 < k < math.inf and math.isfinite(2.0 * k * y)):
+    if not (0.0 < y < math.inf and 0.0 < k < math.inf and 0.0 < 2.0 * k * y < math.inf):
         raise DomainError(f"--y {y!r} and --k {k!r} need positive finite y, k and 2*k*y")
     from . import orbit_terms  # deferred: numpy dominates import time
     g_hankel = orbit_terms.single_reflection_green(y, k)

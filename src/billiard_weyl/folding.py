@@ -21,6 +21,7 @@ of the trace's constant term, taken in closed form under the integral.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -49,20 +50,20 @@ __all__ = [
 # folded-Gaussian oracle for the signatures (imaginary time)
 
 
-def _axis_pair_line(s1: str, s2: str, tau: float) -> tuple[float, float]:
-    """Slope and intercept in the trace cutoff c of the one-axis factor over
-    (0, c) x (0, inf), from c = 14 and 22 sqrt(tau): the first 14 and all 22
-    panel rows of one 22 x 38 product grid of width sqrt(tau)."""
-    st = math.sqrt(tau)
+@functools.lru_cache(maxsize=None)
+def _axis_pair_line(s1: str, s2: str) -> tuple[float, float]:
+    """Slope and intercept in the cutoff c of the one-axis factor over (0, c) x (0, inf) at
+    tau = 1, from c = 14 and 22: the first 14 and all 22 panel rows of one 22 x 38 product
+    grid of unit width.  x = sqrt(tau) u scales them by sqrt(tau) and tau at any tau."""
     g1, g2 = (1.0 if s == "+" else -1.0 for s in (s1, s2))
-    x, wx = gauss_legendre(st * np.arange(23.0), 24)
-    x0, w0 = gauss_legendre(st * np.arange(39.0), 24)
+    x, wx = gauss_legendre(np.arange(23.0), 24)
+    x0, w0 = gauss_legendre(np.arange(39.0), 24)
     e = np.exp(-((x[:, None] + g1 * x0[None, :])**2
-                 + (x[:, None] + g2 * x0[None, :])**2) / (4.0 * tau))
+                 + (x[:, None] + g2 * x0[None, :])**2) / 4.0)
     rows = (wx * (e @ w0)).reshape(22, 24).sum(axis=1)
     i1, i2 = float(rows[:14].sum()), float(rows.sum())
-    slope = (i2 - i1) / (8.0 * st)
-    return slope, i1 - slope * 14.0 * st
+    slope = (i2 - i1) / 8.0
+    return slope, i1 - slope * 14.0
 
 
 def signature_oracle(sig: SignSignature, tau: float = 0.25) -> dict:
@@ -74,19 +75,18 @@ def signature_oracle(sig: SignSignature, tau: float = 0.25) -> dict:
     cutoff-independent constant.  Returned units match the table: area in
     A/(4 pi T), length per unit of side length in 1/(8 sqrt(pi T)) (sum of
     the two sides), delta as a plain constant; T = 2 tau is the total
-    imaginary time of the two legs.
+    imaginary time of the two legs.  The axis factor is scale free, so the
+    rows do not depend on tau: one cached unit grid per sorted sign pair.
     """
     if not tau > 0:
         raise DomainError("tau must be positive")
-    coeffs = {pair: _axis_pair_line(*pair, tau)
-              for pair in {(sig.sx1, sig.sx2), (sig.sy1, sig.sy2)}}
-    ax, bx = coeffs[(sig.sx1, sig.sx2)]
-    ay, by = coeffs[(sig.sy1, sig.sy2)]
+    st = math.sqrt(tau)
+    lines = [_axis_pair_line(*sorted(p)) for p in ((sig.sx1, sig.sx2), (sig.sy1, sig.sy2))]
+    (ax, bx), (ay, by) = ((st * slope, tau * icpt) for slope, icpt in lines)
     sgn = (-1.0) ** sig.bounce_count
-    big_t = 2.0 * tau
     pref = 1.0 / (16.0 * math.pi**2 * tau**2)
-    u_area = 1.0 / (4.0 * math.pi * big_t)
-    u_len = 1.0 / (8.0 * math.sqrt(math.pi * big_t))
+    u_area = 1.0 / (8.0 * math.pi * tau)
+    u_len = 1.0 / (8.0 * math.sqrt(2.0 * math.pi * tau))
     return {
         "area_units": sgn * pref * ax * ay / u_area,
         "length_units": sgn * pref * (ax * by + bx * ay) / u_len,

@@ -237,6 +237,8 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
          "--start"),
         (["green", "--y", "-1", "--k", "1"], "--y"),
         (["green", "--y", "1", "--k", "0"], "--k"),
+        (["green", "--y", "1e-200", "--k", "1e-200"], "--y"),
+        (["green", "--y", "1e-200", "--k", "1e-200"], "--k"),
         (["fold", "--alpha", "0"], "--alpha"),
         (["fold", "--alpha", "3.2"], "--alpha"),
         (["fold", "--alpha", "nan"], "--alpha"),

@@ -105,6 +105,19 @@ def test_oracle_matches_exact_gaussian_decomposition():
             assert got["delta_units"] == pytest.approx(delta, abs=2e-7), s
 
 
+def test_oracle_builds_at_most_three_grids_and_is_scale_free():
+    # each axis line is one tau-free grid per sorted sign pair, scaled by
+    # sqrt(tau) and tau, so sweeps at any tau share the same three grids
+    # and give the same rows up to rounding of the scaling
+    fl._axis_pair_line.cache_clear()
+    rows = {tau: [fl.signature_oracle(s, tau=tau) for s in ledger.ALL_SIGNATURES]
+            for tau in (0.17, 0.23, 0.31)}
+    assert fl._axis_pair_line.cache_info().misses <= 3
+    for lo, hi in zip(rows[0.17], rows[0.31]):
+        for key in ("area_units", "length_units", "delta_units"):
+            assert lo[key] == pytest.approx(hi[key], rel=0, abs=1e-15), key
+
+
 def test_oracle_totals_close_like_the_exact_quadrant():
     # the exact decomposition is a semigroup identity: totals are the
     # quadrant's area, its two per-side edge terms, and the constant 1/16
