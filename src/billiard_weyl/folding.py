@@ -191,12 +191,6 @@ def _image_line(alpha: float, sides: str) -> tuple[float, float]:
     return s, k
 
 
-def _image_angle(alpha: float, theta, sides: str):
-    """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
-    s, k = _image_line(alpha, sides)
-    return s * theta + k
-
-
 def _visible_sector(top: float, psi_u, psi_v):
     """[lo, hi], the theta0 in [0, top] within pi of both image angles (empty if hi <= lo)."""
     lo = np.maximum(0.0, np.maximum(psi_u, psi_v) - math.pi)
@@ -233,8 +227,9 @@ def _stable_g(a, b):
     return np.where(small, 1.0 / 3.0 + 2.0 * w * w / 15.0, (rho * w + s) / s**3)
 
 
-def _non_edge_constant(alpha: float, p1: str, p2: str, n_gl: int) -> float:
-    """A non-edge pair's constant, (-1)^|w|/(16 pi^2) times the integral of g(c/2).
+def _non_edge_constants(alpha: float, pairs, n_gls):
+    """Yields, for each node count in ``n_gls``, every non-edge pair's constant in order:
+    (-1)^|w|/(16 pi^2) times the integral of g(c/2).
 
     In imaginary time tau per leg, with the window exp(-r^2) on the corner, the radial
     double integral of a pair's two-piece trace is closed form: the trace is
@@ -243,18 +238,28 @@ def _non_edge_constant(alpha: float, p1: str, p2: str, n_gl: int) -> float:
     c = cos(theta0 - psi_u) + cos(theta0 - psi_v).  Off the edge pairs c/2 stays below 1, so
     the tau -> 0 limit is the same integral of g(c/2), smooth inside the sector; theta panels
     end at the sector's kinks, where its ends are affine in theta, and each theta node takes
-    one theta0 panel [lo, hi].
+    one theta0 panel [lo, hi].  Kinks and image lines are found once for all counts, and
+    each count integrates every pair's panels in one stacked pass.
     """
-    edges = np.concatenate([[0.0], _sector_kinks(alpha, p1, p2), [alpha]])
-    thetas, th_w = gauss_legendre(edges, n_gl)
-    psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
-    lo, hi = _visible_sector(alpha, psi_u, psi_v)
-    r = np.flatnonzero(hi - lo > 1e-12 * alpha)    # drops rounding-level slivers
-    th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
-    half_diff, mid = 0.5 * (psi_u[r] - psi_v[r]), 0.5 * (psi_u[r] + psi_v[r])
-    g = _stable_g(half_diff[:, None], th0 - mid[:, None])
-    sign = (-1.0) ** len(_word((p1, p2)))
-    return sign / (16.0 * math.pi**2) * float(np.sum(th_w[r, None] * w0 * g))
+    edges = [np.concatenate([[0.0], _sector_kinks(alpha, p1, p2), [alpha]]) for p1, p2 in pairs]
+    panels = np.stack([np.concatenate([e[:-1] for e in edges]),
+                       np.concatenate([e[1:] for e in edges])], axis=-1)
+    panel_owner = np.repeat(np.arange(len(pairs)), [len(e) - 1 for e in edges])
+    lines = np.array([_image_line(alpha, p1) + _image_line(alpha, p2[::-1]) for p1, p2 in pairs])
+    signs = [(-1.0) ** len(_word(pair)) / (16.0 * math.pi**2) for pair in pairs]
+    for n_gl in n_gls:
+        thetas, th_w = (x.ravel() for x in gauss_legendre(panels, n_gl))
+        owner = np.repeat(panel_owner, n_gl)
+        su, ku, sv, kv = lines[owner].T
+        psi_u, psi_v = su * thetas + ku, sv * thetas + kv
+        lo, hi = _visible_sector(alpha, psi_u, psi_v)
+        r = np.flatnonzero(hi - lo > 1e-12 * alpha)    # drops rounding-level slivers
+        th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
+        half_diff, mid = 0.5 * (psi_u[r] - psi_v[r]), 0.5 * (psi_u[r] + psi_v[r])
+        terms = th_w[r, None] * w0 * _stable_g(half_diff[:, None], th0 - mid[:, None])
+        # each pair's rows are contiguous, theta-major: summed alone, bit for bit its own pass
+        ends = np.searchsorted(owner[r], np.arange(len(pairs) + 1))
+        yield [sign * float(np.sum(terms[a:b])) for sign, a, b in zip(signs, ends[:-1], ends[1:])]
 
 
 def _aa_constant(alpha: float) -> float:
@@ -311,11 +316,14 @@ def _da_constant(alpha: float, n_gl: int) -> float:
     return -float(w_beta @ inner) / (16.0 * math.pi**2)
 
 
-def _pair_constants(alpha: float, n_gl: int) -> dict:
-    """The tau -> 0 constant of every pair in CLASS_PAIRS, in order, with no tau ladder."""
-    c_aa, c_da = _aa_constant(alpha), _da_constant(alpha, n_gl)
-    return {(p1, p2): (c_aa if p1 == p2 else c_da) if (p1, p2) in EDGE_PAIRS
-            else _non_edge_constant(alpha, p1, p2, n_gl) for p1, p2 in CLASS_PAIRS}
+def _pair_constants(alpha: float, n_gls):
+    """Yields the tau -> 0 constant of every pair in CLASS_PAIRS, in order, per node count."""
+    non_edge = [p for p in CLASS_PAIRS if p not in EDGE_PAIRS]
+    c_aa = _aa_constant(alpha)
+    for n_gl, values in zip(n_gls, _non_edge_constants(alpha, non_edge, n_gls)):
+        c_da, stacked = _da_constant(alpha, n_gl), dict(zip(non_edge, values))
+        yield {p: (c_aa if p[0] == p[1] else c_da) if p in EDGE_PAIRS else stacked[p]
+               for p in CLASS_PAIRS}
 
 
 # Largest error estimate obtuse_corner_constant accepts (absolute).
@@ -379,11 +387,11 @@ def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     one, whose closed form is ``dd_constant`` (``full_value`` adds it).
     Each pair's constant is the tau -> 0 limit of its imaginary-time trace
     with the area and edge parts removed, taken under the integral: the 18
-    non-edge pairs, whose bounce word uses both sides, as 2-D integrals
-    (``_non_edge_constant``), (a, a) and (b, b) in closed form
-    (``_aa_constant``) and the four one-bounce edge pairs as one polar
-    integral (``_da_constant``).  ``grid`` sets 4 + 3*grid Gauss-Legendre
-    nodes per panel.
+    non-edge pairs, whose bounce word uses both sides, as 2-D integrals in
+    one stacked pass (``_non_edge_constants``, sector kinks found once per
+    angle), (a, a) and (b, b) in closed form (``_aa_constant``) and the four
+    one-bounce edge pairs as one polar integral (``_da_constant``).  ``grid``
+    sets 4 + 3*grid Gauss-Legendre nodes per panel.
 
     Works for any wedge angle in (0, pi) whose cosine is below 1 in floating
     point (alpha above about 1.05e-8; below it the non-edge integrands reach
@@ -402,9 +410,9 @@ def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     if grid < 1:
         raise DomainError("grid must be >= 1")
     n_gl = 4 + 3 * grid
-    per_class = _pair_constants(alpha, n_gl)
+    per_class, coarse = _pair_constants(alpha, (n_gl, n_gl - 3))
     value = sum(per_class.values())
-    err = abs(value - sum(_pair_constants(alpha, n_gl - 3).values()))
+    err = abs(value - sum(coarse.values()))
     from .weyl import weyl_corner_coefficient
     result = ObtuseCornerResult(
         alpha=alpha, value=value, error_estimate=err,

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from billiard_weyl import folding as fl
 from billiard_weyl import ledger
 from billiard_weyl import weyl as w
 from billiard_weyl.errors import DomainError
+from billiard_weyl.specfun import gauss_legendre
 
 PI = math.pi
 
@@ -257,6 +259,12 @@ WORDS = ("", "a", "b", "ab", "ba", "aba", "bab")
 TRACE_ALPHAS = (PI / 6, PI / 4, 0.9, PI / 2, 2.0, 2.5, 3.0)
 
 
+def _image_angle(alpha, theta, sides):
+    """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
+    s, k = fl._image_line(alpha, sides)
+    return s * theta + k
+
+
 def _in_sector(alpha, psi_u, psi_v, th0, margin):
     """Whether th0 lies inside ``_visible_sector``, and whether it is within margin of an end."""
     lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
@@ -278,7 +286,7 @@ def test_leg_validity_against_explicit_wedge_trace():
         r_x, r_y = rng.uniform(0.2, 2.0, (2, 3000))
         for word in WORDS:
             traced = _reflecting_trace(alpha, x, y, word, r_x, r_y)
-            inside, near = _in_sector(alpha, fl._image_angle(alpha, x, word), x, y, 1e-9)
+            inside, near = _in_sector(alpha, _image_angle(alpha, x, word), x, y, 1e-9)
             assert np.array_equal(traced[~near], inside[~near]), (alpha, word)
             if len(word) == 3:
                 valid_long += int(traced.sum())
@@ -304,7 +312,7 @@ def test_leg_validity_reproduces_the_closed_forms():
         y = rng.uniform(0.0, alpha, 20000)
 
         def valid(path, x=x, y=y):
-            return _in_sector(alpha, fl._image_angle(alpha, x, path), x, y, 0.0)[0]
+            return _in_sector(alpha, _image_angle(alpha, x, path), x, y, 0.0)[0]
 
         assert np.array_equal(valid("a"), np.sin(x + y) > 0.0)
         assert np.array_equal(valid("b"), np.sin(2.0 * alpha - x - y) > 0.0)
@@ -319,8 +327,8 @@ def test_leg_validity_complementary_orders_at_right_angle():
     rng = np.random.default_rng(11)
     thx = rng.uniform(0.01, alpha - 0.01, 200)
     thy = rng.uniform(0.01, alpha - 0.01, 200)
-    ab, _ = _in_sector(alpha, fl._image_angle(alpha, thx, "ab"), thx, thy, 0.0)
-    ba, _ = _in_sector(alpha, fl._image_angle(alpha, thx, "ba"), thx, thy, 0.0)
+    ab, _ = _in_sector(alpha, _image_angle(alpha, thx, "ab"), thx, thy, 0.0)
+    ba, _ = _in_sector(alpha, _image_angle(alpha, thx, "ba"), thx, thy, 0.0)
     assert np.all(ab ^ ba)
 
 
@@ -329,8 +337,8 @@ def test_sectors_resolve_a_narrow_invalid_gap():
     # pi - alpha: the ("d", "a") pair is valid only up to theta0 = pi - theta,
     # which leaves an invalid gap 2.4e-4 wide below alpha
     alpha, theta = 2.5, 0.6418353226947738
-    lo, hi = fl._visible_sector(alpha, fl._image_angle(alpha, theta, "d"),
-                                fl._image_angle(alpha, theta, "a"))
+    lo, hi = fl._visible_sector(alpha, _image_angle(alpha, theta, "d"),
+                                _image_angle(alpha, theta, "a"))
     assert lo == 0.0
     assert hi == pytest.approx(2.499757331, abs=1e-9)
     assert hi == pytest.approx(PI - theta, abs=1e-15)
@@ -351,8 +359,8 @@ def test_sectors_match_a_dense_validity_scan(alpha):
     out = {w: _reflecting_trace(alpha, th, th0, w, 1.0, 0.6) for w in WORDS}
     back = {w: _reflecting_trace(alpha, th0, th, w, 0.6, 1.0) for w in WORDS}
     for p1, p2 in product(WORDS, repeat=2):
-        psi_u = fl._image_angle(alpha, th, p1)
-        psi_v = fl._image_angle(alpha, th, p2[::-1])
+        psi_u = _image_angle(alpha, th, p1)
+        psi_v = _image_angle(alpha, th, p2[::-1])
         inside, near = _in_sector(alpha, psi_u, psi_v, th0, h)
         valid = out[p1] & back[p2]
         assert np.array_equal(valid[~near], inside[~near]), (p1, p2)
@@ -472,8 +480,8 @@ def test_sector_branches_switch_only_at_listed_kinks(alpha):
     # a kink that _sector_kinks lists or an end of [0, alpha]
     scan = np.linspace(0.0, alpha, 20001)
     for p1, p2 in product(fl.PATH_CLASSES, repeat=2):
-        psi_u = fl._image_angle(alpha, scan, p1)
-        psi_v = fl._image_angle(alpha, scan, p2[::-1])
+        psi_u = _image_angle(alpha, scan, p1)
+        psi_v = _image_angle(alpha, scan, p2[::-1])
         lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
         winners = [np.argmax([np.zeros_like(scan), psi_u - PI, psi_v - PI], axis=0),
                    np.argmin([np.full_like(scan, alpha), psi_u + PI, psi_v + PI], axis=0),
@@ -502,6 +510,77 @@ def test_tau_free_pairs_match_the_ladder_limit(alpha, ladder_sum, tol):
     non_edge = [p for p in fl.CLASS_PAIRS if p not in fl.EDGE_PAIRS]
     assert len(non_edge) == 18
     assert sum(res.per_class[p] for p in non_edge) == pytest.approx(ladder_sum, abs=tol)
+
+
+NON_EDGE_PAIRS = tuple(p for p in fl.CLASS_PAIRS if p not in fl.EDGE_PAIRS)
+
+
+def _non_edge_constant(alpha, p1, p2, n_gl):
+    """One non-edge pair's constant, integrated on its own: the per-pair reference the
+    stacked ``_non_edge_constants`` must reproduce bit for bit."""
+    edges = np.concatenate([[0.0], fl._sector_kinks(alpha, p1, p2), [alpha]])
+    thetas, th_w = gauss_legendre(edges, n_gl)
+    psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
+    lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
+    r = np.flatnonzero(hi - lo > 1e-12 * alpha)
+    th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
+    half_diff, mid = 0.5 * (psi_u[r] - psi_v[r]), 0.5 * (psi_u[r] + psi_v[r])
+    g = fl._stable_g(half_diff[:, None], th0 - mid[:, None])
+    sign = (-1.0) ** len(fl._word((p1, p2)))
+    return sign / (16.0 * PI**2) * float(np.sum(th_w[r, None] * w0 * g))
+
+
+@pytest.mark.parametrize("alpha", (PI / 6, 1.0, PI / 2, 2.0944, 2.5, 3.0))
+def test_stacked_pairs_equal_the_per_pair_integrals_bit_for_bit(alpha):
+    # stacking changes only how many pairs one numpy call sees: each pair's rows keep their
+    # order and are summed alone, so every value is the per-pair integral's, to the last bit
+    n_gls = (4, 7, 10)
+    for n_gl, values in zip(n_gls, fl._non_edge_constants(alpha, NON_EDGE_PAIRS, n_gls)):
+        assert values == [_non_edge_constant(alpha, p1, p2, n_gl) for p1, p2 in NON_EDGE_PAIRS]
+
+
+@pytest.mark.parametrize("alpha", (1.0, 2.5))
+def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkeypatch):
+    # both grids share one stacked pass per node count, and each pair's sector kinks are
+    # found once per call: one _stable_g call per stacked pass and one per _da_constant
+    calls = Counter()
+
+    def counted(name):
+        func = getattr(fl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    for name in ("_stable_g", "_sector_kinks"):
+        monkeypatch.setattr(fl, name, counted(name))
+    fl.obtuse_corner_constant(alpha, grid=1)
+    assert calls["_stable_g"] <= 4
+    assert calls["_sector_kinks"] == len(NON_EDGE_PAIRS) == 18
+
+
+def _alternating_words(length):
+    """The two alternating bounce words over {a, b} of each length 1 .. ``length``."""
+    return [("ab" * length)[start:start + n] for n in range(1, length + 1)
+            for start in (0, 1)]
+
+
+@pytest.mark.parametrize("alpha, n_pairs", [(PI / 4, 120), (PI / 6, 224)])
+def test_every_alternating_word_pair_stacks_to_weyl(alpha, n_pairs):
+    # legs of every alternating word up to floor(pi/alpha) + 1 bounces: at alpha = pi/n the
+    # two-piece total, (d, d) included, is Weyl's corner value; the non-edge pairs go
+    # through one stacked pass however many there are
+    words = ["d"] + _alternating_words(math.floor(PI / alpha) + 1)
+    pairs = [p for p in product(words, repeat=2) if p != ("d", "d")]
+    assert len(pairs) == n_pairs
+    edge = [p for p in pairs if len(set(fl._word(p))) == 1]
+    non_edge = [p for p in pairs if p not in edge]
+    assert sorted(edge) == sorted(fl.EDGE_PAIRS)
+    c_aa, c_da = fl._aa_constant(alpha), fl._da_constant(alpha, 10)
+    total = (fl.dd_constant(alpha) + sum(c_aa if p1 == p2 else c_da for p1, p2 in edge)
+             + sum(next(fl._non_edge_constants(alpha, non_edge, (10,)))))
+    assert total == pytest.approx(w.weyl_corner_coefficient(alpha), abs=1e-12)
 
 
 MIXED_EDGE_PAIRS = (("d", "a"), ("a", "d"), ("d", "b"), ("b", "d"))
