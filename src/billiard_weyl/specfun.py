@@ -1,5 +1,12 @@
 """Special functions and deterministic adaptive quadrature.
 
+J0, J1 and Y0 are evaluated in numpy: below x = 25 by the trapezoid rule,
+256 nodes per period, on Bessel's integral (DLMF 10.9.2; error about
+|J_{256-n}(x)| < 1e-30 for n <= 64), with Neumann's series for Y0 (A&S
+9.1.88, cut at k = 32); from 25 on by Hankel's expansion (DLMF 10.17.3),
+11 terms each of P and Q.  Nodes are summed by ``np.sum`` along the last
+axis, so a value does not depend on the array it arrives in.
+
 All operations are pure functions.  The adaptive integrator evaluates one
 bisection level of panels per integrand call and sums the accepted panels
 with ``math.fsum``, correctly rounded in any order, so the sum does not
@@ -24,6 +31,7 @@ from .errors import DomainError, NonConvergence
 
 __all__ = [
     "QuadratureResult",
+    "bessel_j0_j1",
     "hankel1_0",
     "integrate",
     "gauss_legendre",
@@ -49,12 +57,61 @@ class QuadratureResult:
 # special functions
 
 
+_HANKEL_FROM = 25.0
+_THETA = np.linspace(0.0, 0.5 * math.pi, 65)
+_SIN = np.sin(_THETA)
+_TRAPEZOID = np.r_[0.5, np.ones(63), 0.5] / 64.0        # on [0, pi/2], times 2/pi
+_NEUMANN = _TRAPEZOID * np.sum(np.cos(np.arange(2, 65, 2)[:, None] * _THETA)  # sum (-1)^k J_2k/k
+                               * ((-1.0) ** np.arange(1, 33) / np.arange(1, 33))[:, None], axis=0)
+
+
+# Rows P0, Q0, P1, Q1 of Hankel's series in 1/x^2, lowest power first (Q lacks a 1/x):
+# a_k(nu) of DLMF 10.17.1 at mu = 4 nu^2, signed (-1)^(k//2), correctly rounded.
+_HANKEL_PQ = np.array([[(-1) ** (k // 2) * math.prod(mu - (2 * j - 1) ** 2 for j in range(1, k + 1))
+                        / (math.factorial(k) * 8**k) for k in range(odd, 22, 2)]
+                       for mu in (0, 4) for odd in (0, 1)])
+
+
+def _hankel_series(x: np.ndarray):
+    """P0, Q0, P1, Q1 at 1-D x >= 25 over sqrt(pi x), and sqrt(2) cos, sqrt(2) sin of x - pi/4."""
+    t = (1.0 / x) ** 2          # not 1/x^2, which overflows for huge x
+    pq = np.zeros((4, len(x)))
+    for c in _HANKEL_PQ[:, ::-1].T:     # Horner in place: no (4, n) temporaries
+        pq *= t
+        pq += c[:, None]
+    pq[1::2] /= x
+    pq /= np.sqrt(math.pi * x)
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    return pq, cos_x + sin_x, sin_x - cos_x
+
+
+def bessel_j0_j1(x) -> tuple[np.ndarray, np.ndarray]:
+    """J0(x) and J1(x) for finite x >= 0, to a few 1e-16 absolute, each from its own x alone."""
+    x = np.asarray(x, dtype=float)
+    j0, j1 = np.empty_like(x), np.empty_like(x)
+    small = x < _HANKEL_FROM
+    xs = x[small][:, None] * _SIN
+    j0[small] = np.sum(_TRAPEZOID * np.cos(xs), axis=-1)
+    j1[small] = np.sum(_TRAPEZOID * _SIN * np.sin(xs), axis=-1)
+    (p0, q0, p1, q1), cos0, sin0 = _hankel_series(x[~small])
+    j0[~small] = p0 * cos0 - q0 * sin0
+    j1[~small] = p1 * sin0 + q1 * cos0      # x - 3pi/4 turns cos into sin, sin into -cos
+    return j0, j1
+
+
 def hankel1_0(x: float) -> complex:
-    """Outgoing Hankel function H0^(1)(x) = J0(x) + i*Y0(x) for real x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"hankel1_0 requires x > 0, got {x!r}")
-    from scipy.special import j0, y0  # deferred: scipy dominates import time
-    return complex(float(j0(x)), float(y0(x)))
+    """Outgoing Hankel function H0^(1)(x) = J0(x) + i*Y0(x); x must be finite and > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"hankel1_0 requires finite x > 0, got {x!r}")
+    if x >= _HANKEL_FROM:
+        (p0, q0, _, _), cos0, sin0 = _hankel_series(np.array([x]))
+        return complex((p0 * cos0 - q0 * sin0)[0], (p0 * sin0 + q0 * cos0)[0])
+    nodes = np.cos(x * _SIN)
+    j0 = float(np.sum(_TRAPEZOID * nodes))
+    # ln x - ln 2, not ln(x/2), which is -inf at the least subnormal
+    y0 = ((2.0 / math.pi) * (math.log(x) - math.log(2.0) + np.euler_gamma) * j0
+          - (4.0 / math.pi) * float(np.sum(_NEUMANN * nodes)))
+    return complex(j0, y0)
 
 
 # ---------------------------------------------------------------------------

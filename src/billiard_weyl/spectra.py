@@ -10,9 +10,10 @@ Every disk zero below a cutoff comes from one pass over all orders.  The
 signs of J_m at the nodes upper - k h, h = ``_STEP`` = 1, bracket the
 zeros, and a bisection-safeguarded Newton polishes them, each block of
 ``_POLISH_BLOCK`` brackets in one set of arrays.  Both take J_m from the
-forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} started at J_0 and J_1,
-run only where x > n, where it is stable (Gautschi, SIAM Rev. 9 (1967)
-24).  The step sits below two bounds:
+forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}, started at J_0 and J_1
+from ``specfun.bessel_j0_j1`` and run only where x > n, where it is stable
+(Gautschi, SIAM Rev. 9 (1967) 24); each step writes J_{n+1} over J_{n-1}
+and swaps the two rows.  The step sits below two bounds:
 
 * zeros are simple and more than 3.11 apart, so a cell of width h < 3.11
   holds at most one and a sign change marks exactly one: for m >= 1 the gap
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .specfun import bessel_j0_j1
 from .weyl import SpectralExpansion
 
 __all__ = [
@@ -94,17 +96,16 @@ def rectangle_spectrum(a: float, b: float, emax: float) -> Spectrum:
 _STEP = 1.0      # node spacing of the bracket sweep: see the module docstring
 
 
-def _advance(n: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray, s: int) -> None:
-    """J_{n-1}, J_n -> J_n, J_{n+1} in place on ``[s:]``; callers keep x[s:] > n."""
-    nxt = (2.0 * n / x[s:]) * cur[s:] - prev[s:]
-    prev[s:] = cur[s:]
-    cur[s:] = nxt
+def _advance(n: int, r: np.ndarray, prev: np.ndarray, cur: np.ndarray, s: int):
+    """Write J_{n+1} over J_{n-1} on ``[s:]``, r = 1/x, x[s:] > n; return the rows swapped."""
+    np.subtract((2.0 * n) * r[s:] * cur[s:], prev[s:], out=prev[s:])
+    return cur, prev
 
 
 def _start_rows(x: np.ndarray):
-    """J_{-1} = -J_1 and J_0 at x, the rows the recurrence starts from."""
-    from scipy import special     # deferred: scipy dominates import time
-    return -special.j1(x), special.j0(x)
+    """1/x, J_{-1} = -J_1 and J_0 at x: the recurrence's factor and first rows."""
+    j0, j1 = bessel_j0_j1(x)
+    return 1.0 / x, -j1, j0
 
 
 def _sign_cells(upper: float):
@@ -118,7 +119,7 @@ def _sign_cells(upper: float):
     j_{m+1,1} > j_{m,1}, so higher orders have none.
     """
     x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
-    prev, cur = _start_rows(x)
+    r, prev, cur = _start_rows(x)
     s = 0
     for m in itertools.count():
         pos = cur[s:] > 0
@@ -127,7 +128,7 @@ def _sign_cells(upper: float):
             return
         yield x[cells], x[cells + 1], cur[cells], cur[cells + 1], np.full(len(cells), m)
         s = int(np.searchsorted(x, m + 1, side="right"))
-        _advance(m, x, prev, cur, s)
+        prev, cur = _advance(m, r, prev, cur, s)
 
 
 _POLISH_BLOCK = 65_536   # brackets polished together: bounds the Newton sweep's arrays
@@ -152,9 +153,11 @@ def _polish(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
         live = np.arange(start, min(start + _POLISH_BLOCK, len(x)))
         while len(live):
             xl, ml = x[live], orders[live]
-            prev, cur = _start_rows(xl)
+            r, prev, cur = _start_rows(xl)
             for n, s in enumerate(np.searchsorted(ml, np.arange(1, ml[-1] + 1))):
-                _advance(n, xl, prev, cur, s)
+                prev, cur = _advance(n, r, prev, cur, s)
+            odd = (ml[-1] - ml) % 2 == 1      # rows that stopped an odd number of steps early
+            prev[odd], cur[odd] = cur[odd], prev[odd]
             above = (cur > 0) == pos[live]            # the zero lies above xl
             a, b = np.where(above, xl, lo[live]), np.where(above, hi[live], xl)
             lo[live], hi[live] = a, b

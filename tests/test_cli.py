@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -265,19 +266,29 @@ def _usage_error(monkeypatch, capsys, argv: list[str]) -> str:
     return err
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.special is imported on first use only: it dominates import time, and
-    # most commands never call it; the disk spectrum needs scipy.special alone
-    code = ("import sys, billiard_weyl, billiard_weyl.cli; "
-            "loaded = lambda: [m in sys.modules for m in ('scipy.optimize', 'scipy.special')]; "
-            "print(loaded()); "
-            "code, _ = billiard_weyl.cli.run(['staircase', '--shape', 'disk', "
-            "'--emax', '4000', '--window', '500,4000']); "
-            "print(code, loaded())")
+def _readme_commands() -> list[list[str]]:
+    """The argv of each command in README's "Command line" block, on the repo's square."""
+    root = Path(__file__).parents[1]
+    block = (root / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    square = str(root / "geometries" / "square.bil")
+    return [[square if arg == "square.bil" else arg for arg in shlex.split(line)[1:]]
+            for line in block.splitlines() if line.startswith("billiard-weyl ")]
+
+
+def test_readme_commands_load_no_scipy():
+    # scipy.special alone costs about 0.3 s of a process's import time: every README
+    # command, each subcommand at least once, succeeds without loading any of scipy
+    argvs = _readme_commands()
+    assert {argv[0] for argv in argvs} >= {"weyl", "staircase", "corner", "ledger", "fold",
+                                         "monodromy", "green"}
+    code = ("import sys, billiard_weyl.cli\n"
+            f"print([billiard_weyl.cli.run(argv)[0] for argv in {argvs!r}])\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split("\n") == ["[False, False]", "0 [False, True]", ""]
+    assert out.split("\n") == [str([0] * len(argvs)), "[]", ""]
 
 
 def test_exact_commands_never_load_numpy(square_file):

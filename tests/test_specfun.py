@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from billiard_weyl import specfun as sf
 from billiard_weyl.errors import DomainError, NonConvergence
 
-# frozen from a 30-digit mpmath run (independent of the scipy backing)
+# frozen from a 30-digit mpmath run (independent of the numpy evaluation)
 J0_10 = -0.245935764451348335197760862485
 Y0_10 = 0.0556711672835993914244598774102
 FIRST_J0_ZERO = 2.404825557695773
@@ -48,7 +49,7 @@ def test_bessel_against_series_oracle():
     j0, y0 = h.real, h.imag
     assert j0 == pytest.approx(J0_10, rel=1e-12)
     assert y0 == pytest.approx(Y0_10, rel=1e-12)
-    # series oracle (no scipy) agrees at moderate argument
+    # power-series oracle agrees at moderate argument
     for x in (0.5, 2.0, 5.0, 8.0):
         assert sf.hankel1_0(x).real == pytest.approx(j0_power_series(x), abs=1e-12)
 
@@ -60,10 +61,39 @@ def test_bessel_wide_range_finite():
 
 
 def test_bessel_domain_error():
-    with pytest.raises(DomainError):
-        sf.hankel1_0(0.0)
-    with pytest.raises(DomainError):
-        sf.hankel1_0(-1.0)
+    for x in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sf.hankel1_0(x)
+
+
+# either side of x = 25, where Hankel's expansion takes over from Bessel's integral
+BESSEL_POINTS = (0.0, 1e-300, 1e-8, 0.5, FIRST_J0_ZERO, 10.0, 24.99, 25.0, 25.01, 100.0,
+                 316.2, 1e4)
+
+
+def test_bessel_j0_j1_against_mpmath():
+    j0, j1 = sf.bessel_j0_j1(np.array(BESSEL_POINTS))
+    for x, v0, v1 in zip(BESSEL_POINTS, j0, j1):
+        assert abs(v0 - float(mpmath.besselj(0, x))) <= 4e-15, x
+        assert abs(v1 - float(mpmath.besselj(1, x))) <= 4e-15, x
+
+
+def test_hankel1_0_against_mpmath():
+    # absolute below |H0| = 1, relative above it (Y0 diverges like ln x at 0)
+    for x in BESSEL_POINTS[1:]:
+        h = sf.hankel1_0(x)
+        ref = complex(mpmath.hankel1(0, x))
+        assert abs(h - ref) <= 4e-15 * max(1.0, abs(ref)), x
+        assert h.real == sf.bessel_j0_j1(x)[0], x
+
+
+def test_bessel_j0_j1_does_not_depend_on_the_batch():
+    x = np.random.default_rng(23).uniform(0.0, 50.0, 200)
+    assert np.any(x < 25.0) and np.any(x >= 25.0)
+    j0, j1 = sf.bessel_j0_j1(x)
+    for xi, v0, v1 in zip(x, j0, j1):
+        one0, one1 = sf.bessel_j0_j1(xi)
+        assert one0 == v0 and one1 == v1, xi
 
 
 def test_wronskian_identity():
@@ -237,7 +267,7 @@ def test_damped_hankel_moments():
 
 def test_hankel_time_integral_matches_closed_form():
     # the rotated contour holds H0 within its own estimate from the bottom of the
-    # float range (where scipy's complex hankel1 gives NaN, but j0 and y0 do not)
+    # float range (where scipy's complex hankel1 gives NaN, but hankel1_0 does not)
     # to 1e5
     for x, z in ((1e-310, 1.0), (0.2, 1.0), (2.0, 6.0), (200.0, 1.0), (1e4, 1.0), (1.0, 1e5)):
         res = sf.hankel_time_integral(x * z)
