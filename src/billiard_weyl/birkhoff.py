@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import BilliardError, DomainError
 from . import geometry
-from .geometry import Boundary, frame_at
+from .geometry import Boundary, BoundaryFrame, frame_at
 
 __all__ = [
     "Mat2",
@@ -267,15 +267,9 @@ def _arc_intersections(p, d, seg: geometry.Segment):
                 yield t, seg.radius * min(rel, -seg.sweep)
 
 
-def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
-    """Trace the ray leaving (s, v) to the next bounce.
-
-    The tangential velocity component is continuous across a specular
-    reflection, so the returned coordinate is again post-reflection data.
-    Raises :class:`RayEscapeError`, or :class:`CornerHitError` when the ray lands
-    within ``geometry.CORNER_TOL`` of a corner.
-    """
-    fr = frame_at(b, coord.s)
+def _bounce(b: Boundary, coord: BirkhoffCoord,
+            fr: BoundaryFrame) -> tuple[BirkhoffCoord, BoundaryFrame]:
+    """The next bounce from ``coord``, whose frame is ``fr``, and the frame there."""
     v, vp = coord.v, coord.v_perp
     d = (v * fr.tangent[0] + vp * fr.inward_normal[0],
          v * fr.tangent[1] + vp * fr.inward_normal[1])
@@ -300,24 +294,44 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
         raise CornerHitError(f"ray hit corner at s={s_hit}") from None
     v2 = d[0] * fr2.tangent[0] + d[1] * fr2.tangent[1]
     v2 = min(max(v2, -1.0 + 1e-15), 1.0 - 1e-15)
-    return BirkhoffCoord(s_hit, v2)
+    return BirkhoffCoord(s_hit, v2), fr2
+
+
+def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
+    """Trace the ray leaving (s, v) to the next bounce.
+
+    The tangential velocity component is continuous across a specular
+    reflection, so the returned coordinate is again post-reflection data.
+    Raises :class:`RayEscapeError`, or :class:`CornerHitError` when the ray lands
+    within ``geometry.CORNER_TOL`` of a corner.
+    """
+    return _bounce(b, coord, frame_at(b, coord.s))[0]
 
 
 def trace_orbit(b: Boundary, start: BirkhoffCoord, bounces: int) -> list[BirkhoffCoord]:
-    """Iterate the bounce map ``bounces`` times, returning all visited coords."""
+    """Iterate the bounce map ``bounces`` times, returning all visited coords.
+
+    Each bounce launches from the frame its hit found, so the trace finds
+    ``bounces + 1`` boundary frames.
+    """
     pts = [start]
+    fr = frame_at(b, start.s)
     for _ in range(bounces):
-        pts.append(bounce_map(b, pts[-1]))
+        c, fr = _bounce(b, pts[-1], fr)
+        pts.append(c)
     return pts
 
 
 def chain_product(b: Boundary, pts: Sequence[BirkhoffCoord]) -> Mat2:
-    """Product of the linearized bounce maps along a traced point sequence."""
+    """Product of the linearized bounce maps along a traced point sequence.
+
+    Finds each point's boundary frame once and pairs neighbours.
+    """
     if len(pts) < 2:
         raise DomainError("need at least two boundary points")
+    frames = [frame_at(b, c.s) for c in pts]
     m = Mat2.identity()
-    for c1, c2 in zip(pts[:-1], pts[1:]):
-        f1, f2 = frame_at(b, c1.s), frame_at(b, c2.s)
+    for c1, c2, f1, f2 in zip(pts, pts[1:], frames, frames[1:]):
         l12 = math.hypot(f2.point[0] - f1.point[0], f2.point[1] - f1.point[1])
         m = linearized_bounce_map(c1.v_perp, c2.v_perp, l12,
                                   f1.curvature, f2.curvature) @ m

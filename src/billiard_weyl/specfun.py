@@ -72,17 +72,29 @@ _HANKEL_PQ = np.array([[(-1) ** (k // 2) * math.prod(mu - (2 * j - 1) ** 2 for j
                        for mu in (0, 4) for odd in (0, 1)])
 
 
-def _hankel_series(x: np.ndarray):
-    """P0, Q0, P1, Q1 at 1-D x >= 25 over sqrt(pi x), and sqrt(2) cos, sqrt(2) sin of x - pi/4."""
-    t = (1.0 / x) ** 2          # not 1/x^2, which overflows for huge x
-    pq = np.zeros((4, len(x)))
-    for c in _HANKEL_PQ[:, ::-1].T:     # Horner in place: no (4, n) temporaries
+def _hankel_phases(x: np.ndarray) -> np.ndarray:
+    """sqrt(2) cos and sqrt(2) sin of x - pi/4 at 1-D x, written over rows cos x and sin x."""
+    ph = np.empty((2, len(x)))
+    np.cos(x, out=ph[0])
+    np.sin(x, out=ph[1])
+    cos_plus_sin = ph[0] + ph[1]
+    ph[1] -= ph[0]
+    ph[0] = cos_plus_sin
+    return ph
+
+
+def _hankel_terms(x: np.ndarray, order: int, phases: np.ndarray) -> np.ndarray:
+    """P * phases[0] and Q * phases[1] of order 0 or 1 at 1-D x >= 25, over sqrt(pi x)."""
+    t = 1.0 / x
+    t *= t                      # (1/x)^2, not 1/x^2, which overflows for huge x
+    pq = np.zeros((2, len(x)))
+    for c in _HANKEL_PQ[2 * order:2 * order + 2, ::-1].T:     # Horner in place: no temporaries
         pq *= t
         pq += c[:, None]
-    pq[1::2] /= x
-    pq /= np.sqrt(math.pi * x)
-    cos_x, sin_x = np.cos(x), np.sin(x)
-    return pq, cos_x + sin_x, sin_x - cos_x
+    pq[1] /= x
+    pq /= np.sqrt(np.multiply(math.pi, x, out=t), out=t)     # sqrt(pi x), written over t
+    pq *= phases
+    return pq
 
 
 def bessel_j0_j1(x) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +105,11 @@ def bessel_j0_j1(x) -> tuple[np.ndarray, np.ndarray]:
     xs = x[small][:, None] * _SIN
     j0[small] = np.sum(_TRAPEZOID * np.cos(xs), axis=-1)
     j1[small] = np.sum(_TRAPEZOID * _SIN * np.sin(xs), axis=-1)
-    (p0, q0, p1, q1), cos0, sin0 = _hankel_series(x[~small])
-    j0[~small] = p0 * cos0 - q0 * sin0
-    j1[~small] = p1 * sin0 + q1 * cos0      # x - 3pi/4 turns cos into sin, sin into -cos
+    xh = x[~small]
+    ph = _hankel_phases(xh)
+    j0[~small] = np.subtract(*_hankel_terms(xh, 0, ph))
+    # x - 3pi/4 turns cos into sin, sin into -cos
+    j1[~small] = np.add(*_hankel_terms(xh, 1, ph[::-1]))
     return j0, j1
 
 
@@ -104,8 +118,10 @@ def hankel1_0(x: float) -> complex:
     if not 0.0 < x < math.inf:
         raise DomainError(f"hankel1_0 requires finite x > 0, got {x!r}")
     if x >= _HANKEL_FROM:
-        (p0, q0, _, _), cos0, sin0 = _hankel_series(np.array([x]))
-        return complex((p0 * cos0 - q0 * sin0)[0], (p0 * sin0 + q0 * cos0)[0])
+        xh = np.array([x])
+        ph = _hankel_phases(xh)
+        return complex(np.subtract(*_hankel_terms(xh, 0, ph))[0],
+                       np.add(*_hankel_terms(xh, 0, ph[::-1]))[0])
     nodes = np.cos(x * _SIN)
     j0 = float(np.sum(_TRAPEZOID * nodes))
     # ln x - ln 2, not ln(x/2), which is -inf at the least subnormal
@@ -190,6 +206,14 @@ def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
+@lru_cache(maxsize=None)
+def _k0_moment(mu: float) -> QuadratureResult:
+    """int_0^inf u^mu H0^(1)(i*u) du, cut at u = ``_TAIL_LOG``: integrated once per order mu."""
+    from scipy.special import hankel1  # deferred: scipy dominates import time
+
+    return integrate(lambda u: u**mu * hankel1(0, 1j * u), 0.0, _TAIL_LOG, 1e-8)
+
+
 def gauss_legendre(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule on each panel between ``edges``.
 
@@ -252,15 +276,18 @@ def hankel0_halfline_moment(mu: float, a: float) -> QuadratureResult:
         i^(mu+1) a^(-mu-1) int_0^inf u^mu H0^(1)(i*u) du,
 
     whose kernel (2/(i*pi)) u^mu K0(u) neither oscillates nor depends on a:
-    one integral up to u = ``_TAIL_LOG`` at absolute tolerance 1e-8, whose
-    estimate times a^(-mu-1) bounds the moment's error, at the same relative
-    size and cost for every a.  A scale past e^709 is a :class:`DomainError`.
+    one integral per order per process, up to u = ``_TAIL_LOG`` at absolute
+    tolerance 1e-8, whose estimate times a^(-mu-1) bounds the moment's
+    error, at the same relative size for every a.  ``evaluations`` is that
+    integral's count, also when a later call reuses it.  The moment diverges
+    unless mu is finite and > -1, and a scale past e^709 is out of range:
+    both are a :class:`DomainError`.
     """
+    if not -1.0 < mu < math.inf:
+        raise DomainError(f"hankel0_halfline_moment needs finite mu > -1; got mu={mu!r}")
     if not (a > 0 and -(mu + 1.0) * math.log(a) <= 709.0):
         raise DomainError(f"hankel0_halfline_moment needs a > 0, a^(-mu-1) <= e^709; got {a!r}")
-    from scipy.special import hankel1  # deferred: scipy dominates import time
-
-    res = integrate(lambda u: u**mu * hankel1(0, 1j * u), 0.0, _TAIL_LOG, 1e-8)
+    res = _k0_moment(mu)
     scale = a ** (-mu - 1.0)
     return QuadratureResult(1j ** (mu + 1.0) * scale * res.value,
                             scale * res.error_estimate, res.evaluations)

@@ -152,21 +152,30 @@ def _polish(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
     for start in range(0, len(x), _POLISH_BLOCK):
         live = np.arange(start, min(start + _POLISH_BLOCK, len(x)))
         while len(live):
-            xl, ml = x[live], orders[live]
-            r, prev, cur = _start_rows(xl)
-            for n, s in enumerate(np.searchsorted(ml, np.arange(1, ml[-1] + 1))):
-                prev, cur = _advance(n, r, prev, cur, s)
-            odd = (ml[-1] - ml) % 2 == 1      # rows that stopped an odd number of steps early
-            prev[odd], cur[odd] = cur[odd], prev[odd]
-            above = (cur > 0) == pos[live]            # the zero lies above xl
-            a, b = np.where(above, xl, lo[live]), np.where(above, hi[live], xl)
-            lo[live], hi[live] = a, b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = xl - cur / (prev - ml / xl * cur)
-            xn = np.where((a <= xn) & (xn <= b), xn, 0.5 * (a + b))
-            x[live] = xn
-            live = live[np.abs(xn - xl) > 1e-13 + 8.9e-16 * xn]
+            xl = x[live]
+            lo[live], hi[live], x[live] = _newton_sweep(xl, orders[live], lo[live], hi[live],
+                                                        pos[live])
+            live = live[np.abs(x[live] - xl) > 1e-13 + 8.9e-16 * x[live]]
     return x
+
+
+def _newton_sweep(x: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  pos: np.ndarray):
+    """One sweep of ``_polish`` at iterates x of ascending orders m: new lo, hi and x.
+
+    Its arrays are freed on return, so the next sweep's start rows do not
+    share the peak with them.
+    """
+    r, prev, cur = _start_rows(x)
+    for n, s in enumerate(np.searchsorted(m, np.arange(1, m[-1] + 1))):
+        prev, cur = _advance(n, r, prev, cur, s)
+    odd = (m[-1] - m) % 2 == 1      # rows that stopped an odd number of steps early
+    prev[odd], cur[odd] = cur[odd], prev[odd]
+    above = (cur > 0) == pos            # the zero lies above x
+    lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xn = x - cur / (prev - m / x * cur)
+    return lo, hi, np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
 
 
 def _all_zeros(upper: float) -> tuple[np.ndarray, np.ndarray]:

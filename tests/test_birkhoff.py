@@ -157,6 +157,8 @@ def test_bounce_map_corner_hit():
     v = math.cos(math.atan2(1.0, 0.5))
     with pytest.raises(bk.CornerHitError):
         bk.bounce_map(sq, bk.BirkhoffCoord(s, v))
+    with pytest.raises(bk.CornerHitError):
+        bk.trace_orbit(sq, bk.BirkhoffCoord(s, v), 3)
 
 
 def test_birkhoff_coord_validation():
@@ -244,3 +246,32 @@ def test_bounce_map_is_reversible_and_area_preserving(name, frac, v):
     assert min(ds, b.perimeter - ds) <= 1e-12
     assert back.v == pytest.approx(-c0.v, abs=1e-12)
     assert bk.chain_product(b, [c0, c1]).det() == pytest.approx(1.0, abs=1e-12)
+
+
+def _pairwise_chain_product(b, pts):
+    """The chain product with both frames of every neighbour pair found afresh."""
+    m = bk.Mat2.identity()
+    for c1, c2 in zip(pts[:-1], pts[1:]):
+        f1, f2 = g.frame_at(b, c1.s), g.frame_at(b, c2.s)
+        l12 = math.hypot(f2.point[0] - f1.point[0], f2.point[1] - f1.point[1])
+        m = bk.linearized_bounce_map(c1.v_perp, c2.v_perp, l12, f1.curvature, f2.curvature) @ m
+    return m
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_tracing_finds_each_frame_once(name, monkeypatch):
+    b = GEOMETRIES[name]
+    start, bounces = bk.BirkhoffCoord(0.37 * b.perimeter, 0.31), 25
+    plain = [start]
+    for _ in range(bounces):
+        plain.append(bk.bounce_map(b, plain[-1]))
+    frames = []
+    frame_at = bk.frame_at
+    monkeypatch.setattr(bk, "frame_at", lambda b, s: frames.append(s) or frame_at(b, s))
+    pts = bk.trace_orbit(b, start, bounces)
+    assert len(frames) == bounces + 1
+    assert pts == plain                     # bit-identical
+    frames.clear()
+    m = bk.chain_product(b, pts)
+    assert len(frames) == len(pts)
+    assert m == _pairwise_chain_product(b, pts)

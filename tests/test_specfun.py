@@ -258,11 +258,58 @@ def test_halving_tolerance_does_not_drift():
 
 
 def test_damped_hankel_moments():
-    # integral of H0(a z) over the half line -> 1/a, first moment -> 2i/(pi a^2)
+    # integral of H0(a z) over the half line -> 1/a, first moment -> 2i/(pi a^2);
+    # for any mu > -1, i^(mu+1) a^(-mu-1) (2/(i pi)) 2^(mu-1) Gamma((mu+1)/2)^2
+    # (H0(i u) = (2/(i pi)) K0(u) and DLMF 10.43.19)
+    half = 1j ** 1.5 * (2.0 / (1j * math.pi)) * 2.0 ** -0.5 * math.gamma(0.75) ** 2
     for a in (0.1, 2.0, 200.0):
-        for mu, exact in ((0.0, 1.0 / a), (1.0, 2.0j / (math.pi * a * a))):
+        for mu, exact in ((0.0, 1.0 / a), (1.0, 2.0j / (math.pi * a * a)), (0.5, half * a ** -1.5)):
             res = sf.hankel0_halfline_moment(mu, a)
             assert abs(res.value - exact) <= res.error_estimate, (mu, a)
+
+
+@pytest.fixture
+def uncached_k0_moments():
+    sf._k0_moment.cache_clear()
+    yield
+    sf._k0_moment.cache_clear()
+
+
+def test_halfline_moment_integrates_each_order_once(monkeypatch, uncached_k0_moments):
+    from scipy.special import hankel1
+
+    integrate = sf.integrate
+    calls = []
+
+    def counted(f, lo, hi, tol=1e-9):
+        calls.append(tol)
+        return integrate(f, lo, hi, tol)
+
+    monkeypatch.setattr(sf, "integrate", counted)
+    for mu in (0.0, 1.0, 0.5):
+        ref = integrate(lambda u: u**mu * hankel1(0, 1j * u), 0.0, sf._TAIL_LOG, 1e-8)
+        for a in (0.1, 2.0, 200.0, 0.1):
+            scale = a ** (-mu - 1.0)
+            assert sf.hankel0_halfline_moment(mu, a) == sf.QuadratureResult(
+                1j ** (mu + 1.0) * scale * ref.value, scale * ref.error_estimate,
+                ref.evaluations), (mu, a)       # bit-identical, cached or not
+    assert calls == [1e-8] * 3
+
+
+def test_halfline_moment_does_not_keep_a_failed_integral(monkeypatch, uncached_k0_moments):
+    monkeypatch.setattr(sf, "_PANEL_BUDGET", 2)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            sf.hankel0_halfline_moment(0.0, 2.0)
+    assert sf._k0_moment.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("mu", [-1.0, -1.5, -math.inf, math.inf, math.nan])
+def test_halfline_moment_rejects_a_divergent_order(mu, uncached_k0_moments):
+    # int_0^inf u^mu K0(u) du diverges at 0 for mu <= -1; a non-finite mu has no moment
+    with pytest.raises(DomainError, match="mu="):
+        sf.hankel0_halfline_moment(mu, 2.0)
+    assert sf._k0_moment.cache_info().currsize == 0
 
 
 def test_hankel_time_integral_matches_closed_form():
