@@ -79,8 +79,14 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _load_boundary(path: str) -> geometry.Boundary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return geometry.parse_geometry(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:     # "?" stands in for the bad byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise geometry.GeometrySyntaxError("not UTF-8 text", len(lines), len(lines[-1])) from None
+    return geometry.parse_geometry(text)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         shown = "" if part is None else (f"; partial value {part.value:.6g}, "
                                          f"error estimate {part.error_estimate:.3g}")
         return EXIT_NUMERICAL, f"numerical non-convergence: {exc}{shown}\n"
-    except (geometry.GeometryError, FileNotFoundError) as exc:
+    except (geometry.GeometryError, OSError) as exc:
         return EXIT_GEOMETRY, f"geometry error: {exc}\n"
     except DomainError as exc:
         return EXIT_USAGE, f"usage error: {exc}\n"

@@ -198,16 +198,25 @@ def _visible_sector(top: float, psi_u, psi_v):
     return lo, hi
 
 
-def _sector_kinks(alpha: float, p1: str, p2: str) -> np.ndarray:
-    """Sorted theta in (0, alpha) where a max or min of the pair's ``_visible_sector`` may
-    switch branch: the crossings of its six lines 0, alpha, psi_u +- pi and psi_v +- pi,
-    each affine in theta (psi_u along p1, psi_v along p2 reversed)."""
-    (su, ku), (sv, kv) = _image_line(alpha, p1), _image_line(alpha, p2[::-1])
-    lines = [(0.0, 0.0), (0.0, alpha), (su, ku - math.pi), (su, ku + math.pi),
-             (sv, kv - math.pi), (sv, kv + math.pi)]
-    cross = [(k2 - k1) / (s1 - s2) for i, (s1, k1) in enumerate(lines)
-             for s2, k2 in lines[i + 1:] if s1 != s2]
-    return np.unique([x for x in cross if 0.0 < x < alpha])
+def _pair_geometry(alpha: float, pairs):
+    """Each pair's (su, ku, sv, kv) row of ``lines``, psi_u = su theta + ku along p1 and psi_v
+    along p2 reversed, and its theta panels, (n, 2) ends and each one's row, cut at the kinks
+    of its ``_visible_sector``: where 0, alpha, psi_u +- pi, psi_v +- pi cross in (0, alpha)."""
+    legs, leg = np.unique(np.array(pairs), return_inverse=True)
+    line = {w: _image_line(alpha, w) for w in {*legs, *(w[::-1] for w in legs)}}
+    table = np.array([[line[w], line[w[::-1]]] for w in legs])     # each leg word both ways
+    lines = table[leg.reshape(-1, 2), [0, 1]].reshape(-1, 4)
+    (su, ku, sv, kv), zero = lines.T, np.zeros(len(lines))
+    s = np.stack([zero, zero, su, su, sv, sv], axis=1)
+    k = np.stack([zero, zero + alpha, ku - math.pi, ku + math.pi, kv - math.pi, kv + math.pi], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):    # parallel lines: +-inf or nan
+        cross = (k[:, None, :] - k[:, :, None]) / (s[:, :, None] - s[:, None, :])
+    # each crossing comes twice, as (i, j) and (j, i); the other entries are parked at alpha
+    cross = np.where((s[:, :, None] != s[:, None, :]) & (0 < cross) & (cross < alpha), cross, alpha)
+    ends = np.concatenate([zero[:, None], np.sort(cross.reshape(-1, 36), axis=1)], axis=1)
+    lo, hi = ends[:, :-1], ends[:, 1:]
+    panel = lo < hi     # drops the repeats
+    return lines, np.stack([lo[panel], hi[panel]], axis=-1), np.nonzero(panel)[0]
 
 
 def _stable_g(a, b):
@@ -238,15 +247,11 @@ def _non_edge_constants(alpha: float, pairs, n_gls):
     c = cos(theta0 - psi_u) + cos(theta0 - psi_v).  Off the edge pairs c/2 stays below 1, so
     the tau -> 0 limit is the same integral of g(c/2), smooth inside the sector; theta panels
     end at the sector's kinks, where its ends are affine in theta, and each theta node takes
-    one theta0 panel [lo, hi].  Kinks and image lines are found once for all counts, and
-    each count integrates every pair's panels in one stacked pass.
+    one theta0 panel [lo, hi].  ``_pair_geometry`` finds image lines and kinks once for all
+    counts, and each count integrates every pair's panels in one stacked pass.
     """
-    edges = [np.concatenate([[0.0], _sector_kinks(alpha, p1, p2), [alpha]]) for p1, p2 in pairs]
-    panels = np.stack([np.concatenate([e[:-1] for e in edges]),
-                       np.concatenate([e[1:] for e in edges])], axis=-1)
-    panel_owner = np.repeat(np.arange(len(pairs)), [len(e) - 1 for e in edges])
-    lines = np.array([_image_line(alpha, p1) + _image_line(alpha, p2[::-1]) for p1, p2 in pairs])
-    signs = [(-1.0) ** len(_word(pair)) / (16.0 * math.pi**2) for pair in pairs]
+    lines, panels, panel_owner = _pair_geometry(alpha, pairs)
+    signs = (lines[:, 0] * lines[:, 2] / (16.0 * math.pi**2)).tolist()   # su sv = (-1)^|w|
     for n_gl in n_gls:
         thetas, th_w = (x.ravel() for x in gauss_legendre(panels, n_gl))
         owner = np.repeat(panel_owner, n_gl)

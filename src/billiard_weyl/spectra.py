@@ -108,29 +108,6 @@ def _start_rows(x: np.ndarray):
     return 1.0 / x, -j1, j0
 
 
-def _sign_cells(upper: float):
-    """Cells (lo, hi] of width ``_STEP`` on (0, upper] where J_m changes sign.
-
-    Yields the cell ends, J_m at both and the order of each cell,
-    one tuple of arrays per order m = 0, 1, ..., from one pair of recurrence
-    rows on the nodes upper - k h.  Row m keeps only the nodes above m, and
-    each sign change between them is exactly one zero (module docstring).
-    The sweep stops at the first order with no zero below ``upper``:
-    j_{m+1,1} > j_{m,1}, so higher orders have none.
-    """
-    x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
-    r, prev, cur = _start_rows(x)
-    s = 0
-    for m in itertools.count():
-        pos = cur[s:] > 0
-        cells = s + np.flatnonzero(pos[:-1] != pos[1:])
-        if not len(cells):
-            return
-        yield x[cells], x[cells + 1], cur[cells], cur[cells + 1], np.full(len(cells), m)
-        s = int(np.searchsorted(x, m + 1, side="right"))
-        prev, cur = _advance(m, r, prev, cur, s)
-
-
 _POLISH_BLOCK = 65_536   # brackets polished together: bounds the Newton sweep's arrays
 
 
@@ -179,22 +156,34 @@ def _newton_sweep(x: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _all_zeros(upper: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every zero of every J_m below ``upper`` and its order m, by ascending m."""
-    cells = [np.concatenate(c) for c in zip(*_sign_cells(upper))] or [np.empty(0)] * 5
+    """Every zero of every J_m below ``upper`` and its order m, by ascending m.
+
+    One pair of recurrence rows on the nodes upper - k h walks up the orders, row m kept only
+    above m; each sign change brackets one zero (module docstring).  The walk stops at the
+    first order with none below ``upper`` (j_{m+1,1} > j_{m,1}); ``_polish`` takes them all.
+    """
+    x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
+    r, prev, cur = _start_rows(x)
+    s, cells = 0, []
+    for m in itertools.count():
+        pos = cur[s:] > 0
+        i = s + np.flatnonzero(pos[:-1] != pos[1:])
+        if not len(i):
+            break
+        cells.append((x[i], x[i + 1], cur[i], cur[i + 1], np.full(len(i), m)))
+        s = int(np.searchsorted(x, m + 1, side="right"))
+        prev, cur = _advance(m, r, prev, cur, s)
+    # rebinding frees the per-order pieces before the polish
+    cells = [np.concatenate(c) for c in zip(*cells)] or [np.empty(0)] * 5
     return _polish(*cells), cells[-1]
 
 
 def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
-    """All positive zeros of J_order below ``upper``.
-
-    Runs the bracket sweep up to row ``order`` and polishes only that row.
-    """
+    """All positive zeros of J_order below ``upper``: that order's share of ``_all_zeros``."""
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise DomainError(f"order must be a non-negative integer, got {order!r}")
-    for m, cells in enumerate(_sign_cells(upper)):
-        if m == order:
-            return _polish(*cells)
-    return np.array([])
+    zeros, orders = _all_zeros(upper)
+    return zeros[orders == order]
 
 
 def disk_spectrum(radius: float, emax: float) -> Spectrum:

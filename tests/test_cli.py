@@ -382,6 +382,18 @@ def test_exit_code_geometry_error(tmp_path, square_file):
     assert code == 4
     code, out = cli.run(["weyl", "--geometry", str(tmp_path / "missing.bil")])
     assert code == 4
+    # a directory (any unreadable path) and a file that is not UTF-8 text are geometry errors
+    # too; PermissionError is the same OSError branch, but a test run as root can read anything
+    latin1 = tmp_path / "latin1.bil"
+    latin1.write_bytes(b"billiard v1\nline 0 0 1 0\n# caf\xe9\nline 1 0 0 0\n")
+    for path, where in ((tmp_path, "Is a directory"), (latin1, "line 3, column 6")):
+        for argv in (["weyl", "--geometry", str(path)],
+                     ["monodromy", "--geometry", str(path), "--start", "0.5,0.0",
+                      "--bounces", "4"]):
+            code, out = cli.run(argv)
+            assert code == 4, (path, argv[0])
+            assert out.startswith("geometry error: ") and where in out, out
+            assert out.count("\n") == 1
     # a non-finite number in a record is a syntax error on its line
     for record in ("line 0 0 nan 0", "line 0 0 1 inf", "arc 0 0 nan 0 1 ccw"):
         bad.write_text(f"billiard v1\n{record}\nline 1 0 0 0\n", encoding="utf-8")

@@ -259,6 +259,18 @@ WORDS = ("", "a", "b", "ab", "ba", "aba", "bab")
 TRACE_ALPHAS = (PI / 6, PI / 4, 0.9, PI / 2, 2.0, 2.5, 3.0)
 
 
+def _alternating_words(length):
+    """The two alternating bounce words over {a, b} of each length 1 .. ``length``."""
+    return [("ab" * length)[start:start + n] for n in range(1, length + 1)
+            for start in (0, 1)]
+
+
+def _alternating_pairs(alpha):
+    """Every ordered pair of legs, "d" or an alternating word of up to floor(pi/alpha) + 1
+    bounces, (d, d) included."""
+    return list(product(["d"] + _alternating_words(math.floor(PI / alpha) + 1), repeat=2))
+
+
 def _image_angle(alpha, theta, sides):
     """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
     s, k = fl._image_line(alpha, sides)
@@ -344,11 +356,16 @@ def test_sectors_resolve_a_narrow_invalid_gap():
     assert hi == pytest.approx(PI - theta, abs=1e-15)
 
 
-@pytest.mark.parametrize("alpha", sorted(set(TRACE_ALPHAS) | {1.0, 0.96 * PI}))
+# Reflection words up to length 5, for the sharp wedges where four and five bounces occur.
+LONG_WORDS = WORDS + ("abab", "baba", "ababa", "babab")
+
+
+@pytest.mark.parametrize("alpha", sorted(set(TRACE_ALPHAS) | {1.0, 0.96 * PI, PI / 5}))
 def test_sectors_match_a_dense_validity_scan(alpha):
     # away from the sector ends, every mediate angle theta0 of a uniform scan lies
     # in the pair's visible sector exactly when the out leg (theta -> theta0) and
     # the back leg (theta0 -> theta) both trace as reflecting rays
+    words = LONG_WORDS if alpha in (PI / 4, PI / 5) else WORDS
     n_scan = 20000
     h = alpha / n_scan
     scan = (np.arange(n_scan) + 0.5) * h
@@ -356,9 +373,9 @@ def test_sectors_match_a_dense_validity_scan(alpha):
     if PI - alpha < alpha:
         thetas = np.append(thetas, PI - alpha + 2.4e-4)
     th, th0 = thetas[:, None], scan[None, :]
-    out = {w: _reflecting_trace(alpha, th, th0, w, 1.0, 0.6) for w in WORDS}
-    back = {w: _reflecting_trace(alpha, th0, th, w, 0.6, 1.0) for w in WORDS}
-    for p1, p2 in product(WORDS, repeat=2):
+    out = {w: _reflecting_trace(alpha, th, th0, w, 1.0, 0.6) for w in words}
+    back = {w: _reflecting_trace(alpha, th0, th, w, 0.6, 1.0) for w in words}
+    for p1, p2 in product(words, repeat=2):
         psi_u = _image_angle(alpha, th, p1)
         psi_v = _image_angle(alpha, th, p2[::-1])
         inside, near = _in_sector(alpha, psi_u, psi_v, th0, h)
@@ -477,16 +494,20 @@ def test_stable_g_branches_agree_across_the_switch():
 def test_sector_branches_switch_only_at_listed_kinks(alpha):
     # along a dense theta scan, the branch that wins the max (lo) and the min (hi) of
     # every pair's visible sector, and whether the sector is empty, change only across
-    # a kink that _sector_kinks lists or an end of [0, alpha]
+    # an end of one of the pair's _pair_geometry panels; every alternating word pair at the
+    # sharp angles (225 and 81 pairs), the class pairs elsewhere
+    pairs = (_alternating_pairs(alpha) if alpha in (PI / 6, 1.0)
+             else list(product(fl.PATH_CLASSES, repeat=2)))
     scan = np.linspace(0.0, alpha, 20001)
-    for p1, p2 in product(fl.PATH_CLASSES, repeat=2):
+    _, panels, owner = fl._pair_geometry(alpha, pairs)
+    for n, (p1, p2) in enumerate(pairs):
         psi_u = _image_angle(alpha, scan, p1)
         psi_v = _image_angle(alpha, scan, p2[::-1])
         lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
         winners = [np.argmax([np.zeros_like(scan), psi_u - PI, psi_v - PI], axis=0),
                    np.argmin([np.full_like(scan, alpha), psi_u + PI, psi_v + PI], axis=0),
                    hi - lo > 1e-12 * alpha]    # the integrator's sliver threshold
-        kinks = np.concatenate([[0.0], fl._sector_kinks(alpha, p1, p2), [alpha]])
+        kinks = panels[owner == n].ravel()
         for won in winners:
             for i in np.flatnonzero(won[1:] != won[:-1]):
                 assert np.any((kinks >= scan[i] - 1e-12) & (kinks <= scan[i + 1] + 1e-12)), \
@@ -515,11 +536,34 @@ def test_tau_free_pairs_match_the_ladder_limit(alpha, ladder_sum, tol):
 NON_EDGE_PAIRS = tuple(p for p in fl.CLASS_PAIRS if p not in fl.EDGE_PAIRS)
 
 
+def _line_crossings(alpha, p1, p2):
+    """The sorted distinct crossings in (0, alpha) of one pair's six sector lines, pair of
+    lines by pair of lines: the per-pair reference for ``_pair_geometry``."""
+    (su, ku), (sv, kv) = fl._image_line(alpha, p1), fl._image_line(alpha, p2[::-1])
+    lines = [(0.0, 0.0), (0.0, alpha), (su, ku - PI), (su, ku + PI),
+             (sv, kv - PI), (sv, kv + PI)]
+    cross = [(k2 - k1) / (s1 - s2) for i, (s1, k1) in enumerate(lines)
+             for s2, k2 in lines[i + 1:] if s1 != s2]
+    return np.unique([x for x in cross if 0.0 < x < alpha])
+
+
+@pytest.mark.parametrize("alpha", (0.1, PI / 6, 1.0, PI / 2, 2.5, 3.0))
+def test_sector_panels_end_at_each_pairs_line_crossings(alpha):
+    # one array pass over all pairs gives each pair the panels between 0, its own sorted
+    # distinct line crossings and alpha, bit for bit, in pair order
+    pairs = _alternating_pairs(alpha)
+    _, panels, owner = fl._pair_geometry(alpha, pairs)
+    assert np.array_equal(owner, np.sort(owner))
+    for n, (p1, p2) in enumerate(pairs):
+        edges = np.concatenate([[0.0], _line_crossings(alpha, p1, p2), [alpha]])
+        assert np.array_equal(panels[owner == n], np.stack([edges[:-1], edges[1:]], axis=-1))
+
+
 def _non_edge_constant(alpha, p1, p2, n_gl):
     """One non-edge pair's constant, integrated on its own: the per-pair reference the
     stacked ``_non_edge_constants`` must reproduce bit for bit."""
-    edges = np.concatenate([[0.0], fl._sector_kinks(alpha, p1, p2), [alpha]])
-    thetas, th_w = gauss_legendre(edges, n_gl)
+    _, panels, _ = fl._pair_geometry(alpha, [(p1, p2)])
+    thetas, th_w = (x.ravel() for x in gauss_legendre(panels, n_gl))
     psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
     lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
     r = np.flatnonzero(hi - lo > 1e-12 * alpha)
@@ -530,19 +574,24 @@ def _non_edge_constant(alpha, p1, p2, n_gl):
     return sign / (16.0 * PI**2) * float(np.sum(th_w[r, None] * w0 * g))
 
 
-@pytest.mark.parametrize("alpha", (PI / 6, 1.0, PI / 2, 2.0944, 2.5, 3.0))
+@pytest.mark.parametrize("alpha", (PI / 6, PI / 5, 1.0, PI / 2, 2.0944, 2.5, 3.0))
 def test_stacked_pairs_equal_the_per_pair_integrals_bit_for_bit(alpha):
     # stacking changes only how many pairs one numpy call sees: each pair's rows keep their
-    # order and are summed alone, so every value is the per-pair integral's, to the last bit
+    # order and are summed alone, so every value is the per-pair integral's, to the last bit;
+    # at pi/5 on the non-edge pairs of every alternating word up to six bounces
+    pairs = NON_EDGE_PAIRS
+    if alpha == PI / 5:
+        pairs = [p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2]
     n_gls = (4, 7, 10)
-    for n_gl, values in zip(n_gls, fl._non_edge_constants(alpha, NON_EDGE_PAIRS, n_gls)):
-        assert values == [_non_edge_constant(alpha, p1, p2, n_gl) for p1, p2 in NON_EDGE_PAIRS]
+    for n_gl, values in zip(n_gls, fl._non_edge_constants(alpha, pairs, n_gls)):
+        assert values == [_non_edge_constant(alpha, p1, p2, n_gl) for p1, p2 in pairs]
 
 
 @pytest.mark.parametrize("alpha", (1.0, 2.5))
 def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkeypatch):
-    # both grids share one stacked pass per node count, and each pair's sector kinks are
-    # found once per call: one _stable_g call per stacked pass and one per _da_constant
+    # both grids share one stacked pass per node count, and every pair's sector panels come
+    # from one array pass per call, on image lines taken once per leg word: one _stable_g
+    # call per stacked pass and one per _da_constant
     calls = Counter()
 
     def counted(name):
@@ -553,26 +602,20 @@ def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkey
             return func(*args)
         return wrapper
 
-    for name in ("_stable_g", "_sector_kinks"):
+    for name in ("_stable_g", "_pair_geometry", "_image_line"):
         monkeypatch.setattr(fl, name, counted(name))
     fl.obtuse_corner_constant(alpha, grid=1)
     assert calls["_stable_g"] <= 4
-    assert calls["_sector_kinks"] == len(NON_EDGE_PAIRS) == 18
+    assert calls["_pair_geometry"] == 1
+    assert calls["_image_line"] == len(fl.PATH_CLASSES) == 5
 
 
-def _alternating_words(length):
-    """The two alternating bounce words over {a, b} of each length 1 .. ``length``."""
-    return [("ab" * length)[start:start + n] for n in range(1, length + 1)
-            for start in (0, 1)]
-
-
-@pytest.mark.parametrize("alpha, n_pairs", [(PI / 4, 120), (PI / 6, 224)])
+@pytest.mark.parametrize("alpha, n_pairs", [(PI / 4, 120), (PI / 6, 224), (PI / 10, 528)])
 def test_every_alternating_word_pair_stacks_to_weyl(alpha, n_pairs):
     # legs of every alternating word up to floor(pi/alpha) + 1 bounces: at alpha = pi/n the
     # two-piece total, (d, d) included, is Weyl's corner value; the non-edge pairs go
     # through one stacked pass however many there are
-    words = ["d"] + _alternating_words(math.floor(PI / alpha) + 1)
-    pairs = [p for p in product(words, repeat=2) if p != ("d", "d")]
+    pairs = [p for p in _alternating_pairs(alpha) if p != ("d", "d")]
     assert len(pairs) == n_pairs
     edge = [p for p in pairs if len(set(fl._word(p))) == 1]
     non_edge = [p for p in pairs if p not in edge]
