@@ -97,13 +97,13 @@ def signature_oracle(sig: SignSignature, tau: float = 0.25) -> dict:
 # ---------------------------------------------------------------------------
 # broken two-piece path through the unfolded wedge
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)    # math.erfc elementwise: numpy has no erfc
+
 
 def _radial_first_moment(m: np.ndarray, tau: float) -> np.ndarray:
     """integral of r0 exp(-(r0-m)^2/(2 tau)) over r0 in (0, inf)."""
-    from scipy.special import erfc  # deferred: scipy dominates import time
-    s = math.sqrt(2.0 * tau)
     return tau * np.exp(-(m * m) / (2.0 * tau)) \
-        + m * math.sqrt(math.pi * tau / 2.0) * erfc(-m / s)
+        + m * math.sqrt(math.pi * tau / 2.0) * _erfc(-m / math.sqrt(2.0 * tau)).astype(float)
 
 
 # Geometric refinement levels around each peak, and Gauss-Legendre nodes
@@ -128,10 +128,12 @@ def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) ->
     |theta0 - theta2| <= pi, theta2 = 2*alpha + theta1.  Both legs carry
     the free kernel for time ``tau`` each (total 2*tau).  Evaluated in
     imaginary time; the radial part of the mediate integral is closed
-    form, the angular part is quadrature.
+    form, the angular part is quadrature.  tau^2 and r^2/tau must stay in range.
     """
-    if not (r > 0 and tau > 0):
-        raise DomainError("broken_path_propagator requires r > 0 and tau > 0")
+    if not 1e-150 < tau < 1e150:
+        raise DomainError(f"broken_path_propagator needs 1e-150 < tau < 1e150; got tau={tau!r}")
+    if not (r > 0 and r * r / tau < 1e300):
+        raise DomainError(f"broken_path_propagator needs r > 0, r^2/tau < 1e300; got r={r!r}")
     if not 0.0 < alpha < math.pi:
         raise DomainError("alpha must be in (0, pi)")
     if not 0.0 <= theta1 <= alpha:
@@ -264,7 +266,7 @@ def _non_edge_constants(alpha: float, pairs, n_gls):
         terms = th_w[r, None] * w0 * _stable_g(half_diff[:, None], th0 - mid[:, None])
         # each pair's rows are contiguous, theta-major: summed alone, bit for bit its own pass
         ends = np.searchsorted(owner[r], np.arange(len(pairs) + 1))
-        yield [sign * float(np.sum(terms[a:b])) for sign, a, b in zip(signs, ends[:-1], ends[1:])]
+        yield [sign * float(terms[a:b].sum()) for sign, a, b in zip(signs, ends[:-1], ends[1:])]
 
 
 def _aa_constant(alpha: float) -> float:

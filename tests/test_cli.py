@@ -326,6 +326,36 @@ def test_fold_never_loads_scipy_special():
     assert out.split("\n") == ["2 [False, False]", "0 [True, False]", ""]
 
 
+def test_library_runs_without_scipy():
+    # scipy is a test oracle only: no module under src/ imports it, and importing every
+    # module and calling each computing layer once on a small input loads none of it
+    src = Path(billiard_weyl.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if re.search(r"^\s*(from|import) scipy\b",
+                                                           p.read_text(encoding="utf-8"), re.M)]
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    code = (f"import importlib, sys\n"
+            f"for m in {modules!r}:\n"
+            f"    importlib.import_module('billiard_weyl.' + m)\n"
+            "from billiard_weyl import birkhoff as b, folding as f, geometry as g, "
+            "orbit_terms as o, spectra as s, weyl as w\n"
+            "f.obtuse_corner_constant(2.0, 1)\n"
+            "f.broken_path_propagator(1.0, 0.3, 1.0, 0.05)\n"
+            "f.signature_oracle(f.ALL_SIGNATURES[0])\n"
+            "o.green_fourier(1.0, 1.0)\n"
+            "o.length_term_density_quadrature(1.0, 100.0)\n"
+            "o.corner_delta_by_quadrature(1.0)\n"
+            "s.disk_spectrum(1.0, 500.0)\n"
+            "sq = g.square()\n"
+            "s.staircase_residual(s.rectangle_spectrum(1.0, 1.0, 3000.0),\n"
+            "                     w.weyl_expansion(g.measures(sq)), (500.0, 3000.0))\n"
+            "b.chain_product(sq, b.trace_orbit(sq, b.BirkhoffCoord(0.3, 0.2), 4))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 _HOME_MODULES = ("geometry", "weyl", "birkhoff", "orbit_terms", "ledger", "folding", "spectra",
                  "specfun")
 

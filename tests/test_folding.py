@@ -741,6 +741,14 @@ def test_corner_constant_rejects_bad_inputs():
         fl.dd_constant(0.0)
 
 
+@pytest.mark.parametrize("r, tau, name", [(1.0, 1e-300, "tau="), (1.0, 1e160, "tau="),
+                                          (1.0, 5e-324, "tau="), (1e160, 0.05, "r=")])
+def test_broken_path_refuses_out_of_range_scales(r, tau, name):
+    # tau^2 underflows or overflows, or r^2/tau overflows: refused before any arithmetic
+    with pytest.raises(DomainError, match=name):
+        fl.broken_path_propagator(r, 0.3, PI / 2, tau)
+
+
 def test_signature_helpers():
     s = ledger.SignSignature("-", "+", "-", "+")
     assert str(s) == "-+-+"

@@ -261,9 +261,14 @@ def test_damped_hankel_moments():
     # integral of H0(a z) over the half line -> 1/a, first moment -> 2i/(pi a^2);
     # for any mu > -1, i^(mu+1) a^(-mu-1) (2/(i pi)) 2^(mu-1) Gamma((mu+1)/2)^2
     # (H0(i u) = (2/(i pi)) K0(u) and DLMF 10.43.19)
-    half = 1j ** 1.5 * (2.0 / (1j * math.pi)) * 2.0 ** -0.5 * math.gamma(0.75) ** 2
+    def closed(mu, a):
+        return (1j ** (mu + 1.0) * a ** (-mu - 1.0) * (2.0 / (1j * math.pi))
+                * 2.0 ** (mu - 1.0) * math.gamma(0.5 * (mu + 1.0)) ** 2)
+
     for a in (0.1, 2.0, 200.0):
-        for mu, exact in ((0.0, 1.0 / a), (1.0, 2.0j / (math.pi * a * a)), (0.5, half * a ** -1.5)):
+        cases = [(0.0, 1.0 / a), (1.0, 2.0j / (math.pi * a * a))]
+        cases += [(mu, closed(mu, a)) for mu in (-0.999, -0.9, -0.5, 0.5, 3.0, 10.0, 20.0, 50.0)]
+        for mu, exact in cases:
             res = sf.hankel0_halfline_moment(mu, a)
             assert abs(res.value - exact) <= res.error_estimate, (mu, a)
 
@@ -276,8 +281,6 @@ def uncached_k0_moments():
 
 
 def test_halfline_moment_integrates_each_order_once(monkeypatch, uncached_k0_moments):
-    from scipy.special import hankel1
-
     integrate = sf.integrate
     calls = []
 
@@ -287,11 +290,16 @@ def test_halfline_moment_integrates_each_order_once(monkeypatch, uncached_k0_mom
 
     monkeypatch.setattr(sf, "integrate", counted)
     for mu in (0.0, 1.0, 0.5):
-        ref = integrate(lambda u: u**mu * hankel1(0, 1j * u), 0.0, sf._TAIL_LOG, 1e-8)
+        # Gamma(mu+1) times sech^(mu+1) on [0, 20], plus its exponential tail
+        m1 = mu + 1.0
+        ref = integrate(lambda t: np.cosh(t) ** -m1, 0.0, 20.0, 1e-8)
+        factor = (2.0 / (1j * math.pi)) * math.gamma(m1)
+        k0 = factor * (ref.value + 2.0**m1 * math.exp(-20.0 * m1) / m1)
+        k0_err = abs(factor) * ref.error_estimate + 1e-14 * abs(k0)
         for a in (0.1, 2.0, 200.0, 0.1):
             scale = a ** (-mu - 1.0)
             assert sf.hankel0_halfline_moment(mu, a) == sf.QuadratureResult(
-                1j ** (mu + 1.0) * scale * ref.value, scale * ref.error_estimate,
+                1j ** (mu + 1.0) * scale * k0, scale * k0_err,
                 ref.evaluations), (mu, a)       # bit-identical, cached or not
     assert calls == [1e-8] * 3
 
@@ -304,12 +312,20 @@ def test_halfline_moment_does_not_keep_a_failed_integral(monkeypatch, uncached_k
     assert sf._k0_moment.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("mu", [-1.0, -1.5, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("mu", [-1.0, -1.5, -math.inf, math.inf, math.nan, 200.0])
 def test_halfline_moment_rejects_a_divergent_order(mu, uncached_k0_moments):
-    # int_0^inf u^mu K0(u) du diverges at 0 for mu <= -1; a non-finite mu has no moment
+    # int_0^inf u^mu K0(u) du diverges at 0 for mu <= -1; a non-finite mu has no moment,
+    # and Gamma(mu+1) overflows past mu = 170.6
     with pytest.raises(DomainError, match="mu="):
         sf.hankel0_halfline_moment(mu, 2.0)
     assert sf._k0_moment.cache_info().currsize == 0
+
+
+def test_halfline_moment_refuses_a_moment_past_the_float_range():
+    # a^(-mu-1) = 1e151 and Gamma(151) ~ 6e262 are in range, their product is not
+    assert math.isfinite(abs(sf.hankel0_halfline_moment(150.0, 1.0).value))
+    with pytest.raises(DomainError, match="mu="):
+        sf.hankel0_halfline_moment(150.0, 0.1)
 
 
 def test_hankel_time_integral_matches_closed_form():
