@@ -7,13 +7,17 @@ function against the E-dependent part of the smooth expansion; its window
 average, integrated in closed form, estimates the delta(E) coefficient.
 
 Every disk zero below a cutoff comes from one pass over all orders.  The
-signs of J_m at the nodes upper - k h, h = ``_STEP`` = 1, bracket the
-zeros, and a bisection-safeguarded Newton polishes them, each block of
-``_POLISH_BLOCK`` brackets in one set of arrays.  Both take J_m from the
-forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}, started at J_0 and J_1
-from ``specfun.bessel_j0_j1`` and run only where x > n, where it is stable
-(Gautschi, SIAM Rev. 9 (1967) 24); each step writes J_{n+1} over J_{n-1}
-and swaps the two rows.  The step sits below two bounds:
+signs of J_m at the nodes upper - k h, h = ``_STEP`` = 1, bracket the zeros.
+J_m comes from the forward recurrence J_{n+1} = (2n/x) J_n - J_{n-1}, started
+at J_0 and J_1 from ``specfun.bessel_j0_j1`` and run only where x > n, where
+it is stable (Gautschi, SIAM Rev. 9 (1967) 24); ``_SWEEP_ORDERS`` orders at a
+time fill one table, whose sign changes one ``np.nonzero`` finds.  A
+bisection-safeguarded Newton polishes each bracket on the Taylor series of J_m
+about its nearer node x0, K = ``_TAYLOR_TERMS`` terms, so J is evaluated only
+at the nodes: the sweep holds c_0 = J_m(x0) and c_1 = J_{m-1}(x0) - (m/x0) c_0,
+and Bessel's equation x^2 y'' + x y' + (x^2 - m^2) y = 0 gives the rest,
+x0^2 (k+1)(k+2) c_{k+2} = -[x0 (k+1)(2k+1) c_{k+1} + (k^2 + x0^2 - m^2) c_k
++ 2 x0 c_{k-1} + c_{k-2}].  Step and series sit below three bounds:
 
 * zeros are simple and more than 3.11 apart, so a cell of width h < 3.11
   holds at most one and a sign change marks exactly one: for m >= 1 the gap
@@ -21,9 +25,11 @@ and swaps the two rows.  The step sits below two bounds:
   coefficient 1 - (m^2 - 1/4)/x^2 < 1), and for J_0 the gaps grow from
   j_{0,2} - j_{0,1} = 3.115 towards pi;
 * j_{m,1} > m + 1.855 m^(1/3) (Qu & Wong, Trans. AMS 351 (1999) 2833), so for
-  h < 1.855 the cell holding j_{m,1} starts above m.  Row m of the sweep may
-  drop every node x <= m, where J_m > 0, and each Newton iterate of order m
-  stays where the recurrence is stable.
+  h < 1.855 the cell holding j_{m,1} starts above m, and row m of the sweep
+  may drop every node x <= m, where J_m > 0;
+* |J_m^(k)| <= 1 (differentiate Bessel's integral k times), and every iterate
+  stays in its bracket, one step wide, so |x - x0| <= h = 1 and the tail after
+  K terms is below 2/K!: 8e-19 at K = 20.
 """
 
 from __future__ import annotations
@@ -68,7 +74,8 @@ class Spectrum:
         ev = self.eigenvalues
         if len(ev) == 0:
             raise EmptySpectrumError(f"no eigenvalues below emax={self.emax!r}")
-        if np.any(ev <= 0) or np.any(np.diff(ev) < 0) or np.any(ev > self.emax * (1 + 1e-12)):
+        # each test is False on NaN
+        if not (ev[0] > 0 and ev[-1] <= self.emax * (1 + 1e-12) and np.all(np.diff(ev) >= 0)):
             raise DomainError("eigenvalues must be sorted, positive, and <= emax")
 
     def __len__(self) -> int:
@@ -93,97 +100,110 @@ def rectangle_spectrum(a: float, b: float, emax: float) -> Spectrum:
     return Spectrum(eigenvalues=np.sort(ev[ev <= emax]), shape=f"rectangle {a}x{b}", emax=emax)
 
 
-_STEP = 1.0      # node spacing of the bracket sweep: see the module docstring
+_STEP = 1.0             # node spacing of the bracket sweep: see the module docstring
+_SWEEP_ORDERS = 64      # orders per recurrence table: bounds the sweep's memory
+_TAYLOR_TERMS = 20      # terms of each bracket's series: see the module docstring
+_POLISH_BLOCK = 2_048   # brackets polished together: bounds their coefficient tables
 
 
-def _advance(n: int, r: np.ndarray, prev: np.ndarray, cur: np.ndarray, s: int):
-    """Write J_{n+1} over J_{n-1} on ``[s:]``, r = 1/x, x[s:] > n; return the rows swapped."""
-    np.subtract((2.0 * n) * r[s:] * cur[s:], prev[s:], out=prev[s:])
-    return cur, prev
+def _brackets(upper: float):
+    """The nodes x and the bracket of each zero of every J_m below ``upper``, by m, then x.
 
-
-def _start_rows(x: np.ndarray):
-    """1/x, J_{-1} = -J_1 and J_0 at x: the recurrence's factor and first rows."""
+    A bracket is i, with the zero in (x[i], x[i+1]]; m; J_m at both ends; and J_{m-1} at the
+    nearer end, the one with the smaller |J_m|.  Row k of the table t holds J_{m0+k-1}.  The
+    sweep stops at the first order with no zero (j_{m+1,1} > j_{m,1}).
+    """
+    x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
     j0, j1 = bessel_j0_j1(x)
-    return 1.0 / x, -j1, j0
+    r, t = 1.0 / x, np.empty((_SWEEP_ORDERS + 2, len(x)))
+    t[0], t[1] = -j1, j0
+    cells = []
+    for m0 in itertools.count(0, _SWEEP_ORDERS):
+        s = np.searchsorted(x, np.arange(m0 + 1, m0 + _SWEEP_ORDERS + 1), side="right")
+        for k, sk in enumerate(s.tolist(), 1):     # J_{m0+k} into row k + 1; 1 where x <= m0 + k
+            n = m0 + k - 1
+            np.subtract((2.0 * n) * r[sk:] * t[k, sk:], t[k - 1, sk:], out=t[k + 1, sk:])
+            t[k + 1, :sk] = 1.0
+        pos = t[1:-1] > 0
+        k, i = np.nonzero(pos[:, :-1] != pos[:, 1:])
+        count = np.bincount(k, minlength=_SWEEP_ORDERS)
+        count = count[:None if count.all() else count.argmin()]   # to the first order with none
+        k, i = k[:count.sum()], i[:count.sum()]
+        flo, fhi = t[k + 1, i], t[k + 1, i + 1]
+        cells.append((i, flo, fhi, t[k, i + (np.abs(fhi) < np.abs(flo))], count))
+        if len(count) < _SWEEP_ORDERS:
+            break
+        t[:2] = t[-2:]
+    # rebinding frees the per-chunk pieces before the orders are spelled out
+    i, flo, fhi, jb, count = cells = [np.concatenate(c) for c in zip(*cells)]
+    return x, i, np.repeat(np.arange(len(count)), count), flo, fhi, jb
 
 
-_POLISH_BLOCK = 65_536   # brackets polished together: bounds the Newton sweep's arrays
+def _taylor(x0: np.ndarray, m: np.ndarray, j: np.ndarray, jb: np.ndarray) -> np.ndarray:
+    """Rows c_0 .. c_{K-1} of J_m's Taylor series about x0, from J_m = j and J_{m-1} = jb there."""
+    c = np.zeros((_TAYLOR_TERMS + 2, len(x0)))     # c_k in row k + 2: c_{-2} = c_{-1} = 0
+    c[2], c[3] = j, jb - m / x0 * j
+    q, x2, y = (x0 - m) * (x0 + m), 2.0 * x0, -1.0 / (x0 * x0)
+    for k in range(_TAYLOR_TERMS - 2):
+        c[k + 4] = (((k + 1) * (2 * k + 1)) * x0 * c[k + 3] + (k * k + q) * c[k + 2]
+                    + x2 * c[k + 1] + c[k]) * y / ((k + 1) * (k + 2))
+    return c[2:]
 
 
-def _polish(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
-            orders: np.ndarray) -> np.ndarray:
-    """The zero of J_order in each bracket (lo, hi], ``_POLISH_BLOCK`` brackets at a time.
+def _horner(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The series with coefficient rows c, and its derivative, at d."""
+    f, df = c[-1] * d + c[-2], c[-1].copy()
+    for ck in c[-3::-1]:
+        df *= d
+        df += f
+        f *= d
+        f += ck
+    return f, df
 
-    ``flo`` and ``fhi`` are J_order at the bracket ends, of opposite sign.
-    ``orders`` ascends, so each recurrence step advances one trailing slice
-    of a block, and a block's steps stop at its own highest order.
-    From the secant root of the ends, each sweep evaluates J_m and
-    J_m' = J_{m-1} - (m/x) J_m at every iterate, shrinks its bracket to the
-    side of the sign change and takes the Newton step, or bisects when that
-    step leaves the bracket.  An iterate is final once its step is at most
-    1e-13 + 8.9e-16 x.
+
+def _polish(x: np.ndarray, i: np.ndarray, m: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
+            jb: np.ndarray) -> np.ndarray:
+    """The zero in each bracket of ``_brackets``, ``_POLISH_BLOCK`` brackets at a time.
+
+    From the secant root of the ends, each sweep evaluates the series about x0 and its
+    derivative at every iterate, shrinks its bracket to the side of the sign change and takes
+    the Newton step, or bisects when it leaves the bracket; a step <= 1e-13 + 8.9e-16 x is final.
     """
-    x = lo - flo * (hi - lo) / (fhi - flo)
-    pos = flo > 0
-    for start in range(0, len(x), _POLISH_BLOCK):
-        live = np.arange(start, min(start + _POLISH_BLOCK, len(x)))
-        while len(live):
-            xl = x[live]
-            lo[live], hi[live], x[live] = _newton_sweep(xl, orders[live], lo[live], hi[live],
-                                                        pos[live])
-            live = live[np.abs(x[live] - xl) > 1e-13 + 8.9e-16 * x[live]]
-    return x
-
-
-def _newton_sweep(x: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  pos: np.ndarray):
-    """One sweep of ``_polish`` at iterates x of ascending orders m: new lo, hi and x.
-
-    Its arrays are freed on return, so the next sweep's start rows do not
-    share the peak with them.
-    """
-    r, prev, cur = _start_rows(x)
-    for n, s in enumerate(np.searchsorted(m, np.arange(1, m[-1] + 1))):
-        prev, cur = _advance(n, r, prev, cur, s)
-    odd = (m[-1] - m) % 2 == 1      # rows that stopped an odd number of steps early
-    prev[odd], cur[odd] = cur[odd], prev[odd]
-    above = (cur > 0) == pos            # the zero lies above x
-    lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xn = x - cur / (prev - m / x * cur)
-    return lo, hi, np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+    zeros = np.empty(len(i))
+    for start in range(0, len(i), _POLISH_BLOCK):
+        b = slice(start, start + _POLISH_BLOCK)
+        lo, hi, f0, f1 = x[i[b]], x[i[b] + 1], flo[b], fhi[b]
+        near = np.abs(f1) < np.abs(f0)
+        x0 = np.where(near, hi, lo)
+        c = _taylor(x0, m[b], np.where(near, f1, f0), jb[b])
+        z = lo - f0 * (hi - lo) / (f1 - f0)
+        pos, at = f0 > 0, np.arange(start, start + len(z))
+        while len(at):
+            f, df = _horner(c, z - x0)
+            above = (f > 0) == pos                 # the zero lies above the iterate
+            lo, hi = np.where(above, z, lo), np.where(above, hi, z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                zn = z - f / df
+            zeros[at] = zn = np.where((lo <= zn) & (zn <= hi), zn, 0.5 * (lo + hi))
+            live, z = np.abs(zn - z) > 1e-13 + 8.9e-16 * zn, zn
+            if not live.all():          # keep only the iterates still moving
+                z, lo, hi, x0, pos, at, c = (a[..., live] for a in (z, lo, hi, x0, pos, at, c))
+    return zeros
 
 
 def _all_zeros(upper: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every zero of every J_m below ``upper`` and its order m, by ascending m.
-
-    One pair of recurrence rows on the nodes upper - k h walks up the orders, row m kept only
-    above m; each sign change brackets one zero (module docstring).  The walk stops at the
-    first order with none below ``upper`` (j_{m+1,1} > j_{m,1}); ``_polish`` takes them all.
-    """
-    x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
-    r, prev, cur = _start_rows(x)
-    s, cells = 0, []
-    for m in itertools.count():
-        pos = cur[s:] > 0
-        i = s + np.flatnonzero(pos[:-1] != pos[1:])
-        if not len(i):
-            break
-        cells.append((x[i], x[i + 1], cur[i], cur[i + 1], np.full(len(i), m)))
-        s = int(np.searchsorted(x, m + 1, side="right"))
-        prev, cur = _advance(m, r, prev, cur, s)
-    # rebinding frees the per-order pieces before the polish
-    cells = [np.concatenate(c) for c in zip(*cells)] or [np.empty(0)] * 5
-    return _polish(*cells), cells[-1]
+    """Every zero of every J_m below ``upper`` and its order m, by ascending m."""
+    brackets = _brackets(upper)
+    return _polish(*brackets), brackets[2]
 
 
 def bessel_zeros_bracketed(order: int, upper: float) -> np.ndarray:
     """All positive zeros of J_order below ``upper``: that order's share of ``_all_zeros``."""
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise DomainError(f"order must be a non-negative integer, got {order!r}")
-    zeros, orders = _all_zeros(upper)
-    return zeros[orders == order]
+    x, i, m, *values = _brackets(upper)
+    own = m == order                    # polish only this order's brackets
+    return _polish(x, i[own], m[own], *(v[own] for v in values))
 
 
 def disk_spectrum(radius: float, emax: float) -> Spectrum:

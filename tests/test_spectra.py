@@ -1,7 +1,9 @@
+import itertools
 import math
 import statistics
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp_special
@@ -10,6 +12,7 @@ from billiard_weyl import geometry as g
 from billiard_weyl import spectra as spc
 from billiard_weyl import weyl as w
 from billiard_weyl.errors import DomainError
+from billiard_weyl.specfun import bessel_j0_j1
 
 
 def test_rectangle_first_eigenvalue():
@@ -93,10 +96,86 @@ def test_polishing_in_blocks_gives_the_same_zeros(monkeypatch):
     assert np.array_equal(blocked, zeros) and np.array_equal(blocked_orders, orders)
 
 
+def test_one_order_is_polished_alone_and_is_its_share_of_all_zeros(monkeypatch):
+    polished, polish = [], spc._polish
+
+    def recording_polish(x, i, m, *rest):
+        polished.append(m)
+        return polish(x, i, m, *rest)
+
+    monkeypatch.setattr(spc, "_polish", recording_polish)
+    for order, upper in ((0, 60.0), (17, 60.0), (300, 320.0)):
+        polished.clear()
+        mine = spc.bessel_zeros_bracketed(order, upper)
+        assert len(polished) == 1 and np.all(polished[0] == order)
+        zeros, orders = spc._all_zeros(upper)
+        assert len(mine) and np.array_equal(mine, zeros[orders == order])
+
+
+def _sweep_by_order(upper: float):
+    """Brackets from one pair of recurrence rows walked up the orders one at a time.
+
+    The same nodes, recurrence and nearer-end rule as ``spc._brackets``, with the sign
+    changes of each order found on their own.
+    """
+    x = upper - spc._STEP * np.arange(math.ceil(upper / spc._STEP) - 1, -1, -1)
+    j0, j1 = bessel_j0_j1(x)
+    r, prev, cur = 1.0 / x, -j1, j0
+    s, cells = 0, []
+    for m in itertools.count():
+        pos = cur[s:] > 0
+        i = s + np.flatnonzero(pos[:-1] != pos[1:])
+        if not len(i):
+            break
+        flo, fhi = cur[i], cur[i + 1]
+        cells.append((i, np.full(len(i), m), flo, fhi, prev[i + (np.abs(fhi) < np.abs(flo))]))
+        s = int(np.searchsorted(x, m + 1, side="right"))
+        np.subtract((2.0 * m) * r[s:] * cur[s:], prev[s:], out=prev[s:])
+        prev, cur = cur, prev
+    return [x] + ([np.concatenate(c) for c in zip(*cells)] if cells else [np.empty(0)] * 5)
+
+
+def test_chunked_bracket_sweep_matches_the_sweep_by_order(monkeypatch):
+    # the uppers of test_disk_zeros_are_complete_and_interlace and 1000, then again with
+    # chunks of 3 orders, so that orders and their brackets cross chunk boundaries
+    uppers = (0.5, 2.40, 2.41, 7.0, math.sqrt(4000.0), math.sqrt(1e5), 1000.0)
+    for orders_per_chunk in (spc._SWEEP_ORDERS, 3):
+        monkeypatch.setattr(spc, "_SWEEP_ORDERS", orders_per_chunk)
+        for upper in uppers:
+            mine, ref = spc._brackets(upper), _sweep_by_order(upper)
+            for name, a, b in zip(("x", "i", "m", "flo", "fhi", "jb"), mine, ref):
+                assert np.array_equal(a, b), (orders_per_chunk, upper, name)
+
+
+def test_taylor_series_matches_mpmath():
+    # about a node near the turning point and one far from it, out to one step either side;
+    # scipy's jv is itself off by 5e-15 at (50, 316.25), so 30-digit mpmath is the oracle,
+    # and the series starts from its J_m and J_{m-1} so that only the series is tested
+    d = np.arange(-16, 17) / 16.0
+    for m in (0, 1, 7, 50, 150, 300):
+        for x0 in (m + 1.5, 316.25):
+            with mpmath.workdps(30):
+                j, jb = (float(mpmath.besselj(n, x0)) for n in (m, m - 1))
+                ref = [float(mpmath.besselj(m, x)) for x in (x0 + d).tolist()]
+                ref_d = [float(mpmath.besselj(m, x, 1)) for x in (x0 + d).tolist()]
+            c = spc._taylor(*(np.full(len(d), v) for v in (x0, m, j, jb)))
+            f, df = spc._horner(c, d)
+            np.testing.assert_allclose(f, ref, rtol=0, atol=1e-15, err_msg=f"{m} {x0}")
+            np.testing.assert_allclose(df, ref_d, rtol=0, atol=1e-15, err_msg=f"{m} {x0}")
+
+
+def test_spectrum_rejects_nan_disorder_and_out_of_range_eigenvalues():
+    for ev in ([np.nan], [1.0, np.nan, 3.0], [2.0, 1.0], [-1.0, 2.0], [0.0, 2.0], [1.0, 11.0]):
+        with pytest.raises(DomainError, match="sorted, positive, and <= emax"):
+            spc.Spectrum(np.array(ev), "x", 10.0)
+    with pytest.raises(spc.EmptySpectrumError):
+        spc.Spectrum(np.empty(0), "x", 10.0)
+    assert len(spc.Spectrum(np.array([1.0, 1.0, 10.0]), "x", 10.0)) == 3
+
+
 def test_disk_spectrum_peak_memory():
-    # one polishing block of about 12,500 brackets; the Hankel branch of
-    # bessel_j0_j1 holds one (P, Q) row pair at a time, and each Newton sweep
-    # frees its arrays before the next one starts (measured: 1.91 MiB)
+    # 12,471 brackets of 40 bytes, one polishing block of 2,048 brackets with its
+    # 22-row coefficient table, and the sweep's 66-row table of 317 nodes (measured: 1.45 MiB)
     spc.disk_spectrum(1.0, 1e5)
     tracemalloc.start()
     try:
@@ -105,6 +184,7 @@ def test_disk_spectrum_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * 2**20
+
 
 def test_disk_first_eigenvalue_and_degeneracy():
     s = spc.disk_spectrum(1.0, 60.0)
