@@ -225,65 +225,49 @@ def jacobian_r_p(m: Mat2, k: float) -> float:
 _HIT_TOL = 1e-9  # hits closer than this to the launch point are ignored
 
 
-def _line_intersections(p, d, seg: geometry.Segment):
-    """Ray p + t d against a line segment; yields (t, local_arclength)."""
-    ex = seg.p1[0] - seg.p0[0]
-    ey = seg.p1[1] - seg.p0[1]
-    seg_len = math.hypot(ex, ey)
-    ux, uy = ex / seg_len, ey / seg_len
-    denom = d[0] * (-uy) + d[1] * ux
-    if abs(denom) < 1e-15:
-        return
-    # solve p + t d = p0 + u * (ux, uy)
-    rx, ry = seg.p0[0] - p[0], seg.p0[1] - p[1]
-    t = (rx * (-uy) + ry * ux) / denom
-    u = (d[0] * ry - d[1] * rx) / denom
-    if t > _HIT_TOL and -1e-12 <= u <= seg_len + 1e-12:
-        yield t, min(max(u, 0.0), seg_len)
-
-
-def _arc_intersections(p, d, seg: geometry.Segment):
-    cx, cy = seg.center
-    fx, fy = p[0] - cx, p[1] - cy
-    b = fx * d[0] + fy * d[1]
-    c = fx * fx + fy * fy - seg.radius**2
-    disc = b * b - c
-    if disc < 0.0:
-        return
-    sq = math.sqrt(disc)
-    for t in (-b - sq, -b + sq):
-        if t <= _HIT_TOL:
-            continue
-        hx, hy = p[0] + t * d[0] - cx, p[1] + t * d[1] - cy
-        ang = math.atan2(hy, hx)
-        # relative angle from a0 measured along the sweep direction
-        if seg.sweep > 0:
-            rel = (ang - seg.a0) % geometry.TWO_PI
-            if rel <= seg.sweep + 1e-12:
-                yield t, seg.radius * min(rel, seg.sweep)
-        else:
-            rel = (seg.a0 - ang) % geometry.TWO_PI
-            if rel <= -seg.sweep + 1e-12:
-                yield t, seg.radius * min(rel, -seg.sweep)
-
-
 def _bounce(b: Boundary, coord: BirkhoffCoord,
             fr: BoundaryFrame) -> tuple[BirkhoffCoord, BoundaryFrame]:
-    """The next bounce from ``coord``, whose frame is ``fr``, and the frame there."""
+    """The next bounce from ``coord``, whose frame is ``fr``, and the frame there.
+
+    The ray meets each segment as ``b.pieces`` holds it, worked out once per boundary,
+    with the arithmetic of the segment's own length and direction, so every hit is
+    bit-identical to one found from the segment afresh.
+    """
     v, vp = coord.v, coord.v_perp
-    d = (v * fr.tangent[0] + vp * fr.inward_normal[0],
-         v * fr.tangent[1] + vp * fr.inward_normal[1])
-    p = fr.point
+    dx = v * fr.tangent[0] + vp * fr.inward_normal[0]
+    dy = v * fr.tangent[1] + vp * fr.inward_normal[1]
+    px, py = fr.point
 
     best_t = math.inf
     best = None
-    for i, seg in enumerate(b.segments):
-        gen = _line_intersections(p, d, seg) if seg.kind == "line" \
-            else _arc_intersections(p, d, seg)
-        for t, local in gen:
-            if t < best_t:
-                best_t = t
-                best = (i, local)
+    for i, piece in enumerate(b.pieces):
+        if piece[0] == "line":
+            # solve p + t d = p0 + u * tangent
+            _, length, (x0, y0), _, _, (nx, ny) = piece
+            denom = dx * nx + dy * ny
+            if abs(denom) < 1e-15:
+                continue
+            rx, ry = x0 - px, y0 - py
+            t = (rx * nx + ry * ny) / denom
+            u = (dx * ry - dy * rx) / denom
+            if _HIT_TOL < t < best_t and -1e-12 <= u <= length + 1e-12:
+                best_t, best = t, (i, min(max(u, 0.0), length))
+            continue
+        _, _, (cx, cy), r, r2, a0, _, extent, sign, _ = piece
+        fx, fy = px - cx, py - cy
+        bq = fx * dx + fy * dy
+        disc = bq * bq - (fx * fx + fy * fy - r2)
+        if disc < 0.0:
+            continue
+        sq = math.sqrt(disc)
+        for t in (-bq - sq, -bq + sq):
+            if t <= _HIT_TOL:
+                continue
+            # angle from a0 measured along the sweep, then the nearer hit
+            ang = math.atan2(py + t * dy - cy, px + t * dx - cx)
+            rel = (sign * (ang - a0)) % geometry.TWO_PI
+            if rel <= extent + 1e-12 and t < best_t:
+                best_t, best = t, (i, r * min(rel, extent))
     if best is None:
         raise RayEscapeError(f"ray from s={coord.s}, v={coord.v} escaped")
     i, local = best
@@ -292,7 +276,7 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
         fr2 = frame_at(b, s_hit)
     except geometry.CornerPointError:
         raise CornerHitError(f"ray hit corner at s={s_hit}") from None
-    v2 = d[0] * fr2.tangent[0] + d[1] * fr2.tangent[1]
+    v2 = dx * fr2.tangent[0] + dy * fr2.tangent[1]
     v2 = min(max(v2, -1.0 + 1e-15), 1.0 - 1e-15)
     return BirkhoffCoord(s_hit, v2), fr2
 

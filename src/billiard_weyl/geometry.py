@@ -7,6 +7,8 @@ boundary curvature, and the interior corner angles.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -90,15 +92,6 @@ class Segment:
             return math.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1])
         return self.radius * abs(self.sweep)
 
-    def point(self, t: float) -> tuple[float, float]:
-        """Point at arclength fraction t in [0, 1]."""
-        if self.kind == "line":
-            return (self.p0[0] + t * (self.p1[0] - self.p0[0]),
-                    self.p0[1] + t * (self.p1[1] - self.p0[1]))
-        ang = self.a0 + t * self.sweep
-        return (self.center[0] + self.radius * math.cos(ang),
-                self.center[1] + self.radius * math.sin(ang))
-
     def tangent(self, t: float) -> tuple[float, float]:
         """Unit tangent along the traversal direction at fraction t."""
         if self.kind == "line":
@@ -109,13 +102,15 @@ class Segment:
         s = 1.0 if self.sweep > 0 else -1.0
         return (-s * math.sin(ang), s * math.cos(ang))
 
-    @property
-    def curvature(self) -> float:
-        """Signed curvature: 0 for lines, +1/r when the center sits on the
-        interior (left) side of the traversal direction."""
-        if self.kind == "line":
-            return 0.0
-        return (1.0 if self.sweep > 0 else -1.0) / self.radius
+
+def _piece(seg: Segment) -> tuple:
+    if seg.kind == "line":
+        tx, ty = seg.tangent(0.0)
+        edge = (seg.p1[0] - seg.p0[0], seg.p1[1] - seg.p0[1])
+        return ("line", seg.length, seg.p0, edge, (tx, ty), (-ty, tx))
+    sign = 1.0 if seg.sweep > 0 else -1.0
+    return ("arc", seg.length, seg.center, seg.radius, seg.radius**2, seg.a0, seg.sweep,
+            abs(seg.sweep), sign, sign / seg.radius)
 
 
 @dataclass(frozen=True)
@@ -133,6 +128,16 @@ class Boundary:
     @property
     def perimeter(self) -> float:
         return self.cumlen[-1]
+
+    @functools.cached_property
+    def pieces(self) -> tuple[tuple, ...]:
+        """Each segment's geometry, worked out once for ``frame_at`` and the ray trace.
+
+        A line is ("line", length, start, edge vector, unit tangent, inward normal); an
+        arc is ("arc", length, center, r, r**2, a0, sweep, |sweep|, sign of sweep,
+        curvature sign/r: +1/r when the center is on the interior, left, side).
+        """
+        return tuple(map(_piece, self.segments))
 
 
 @dataclass(frozen=True)
@@ -289,37 +294,34 @@ def measures(b: Boundary) -> GeometricMeasures:
     )
 
 
-def locate(b: Boundary, s: float) -> tuple[int, float]:
-    """Segment index and local arclength for boundary coordinate s (wrapped)."""
-    s = s % b.perimeter
-    cum = b.cumlen
-    # cumlen is short; linear scan keeps this branch-free of numpy overhead
-    for i in range(len(b.segments)):
-        if s < cum[i + 1] or i == len(b.segments) - 1:
-            return i, s - cum[i]
-    raise AssertionError("unreachable")
-
-
 def frame_at(b: Boundary, s: float) -> BoundaryFrame:
     """Boundary frame (point, tangent, inward normal, curvature) at arclength s.
 
-    Raises :class:`CornerPointError` within ``CORNER_TOL`` of a corner.
+    Reads the segment's geometry from ``b.pieces``, worked out once per boundary, with
+    the arithmetic of ``Segment.tangent``, so every frame is bit-identical to one built
+    from the segment afresh.  Raises :class:`CornerPointError` within ``CORNER_TOL`` of
+    a corner.
     """
-    s_wrapped = s % b.perimeter
+    per = b.perimeter
+    s_wrapped = s % per
     for c in b.corners:
         d = abs(s_wrapped - c.arclength)
-        if min(d, b.perimeter - d) < CORNER_TOL:
+        if d < CORNER_TOL or per - d < CORNER_TOL:
             raise CornerPointError(f"s={s} is at a corner (alpha={c.alpha:.6f})")
-    i, local = locate(b, s_wrapped)
-    seg = b.segments[i]
-    t = local / seg.length
-    tx, ty = seg.tangent(t)
-    return BoundaryFrame(
-        point=seg.point(t),
-        tangent=(tx, ty),
-        inward_normal=(-ty, tx),
-        curvature=seg.curvature,
-    )
+    s_wrapped %= per                # (-1e-20) % 2 pi is 2 pi itself: this maps it to 0
+    cum = b.cumlen
+    # the first segment that ends above s_wrapped, else the last
+    i = bisect.bisect_right(cum, s_wrapped, 1, len(cum) - 1) - 1
+    piece = b.pieces[i]
+    t = (s_wrapped - cum[i]) / piece[1]
+    if piece[0] == "line":
+        _, _, (x0, y0), (ex, ey), tangent, normal = piece
+        return BoundaryFrame((x0 + t * ex, y0 + t * ey), tangent, normal, 0.0)
+    _, _, (cx, cy), r, _, a0, sweep, _, sign, curvature = piece
+    ang = a0 + t * sweep
+    tx, ty = -sign * math.sin(ang), sign * math.cos(ang)
+    return BoundaryFrame((cx + r * math.cos(ang), cy + r * math.sin(ang)), (tx, ty), (-ty, tx),
+                         curvature)
 
 
 def square(side: float = 1.0) -> Boundary:

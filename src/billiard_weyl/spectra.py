@@ -87,15 +87,24 @@ def _check_emax(emax: float) -> None:
         raise DomainError(f"emax must be positive and finite, got {emax!r}")
 
 
+_MAX_ENTRIES = 10**8    # grid points or zeros of one spectrum: 0.8 GB per float array
+
+
+def _check_entries(count: float, what: str) -> None:
+    if not count <= _MAX_ENTRIES:
+        raise DomainError(f"{what}: about {count:.3g} entries; the bound is {_MAX_ENTRIES:.0e}")
+
+
 def rectangle_spectrum(a: float, b: float, emax: float) -> Spectrum:
     """Dirichlet eigenvalues pi^2 (m^2/a^2 + n^2/b^2) <= emax, m, n >= 1."""
     if not all(0.0 < side and side * side < math.inf for side in (a, b)):
         raise DomainError("rectangle sides must be positive, with finite squares")
     _check_emax(emax)
-    counts = [math.floor(side * math.sqrt(emax) / math.pi) for side in (a, b)]
+    counts = [side * math.sqrt(emax) / math.pi for side in (a, b)]
     ev = np.empty(0)
-    if min(counts) > 0:     # else no mode, and the other side's count need not fit in memory
-        m, n = (np.arange(1, c + 1) for c in counts)
+    if min(counts) >= 1:    # else no mode, and the other side's count need not fit in memory
+        _check_entries(counts[0] * counts[1], f"the {a}x{b} grid below emax={emax!r}")
+        m, n = (np.arange(1, math.floor(c) + 1) for c in counts)
         ev = math.pi**2 * (m[:, None]**2 / a**2 + n**2 / b**2)
     return Spectrum(eigenvalues=np.sort(ev[ev <= emax]), shape=f"rectangle {a}x{b}", emax=emax)
 
@@ -111,8 +120,10 @@ def _brackets(upper: float):
 
     A bracket is i, with the zero in (x[i], x[i+1]]; m; J_m at both ends; and J_{m-1} at the
     nearer end, the one with the smaller |J_m|.  Row k of the table t holds J_{m0+k-1}.  The
-    sweep stops at the first order with no zero (j_{m+1,1} > j_{m,1}).
+    sweep stops at the first order with no zero (j_{m+1,1} > j_{m,1}).  About upper^2 / 4
+    zeros lie below upper, so ``upper`` beyond 2e4 is refused.
     """
+    _check_entries(upper * upper / 4.0, f"the Bessel zeros below {upper!r}")
     x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
     j0, j1 = bessel_j0_j1(x)
     r, t = 1.0 / x, np.empty((_SWEEP_ORDERS + 2, len(x)))
@@ -143,10 +154,19 @@ def _taylor(x0: np.ndarray, m: np.ndarray, j: np.ndarray, jb: np.ndarray) -> np.
     """Rows c_0 .. c_{K-1} of J_m's Taylor series about x0, from J_m = j and J_{m-1} = jb there."""
     c = np.zeros((_TAYLOR_TERMS + 2, len(x0)))     # c_k in row k + 2: c_{-2} = c_{-1} = 0
     c[2], c[3] = j, jb - m / x0 * j
-    q, x2, y = (x0 - m) * (x0 + m), 2.0 * x0, -1.0 / (x0 * x0)
-    for k in range(_TAYLOR_TERMS - 2):
-        c[k + 4] = (((k + 1) * (2 * k + 1)) * x0 * c[k + 3] + (k * k + q) * c[k + 2]
-                    + x2 * c[k + 1] + c[k]) * y / ((k + 1) * (k + 2))
+    q, x2, y, t = (x0 - m) * (x0 + m), 2.0 * x0, -1.0 / (x0 * x0), np.empty(len(x0))
+    for k in range(_TAYLOR_TERMS - 2):     # in place, in the order of the recurrence's terms
+        ck = c[k + 4]
+        np.multiply(x0, (k + 1) * (2 * k + 1), out=ck)
+        ck *= c[k + 3]
+        np.add(q, k * k, out=t)
+        t *= c[k + 2]
+        ck += t
+        np.multiply(x2, c[k + 1], out=t)
+        ck += t
+        ck += c[k]
+        ck *= y
+        ck /= (k + 1) * (k + 2)
     return c[2:]
 
 

@@ -275,3 +275,71 @@ def test_tracing_finds_each_frame_once(name, monkeypatch):
     m = bk.chain_product(b, pts)
     assert len(frames) == len(pts)
     assert m == _pairwise_chain_product(b, pts)
+
+
+# Last point and chain-product entries of a 60-bounce trace from
+# (0.37 * perimeter, 0.31), recorded with each segment's length and direction
+# computed afresh at every bounce; the per-boundary segment table must give
+# the same floats.
+PINNED_TRACES = {
+    "circle": (2.200726513846559, 0.31000000000000827,
+               (1.0000000000001403, -126.21792984676533,
+                -1.3322676295502105e-15, 1.0000000000000309)),
+    "quarter_disk": (2.6806488273126368, 0.9373991350644697,
+                     (-2.3959999630894875, 115.57566726112829,
+                      0.3482568902123623, -17.216203297177852)),
+    "square": (3.1528343446862563, 0.30999999999999994,
+               (1.0, 52.36389389593582, -0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_sixty_bounce_trace_is_pinned(name):
+    b = GEOMETRIES[name]
+    pts = bk.trace_orbit(b, bk.BirkhoffCoord(0.37 * b.perimeter, 0.31), 60)
+    m = bk.chain_product(b, pts)
+    s, v, entries = PINNED_TRACES[name]
+    assert (pts[-1].s, pts[-1].v) == (s, v)
+    assert (m.m11, m.m12, m.m21, m.m22) == entries
+
+
+# a 2 x 1 rectangle with a half disk bitten out of its top edge: the bite is
+# a clockwise (concave, dispersing) arc
+CONCAVE_BITE = """billiard v1
+line 0 0 2 0
+line 2 0 2 1
+line 2 1 1.5 1
+arc 1 1 0.5 0 3.141592653589793 cw
+line 0.5 1 0 1
+line 0 1 0 0
+"""
+
+
+def test_concave_arc_frame_and_trace():
+    b = g.parse_geometry(CONCAVE_BITE)
+    arc = b.segments[3]
+    assert arc.sweep < 0
+    on_arc = (b.cumlen[3], b.cumlen[4])
+    fr = g.frame_at(b, on_arc[0] + 0.3)
+    assert fr.curvature == -1.0 / arc.radius
+    # the inward normal is radial and points away from the centre
+    rx, ry = fr.point[0] - arc.center[0], fr.point[1] - arc.center[1]
+    assert fr.inward_normal[0] * rx + fr.inward_normal[1] * ry == pytest.approx(arc.radius)
+    assert fr.inward_normal[0] * ry - fr.inward_normal[1] * rx == pytest.approx(0.0, abs=1e-15)
+
+    pts = bk.trace_orbit(b, bk.BirkhoffCoord(0.7, 0.3), 6)
+    assert on_arc[0] < pts[1].s < on_arc[1]
+    m = bk.chain_product(b, pts)
+    assert m.det() == pytest.approx(1.0, abs=1e-12)
+    # recorded with each segment's geometry computed afresh at every bounce
+    assert [(p.s, p.v) for p in pts] == [
+        (0.7, 0.3),
+        (4.423924491221113, -0.02763647914983214),
+        (0.7310241601613185, -0.24683483295566502),
+        (5.094488544426904, 0.24683483295566502),
+        (0.22159140457466708, -0.24683483295566502),
+        (5.700842825985992, -0.9690575654932729),
+        (5.537671353576238, -0.24683483295566508),
+    ]
+    assert (m.m11, m.m12, m.m21, m.m22) == (
+        15.288975205684562, 13.070297787448993, 3.6991009108144235, 3.2277081875193443)

@@ -212,6 +212,9 @@ def test_frame_at_disk():
     assert fr.point == pytest.approx((1.0, 0.0))
     # inward normal points to the center
     assert fr.inward_normal == pytest.approx((-1.0, 0.0))
+    # (-1e-20) % 2*pi rounds to 2*pi itself; the frame is that of s = 0
+    assert -1e-20 % b.perimeter == b.perimeter
+    assert g.frame_at(b, -1e-20) == fr
 
 
 def test_frame_at_square_edge_and_corner():
@@ -219,8 +222,9 @@ def test_frame_at_square_edge_and_corner():
     fr = g.frame_at(b, 0.5)
     assert fr.curvature == 0.0
     assert fr.tangent == pytest.approx((1.0, 0.0))
-    with pytest.raises(g.CornerPointError):
-        g.frame_at(b, 1.0)
+    for corner in (1.0, b.perimeter):
+        with pytest.raises(g.CornerPointError):
+            g.frame_at(b, corner)
 
 
 def test_smooth_junction_is_not_a_corner():

@@ -164,6 +164,44 @@ def test_taylor_series_matches_mpmath():
             np.testing.assert_allclose(df, ref_d, rtol=0, atol=1e-15, err_msg=f"{m} {x0}")
 
 
+def _taylor_with_temporaries(x0, m, j, jb):
+    """``spc._taylor``'s recurrence as one array expression per coefficient row."""
+    c = np.zeros((spc._TAYLOR_TERMS + 2, len(x0)))
+    c[2], c[3] = j, jb - m / x0 * j
+    q, x2, y = (x0 - m) * (x0 + m), 2.0 * x0, -1.0 / (x0 * x0)
+    for k in range(spc._TAYLOR_TERMS - 2):
+        c[k + 4] = (((k + 1) * (2 * k + 1)) * x0 * c[k + 3] + (k * k + q) * c[k + 2]
+                    + x2 * c[k + 1] + c[k]) * y / ((k + 1) * (k + 2))
+    return c[2:]
+
+
+def test_in_place_taylor_rows_and_disk_eigenvalues_are_bit_identical(monkeypatch):
+    # the rows for every bracket of the disk at emax 1e5, then the spectrum polished on each
+    x, i, m, flo, fhi, jb = spc._brackets(math.sqrt(1e5))
+    near = np.abs(fhi) < np.abs(flo)
+    args = (np.where(near, x[i + 1], x[i]), m, np.where(near, fhi, flo), jb)
+    assert np.array_equal(spc._taylor(*args), _taylor_with_temporaries(*args))
+    mine = spc.disk_spectrum(1.0, 1e5).eigenvalues
+    monkeypatch.setattr(spc, "_taylor", _taylor_with_temporaries)
+    assert np.array_equal(mine, spc.disk_spectrum(1.0, 1e5).eigenvalues)
+
+
+@pytest.mark.parametrize("spectrum, args", [
+    (spc.disk_spectrum, (1e300, 1e100)),            # sqrt(emax) * R overflows to inf
+    (spc.disk_spectrum, (1.0, 1e300)),
+    (spc.rectangle_spectrum, (1.0, 1.0, 1e300)),
+    (spc.rectangle_spectrum, (1e150, 1.0, 1e300)),  # the grid count overflows to inf
+    (spc.bessel_zeros_bracketed, (0, 1e300)),
+    (spc.disk_spectrum, (1.0, 4.1e8)),              # just past the bound: 1.03e8 zeros
+    (spc.rectangle_spectrum, (1.0, 1.0, 1e9)),      # and 1.01e8 grid points
+], ids=["disk-overflow", "disk-huge", "rectangle-huge", "rectangle-overflow", "zeros-huge",
+        "disk-past-bound", "rectangle-past-bound"])
+def test_spectra_refuse_grids_that_cannot_be_built(spectrum, args):
+    # refused before any array is allocated
+    with pytest.raises(DomainError, match="entries; the bound is 1e"):
+        spectrum(*args)
+
+
 def test_spectrum_rejects_nan_disorder_and_out_of_range_eigenvalues():
     for ev in ([np.nan], [1.0, np.nan, 3.0], [2.0, 1.0], [-1.0, 2.0], [0.0, 2.0], [1.0, 11.0]):
         with pytest.raises(DomainError, match="sorted, positive, and <= emax"):
