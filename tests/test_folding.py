@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -110,14 +111,60 @@ def test_oracle_matches_exact_gaussian_decomposition():
 def test_oracle_builds_at_most_three_grids_and_is_scale_free():
     # each axis line is one tau-free grid per sorted sign pair, scaled by
     # sqrt(tau) and tau, so sweeps at any tau share the same three grids
-    # and give the same rows up to rounding of the scaling
+    # and give the same rows up to rounding of the scaling, out to both
+    # ends of the tau range
+    taus = (0.17, 0.23, 0.31, math.nextafter(1e-150, 1.0), math.nextafter(1e150, 0.0))
     fl._axis_pair_line.cache_clear()
     rows = {tau: [fl.signature_oracle(s, tau=tau) for s in ledger.ALL_SIGNATURES]
-            for tau in (0.17, 0.23, 0.31)}
+            for tau in taus}
     assert fl._axis_pair_line.cache_info().misses <= 3
-    for lo, hi in zip(rows[0.17], rows[0.31]):
-        for key in ("area_units", "length_units", "delta_units"):
-            assert lo[key] == pytest.approx(hi[key], rel=0, abs=1e-15), key
+    for tau in taus[1:]:
+        for lo, hi in zip(rows[taus[0]], rows[tau]):
+            for key in ("area_units", "length_units", "delta_units"):
+                assert lo[key] == pytest.approx(hi[key], rel=0, abs=1e-15), (tau, key)
+
+
+def _full_grid_line(s1, s2):
+    """``_axis_pair_line`` from the whole 528 x 912 product grid in one array: the reference
+    the panel-row integration must reproduce bit for bit."""
+    g1, g2 = (1.0 if s == "+" else -1.0 for s in (s1, s2))
+    x, wx = gauss_legendre(np.arange(23.0), 24)
+    x0, w0 = gauss_legendre(np.arange(39.0), 24)
+    e = np.exp(-((x[:, None] + g1 * x0[None, :])**2
+                 + (x[:, None] + g2 * x0[None, :])**2) / 4.0)
+    rows = (wx * (e @ w0)).reshape(22, 24).sum(axis=1)
+    i1, i2 = float(rows[:14].sum()), float(rows.sum())
+    slope = (i2 - i1) / 8.0
+    return slope, i1 - slope * 14.0
+
+
+@pytest.mark.parametrize("s1, s2", [("+", "+"), ("+", "-"), ("-", "-")])
+def test_oracle_panel_rows_equal_the_full_grid(s1, s2):
+    # one x panel row at a time sums each row's 24 x 912 block exactly as the whole grid does
+    fl._axis_pair_line.cache_clear()
+    assert fl._axis_pair_line(s1, s2) == _full_grid_line(s1, s2)
+
+
+def test_oracle_cold_sweep_peak_memory():
+    # a cold sweep builds three grids one 24 x 912 panel row at a time (measured: 0.53 MiB;
+    # the whole 528 x 912 grid and its temporaries took 7.5 MiB)
+    fl._axis_pair_line.cache_clear()
+    tracemalloc.start()
+    try:
+        for s in ledger.ALL_SIGNATURES:
+            fl.signature_oracle(s, tau=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("tau", [math.inf, 1e-200, 1e-310, 1e200, 1e300, 1e150, 1e-150,
+                                 0.0, -0.25, math.nan])
+def test_oracle_refuses_out_of_range_tau(tau):
+    # tau^2 under- or overflows outside (1e-150, 1e150), the range broken_path_propagator takes
+    with pytest.raises(DomainError, match="tau="):
+        fl.signature_oracle(ledger.ALL_SIGNATURES[0], tau=tau)
 
 
 def test_oracle_totals_close_like_the_exact_quadrant():
@@ -610,11 +657,48 @@ def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkey
     assert calls["_image_line"] == len(fl.PATH_CLASSES) == 5
 
 
+@pytest.mark.parametrize("alpha", (PI / 10, 1.0, 2.5))
+def test_pair_blocks_keep_every_pair_bit_for_bit(alpha, monkeypatch):
+    # each pair's rows sit whole inside one block, so blocks of 7 pairs give every pair the
+    # value of one pass over all of them, with one _pair_geometry call per block
+    pairs = [p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2]
+    n_gls = (4, 7, 10)
+    monkeypatch.setattr(fl, "_PAIR_BLOCK", len(pairs))
+    whole = list(fl._non_edge_constants(alpha, pairs, n_gls))
+    calls = Counter()
+    geometry = fl._pair_geometry
+
+    def counted(*args):
+        calls["_pair_geometry"] += 1
+        return geometry(*args)
+
+    monkeypatch.setattr(fl, "_pair_geometry", counted)
+    monkeypatch.setattr(fl, "_PAIR_BLOCK", 7)
+    assert list(fl._non_edge_constants(alpha, pairs, n_gls)) == whole
+    assert calls["_pair_geometry"] == -(-len(pairs) // 7)
+
+
+def test_non_edge_constants_peak_memory_at_sharp_corner():
+    # all 16,122 non-edge pairs of alternating words at alpha = 0.05: one block of
+    # _PAIR_BLOCK pairs is held at a time (measured: 8.5 MiB; 149 MiB in one pass)
+    alpha = 0.05
+    pairs = [p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2]
+    assert len(pairs) == 16_122
+    tracemalloc.start()
+    try:
+        values = next(fl._non_edge_constants(alpha, pairs, (10,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == len(pairs)
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("alpha, n_pairs", [(PI / 4, 120), (PI / 6, 224), (PI / 10, 528)])
 def test_every_alternating_word_pair_stacks_to_weyl(alpha, n_pairs):
     # legs of every alternating word up to floor(pi/alpha) + 1 bounces: at alpha = pi/n the
     # two-piece total, (d, d) included, is Weyl's corner value; the non-edge pairs go
-    # through one stacked pass however many there are
+    # through blocks of whole pairs however many there are
     pairs = [p for p in _alternating_pairs(alpha) if p != ("d", "d")]
     assert len(pairs) == n_pairs
     edge = [p for p in pairs if len(set(fl._word(p))) == 1]
@@ -739,6 +823,19 @@ def test_corner_constant_rejects_bad_inputs():
         fl.obtuse_corner_constant(1e-300)
     with pytest.raises(DomainError):
         fl.dd_constant(0.0)
+
+
+def test_corner_constant_checks_grid_before_any_quadrature(monkeypatch):
+    # a grid that is not an integer, or above 20, is refused before any rule is built:
+    # numpy's leggauss takes only an integer degree, and grid 10**6 would ask it for a
+    # 3,000,004-point companion matrix
+    def no_rule(*args):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(fl, "gauss_legendre", no_rule)
+    for grid in (1.5, 2.0, "2", None, 21, 10**6, 0, -1):
+        with pytest.raises(DomainError, match="grid"):
+            fl.obtuse_corner_constant(1.0, grid=grid)
 
 
 @pytest.mark.parametrize("r, tau, name", [(1.0, 1e-300, "tau="), (1.0, 1e160, "tau="),
