@@ -229,9 +229,7 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
             fr: BoundaryFrame) -> tuple[BirkhoffCoord, BoundaryFrame]:
     """The next bounce from ``coord``, whose frame is ``fr``, and the frame there.
 
-    The ray meets each segment as ``b.pieces`` holds it, worked out once per boundary,
-    with the arithmetic of the segment's own length and direction, so every hit is
-    bit-identical to one found from the segment afresh.
+    The ray meets each segment as ``b.pieces`` holds it, worked out once per boundary.
     """
     v, vp = coord.v, coord.v_perp
     dx = v * fr.tangent[0] + vp * fr.inward_normal[0]

@@ -280,10 +280,8 @@ def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
         raise DomainError(f"--start {args.start!r} needs |V| < 1")
     if not 0.0 < args.k < math.inf:
         raise DomainError(f"--k {args.k!r} must be positive and finite")
-    if args.bounces > _MAX_MONODROMY_BOUNCES:
-        raise DomainError(f"--bounces {args.bounces} exceeds {_MAX_MONODROMY_BOUNCES}")
-    if args.bounces < 1:
-        raise DomainError(f"--bounces {args.bounces} must be at least 1")
+    if not 1 <= args.bounces <= _MAX_MONODROMY_BOUNCES:
+        raise DomainError(f"--bounces {args.bounces} must lie in [1, {_MAX_MONODROMY_BOUNCES}]")
     from . import birkhoff  # deferred: only this command reads it
     pts = birkhoff.trace_orbit(b, birkhoff.BirkhoffCoord(s0, v0), args.bounces)
     m = birkhoff.chain_product(b, pts)
@@ -355,54 +353,50 @@ def _build_parser() -> _Parser:
                 description="Mode-density asymptotics for planar billiards.")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    fmt = {"choices": ["json", "csv"], "default": "json"}
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
 
-    q = sub.add_parser("weyl", help="smooth-expansion coefficients of a geometry")
+    q = sub.add_parser("weyl", parents=[fmt], help="smooth-expansion coefficients of a geometry")
     q.add_argument("--geometry", required=True)
     q.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_weyl)
 
-    q = sub.add_parser("staircase", help="exact-spectrum residual vs smooth counting")
+    q = sub.add_parser("staircase", parents=[fmt],
+                       help="exact-spectrum residual vs smooth counting")
     q.add_argument("--shape", choices=["rectangle", "disk"], required=True)
     q.add_argument("--a", type=float, default=1.0)
     q.add_argument("--b", type=float, default=2.0 ** (1.0 / 3.0))
     q.add_argument("--radius", type=float, default=1.0)
     q.add_argument("--emax", type=float, required=True)
     q.add_argument("--window", required=True, help="E1,E2")
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_staircase)
 
-    q = sub.add_parser("corner", help="corner coefficient comparison table")
+    q = sub.add_parser("corner", parents=[fmt], help="corner coefficient comparison table")
     q.add_argument("--alpha-grid", required=True, help="MIN:MAX:STEPS")
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_corner)
 
-    q = sub.add_parser("ledger", help="sixteen-signature corner table")
+    q = sub.add_parser("ledger", parents=[fmt], help="sixteen-signature corner table")
     q.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_ledger)
 
-    q = sub.add_parser("fold", help="two-piece folded-path corner analysis")
+    q = sub.add_parser("fold", parents=[fmt], help="two-piece folded-path corner analysis")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--grid", type=int, default=1, choices=range(1, _MAX_FOLD_GRID + 1))
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_fold)
 
-    q = sub.add_parser("monodromy", help="linearized chain product along a traced orbit")
+    q = sub.add_parser("monodromy", parents=[fmt],
+                       help="linearized chain product along a traced orbit")
     q.add_argument("--geometry", required=True)
     q.add_argument("--start", required=True, help="S,V boundary coordinate")
     q.add_argument("--bounces", type=int, required=True)
     q.add_argument("--k", type=float, default=1.0)
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_monodromy)
 
-    q = sub.add_parser("green", help="closed-orbit Green amplitudes at (y, k)")
+    q = sub.add_parser("green", parents=[fmt], help="closed-orbit Green amplitudes at (y, k)")
     q.add_argument("--y", type=float, required=True)
     q.add_argument("--k", type=float, required=True)
     q.add_argument("--verify", action="store_true",
                    help="also run the rotated-contour time-integral quadrature")
-    q.add_argument("--format", **fmt)
     q.set_defaults(func=_cmd_green)
     return p
 

@@ -166,7 +166,10 @@ def corner_orbit_kernel_imag(r: float, alpha: float, total_tau: float) -> float:
     """
     if not (r > 0 and total_tau > 0):
         raise DomainError("corner_orbit_kernel_imag requires positive arguments")
-    return math.exp(-(r * math.sin(alpha)) ** 2 / total_tau) / (4.0 * math.pi * total_tau)
+    if not 0.0 < alpha < math.pi:
+        raise DomainError(f"corner_orbit_kernel_imag needs 0 < alpha < pi; got alpha={alpha!r}")
+    d = r * math.sin(alpha)     # d * d is inf where d ** 2 raises OverflowError
+    return math.exp(-d * d / total_tau) / (4.0 * math.pi * total_tau)
 
 
 # ---------------------------------------------------------------------------

@@ -92,22 +92,13 @@ class Segment:
             return math.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1])
         return self.radius * abs(self.sweep)
 
-    def tangent(self, t: float) -> tuple[float, float]:
-        """Unit tangent along the traversal direction at fraction t."""
-        if self.kind == "line":
-            dx, dy = self.p1[0] - self.p0[0], self.p1[1] - self.p0[1]
-            n = math.hypot(dx, dy)
-            return (dx / n, dy / n)
-        ang = self.a0 + t * self.sweep
-        s = 1.0 if self.sweep > 0 else -1.0
-        return (-s * math.sin(ang), s * math.cos(ang))
-
 
 def _piece(seg: Segment) -> tuple:
     if seg.kind == "line":
-        tx, ty = seg.tangent(0.0)
-        edge = (seg.p1[0] - seg.p0[0], seg.p1[1] - seg.p0[1])
-        return ("line", seg.length, seg.p0, edge, (tx, ty), (-ty, tx))
+        length = seg.length
+        ex, ey = seg.p1[0] - seg.p0[0], seg.p1[1] - seg.p0[1]
+        tx, ty = ex / length, ey / length
+        return ("line", length, seg.p0, (ex, ey), (tx, ty), (-ty, tx))
     sign = 1.0 if seg.sweep > 0 else -1.0
     return ("arc", seg.length, seg.center, seg.radius, seg.radius**2, seg.a0, seg.sweep,
             abs(seg.sweep), sign, sign / seg.radius)
@@ -172,6 +163,18 @@ def signed_area(segments) -> float:
     return total
 
 
+def _frame(piece: tuple, t: float) -> BoundaryFrame:
+    """The frame at fraction t of the segment that ``piece`` describes."""
+    if piece[0] == "line":
+        _, _, (x0, y0), (ex, ey), tangent, normal = piece
+        return BoundaryFrame((x0 + t * ex, y0 + t * ey), tangent, normal, 0.0)
+    _, _, (cx, cy), r, _, a0, sweep, _, sign, curvature = piece
+    ang = a0 + t * sweep
+    tx, ty = -sign * math.sin(ang), sign * math.cos(ang)
+    return BoundaryFrame((cx + r * math.cos(ang), cy + r * math.sin(ang)), (tx, ty), (-ty, tx),
+                         curvature)
+
+
 def _turn_angle(t_in, t_out) -> float:
     """Signed turn from tangent t_in to t_out, in (-pi, pi]."""
     return math.atan2(t_in[0] * t_out[1] - t_in[1] * t_out[0],
@@ -181,29 +184,30 @@ def _turn_angle(t_in, t_out) -> float:
 def _build_boundary(segments: list[Segment]) -> Boundary:
     if not segments:
         raise OpenChainError("no segments")
+    # each check is a negated positive test, so that NaN fails it
     for i, seg in enumerate(segments):
-        if seg.length <= 0.0:
-            raise ZeroLengthSegmentError(f"segment {i} has zero length")
+        if not 0.0 < seg.length < math.inf:
+            raise ZeroLengthSegmentError(f"segment {i} has zero or non-finite length")
     n = len(segments)
     for i, seg in enumerate(segments):
         nxt = segments[(i + 1) % n]
         gap = math.hypot(seg.p1[0] - nxt.p0[0], seg.p1[1] - nxt.p0[1])
-        if gap > CLOSURE_TOL:
+        if not gap <= CLOSURE_TOL:
             raise OpenChainError(
                 f"segment {i} ends at {seg.p1} but segment {(i + 1) % n} "
                 f"starts at {nxt.p0} (gap {gap:.3e})")
-    if signed_area(segments) <= 0.0:
-        raise OrientationError("boundary must be counterclockwise (interior on the left)")
+    if not 0.0 < signed_area(segments) < math.inf:
+        raise OrientationError("boundary must be counterclockwise (interior on the left): "
+                               "its signed area is negative, zero or non-finite")
 
     cum = [0.0]
     for seg in segments:
         cum.append(cum[-1] + seg.length)
 
+    pieces = [_piece(seg) for seg in segments]
     corners = []
     for i in range(n):
-        seg = segments[i]
-        nxt = segments[(i + 1) % n]
-        turn = _turn_angle(seg.tangent(1.0), nxt.tangent(0.0))
+        turn = _turn_angle(_frame(pieces[i], 1.0).tangent, _frame(pieces[(i + 1) % n], 0.0).tangent)
         if abs(turn) < CORNER_TOL:
             continue
         alpha = math.pi - turn
@@ -297,10 +301,8 @@ def measures(b: Boundary) -> GeometricMeasures:
 def frame_at(b: Boundary, s: float) -> BoundaryFrame:
     """Boundary frame (point, tangent, inward normal, curvature) at arclength s.
 
-    Reads the segment's geometry from ``b.pieces``, worked out once per boundary, with
-    the arithmetic of ``Segment.tangent``, so every frame is bit-identical to one built
-    from the segment afresh.  Raises :class:`CornerPointError` within ``CORNER_TOL`` of
-    a corner.
+    Reads the segment's geometry from ``b.pieces``, worked out once per boundary.  Raises
+    :class:`CornerPointError` within ``CORNER_TOL`` of a corner.
     """
     per = b.perimeter
     s_wrapped = s % per
@@ -313,15 +315,7 @@ def frame_at(b: Boundary, s: float) -> BoundaryFrame:
     # the first segment that ends above s_wrapped, else the last
     i = bisect.bisect_right(cum, s_wrapped, 1, len(cum) - 1) - 1
     piece = b.pieces[i]
-    t = (s_wrapped - cum[i]) / piece[1]
-    if piece[0] == "line":
-        _, _, (x0, y0), (ex, ey), tangent, normal = piece
-        return BoundaryFrame((x0 + t * ex, y0 + t * ey), tangent, normal, 0.0)
-    _, _, (cx, cy), r, _, a0, sweep, _, sign, curvature = piece
-    ang = a0 + t * sweep
-    tx, ty = -sign * math.sin(ang), sign * math.cos(ang)
-    return BoundaryFrame((cx + r * math.cos(ang), cy + r * math.sin(ang)), (tx, ty), (-ty, tx),
-                         curvature)
+    return _frame(piece, (s_wrapped - cum[i]) / piece[1])
 
 
 def square(side: float = 1.0) -> Boundary:

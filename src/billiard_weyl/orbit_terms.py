@@ -173,7 +173,10 @@ def green_stationary(y: float, k: float) -> complex:
     """
     if not (y > 0 and k > 0):
         raise DomainError("green_stationary requires y > 0 and k > 0")
-    amp = -1.0 / (4j * math.sqrt(math.pi * k * y))
+    root = math.sqrt(math.pi * k * y)
+    if root == math.inf:        # pi k y overflows; (pi/4) k y does not, but underflows sooner
+        root = 2.0 * math.sqrt(0.25 * math.pi * k * y)
+    amp = -1.0 / (4j * root)
     return amp * complex(math.cos(2.0 * k * y), math.sin(2.0 * k * y))
 
 

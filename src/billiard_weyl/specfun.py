@@ -72,29 +72,14 @@ _HANKEL_PQ = np.array([[(-1) ** (k // 2) * math.prod(mu - (2 * j - 1) ** 2 for j
                        for mu in (0, 4) for odd in (0, 1)])
 
 
-def _hankel_phases(x: np.ndarray) -> np.ndarray:
-    """sqrt(2) cos and sqrt(2) sin of x - pi/4 at 1-D x, written over rows cos x and sin x."""
-    ph = np.empty((2, len(x)))
-    np.cos(x, out=ph[0])
-    np.sin(x, out=ph[1])
-    cos_plus_sin = ph[0] + ph[1]
-    ph[1] -= ph[0]
-    ph[0] = cos_plus_sin
-    return ph
-
-
-def _hankel_terms(x: np.ndarray, order: int, phases: np.ndarray) -> np.ndarray:
-    """P * phases[0] and Q * phases[1] of order 0 or 1 at 1-D x >= 25, over sqrt(pi x)."""
-    t = 1.0 / x
-    t *= t                      # (1/x)^2, not 1/x^2, which overflows for huge x
-    pq = np.zeros((2, len(x)))
-    for c in _HANKEL_PQ[2 * order:2 * order + 2, ::-1].T:     # Horner in place: no temporaries
-        pq *= t
-        pq += c[:, None]
-    pq[1] /= x
-    pq /= np.sqrt(np.multiply(math.pi, x, out=t), out=t)     # sqrt(pi x), written over t
-    pq *= phases
-    return pq
+def _hankel_pq(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hankel's P and Q of order 0 or 1 at x >= 25, each over sqrt(pi x)."""
+    t = (1.0 / x) ** 2          # not 1/x^2, which overflows for huge x
+    p = q = 0.0
+    for cp, cq in _HANKEL_PQ[2 * order:2 * order + 2, ::-1].T:     # Horner
+        p, q = p * t + cp, q * t + cq
+    root = 2.0 * np.sqrt((0.25 * math.pi) * x)     # sqrt(pi x), finite up to the float maximum
+    return p / root, q / x / root
 
 
 def bessel_j0_j1(x) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +91,12 @@ def bessel_j0_j1(x) -> tuple[np.ndarray, np.ndarray]:
     j0[small] = np.sum(_TRAPEZOID * np.cos(xs), axis=-1)
     j1[small] = np.sum(_TRAPEZOID * _SIN * np.sin(xs), axis=-1)
     xh = x[~small]
-    ph = _hankel_phases(xh)
-    j0[~small] = np.subtract(*_hankel_terms(xh, 0, ph))
+    c, s = np.cos(xh), np.sin(xh)       # sqrt(2) cos and sin of x - pi/4 are c + s and s - c
+    p, q = _hankel_pq(xh, 0)
+    j0[~small] = p * (c + s) - q * (s - c)
     # x - 3pi/4 turns cos into sin, sin into -cos
-    j1[~small] = np.add(*_hankel_terms(xh, 1, ph[::-1]))
+    p, q = _hankel_pq(xh, 1)
+    j1[~small] = p * (s - c) + q * (c + s)
     return j0, j1
 
 
@@ -119,9 +106,9 @@ def hankel1_0(x: float) -> complex:
         raise DomainError(f"hankel1_0 requires finite x > 0, got {x!r}")
     if x >= _HANKEL_FROM:
         xh = np.array([x])
-        ph = _hankel_phases(xh)
-        return complex(np.subtract(*_hankel_terms(xh, 0, ph))[0],
-                       np.add(*_hankel_terms(xh, 0, ph[::-1]))[0])
+        c, s = np.cos(xh), np.sin(xh)
+        p, q = _hankel_pq(xh, 0)
+        return complex((p * (c + s) - q * (s - c))[0], (p * (s - c) + q * (c + s))[0])
     nodes = np.cos(x * _SIN)
     j0 = float(np.sum(_TRAPEZOID * nodes))
     # ln x - ln 2, not ln(x/2), which is -inf at the least subnormal
@@ -246,16 +233,20 @@ def hankel_time_integral(w: float) -> QuadratureResult:
 
     (DLMF 10.9.7 at nu = 0): a bounded arc and a decaying leg, cut where
     w*sinh(t) passes ``_TAIL_LOG``, each integrated once at the default
-    tolerance.  The error estimate, 2/pi times the sum of theirs, bounds the
+    tolerance; from w ~ 1e16 on that cut rounds to 0, and the leg is taken as
+    1/w, within 1/w^3 of its value.  The error estimate, 2/pi times the sum of theirs, bounds the
     absolute error of H0.  The arc's panels grow with w; if they run out,
     raises :class:`NonConvergence` carrying the partial H0.
     """
-    if not w > 0:
-        raise DomainError("hankel_time_integral requires w > 0")
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"hankel_time_integral requires finite w > 0, got {w!r}")
     log_w = math.log(w)
-    # w*sinh(t) = (exp(t + ln w) - w*exp(-t))/2 overflows for no w > 0
-    leg = integrate(lambda t: np.exp(-0.5 * (np.exp(t + log_w) - w * np.exp(-t))),
-                    0.0, math.log(2.0 * _TAIL_LOG + w) - log_w)
+    cut = math.log(2.0 * _TAIL_LOG + w) - log_w
+    if cut:
+        # w*sinh(t) = (exp(t + ln w) - w*exp(-t))/2 overflows for no w > 0
+        leg = integrate(lambda t: np.exp(-0.5 * (np.exp(t + log_w) - w * np.exp(-t))), 0.0, cut)
+    else:
+        leg = QuadratureResult(1.0 / w, (1.0 / w) ** 3, 0)
 
     def h0(arc: QuadratureResult) -> QuadratureResult:
         return QuadratureResult((2.0 / math.pi) * (arc.value - 1j * leg.value),

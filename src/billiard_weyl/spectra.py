@@ -126,7 +126,7 @@ def _brackets(upper: float):
     _check_entries(upper * upper / 4.0, f"the Bessel zeros below {upper!r}")
     x = upper - _STEP * np.arange(math.ceil(upper / _STEP) - 1, -1, -1)
     j0, j1 = bessel_j0_j1(x)
-    r, t = 1.0 / x, np.empty((_SWEEP_ORDERS + 2, len(x)))
+    r, t = 1.0 / np.maximum(x, 1.0), np.empty((_SWEEP_ORDERS + 2, len(x)))   # read where x > 1
     t[0], t[1] = -j1, j0
     cells = []
     for m0 in itertools.count(0, _SWEEP_ORDERS):

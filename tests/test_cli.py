@@ -148,6 +148,15 @@ def test_green_verify_at_a_subnormal_2ky():
     assert res["fourier_vs_hankel"] <= res["fourier_error_estimate"]
 
 
+def test_green_up_to_the_float_maximum():
+    # 2ky = 1e308 and 1.7e308: pi k y overflows, yet H0 and the stationary estimate
+    # stay finite and agree in magnitude
+    for y in ("1e308", "1.7e308"):
+        code, out = cli.run(["green", "--y", y, "--k", "0.5"])
+        assert code == 0, out
+        assert json.loads(out)["results"]["magnitude_ratio"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_monodromy_square(square_file):
     code, out = cli.run(["monodromy", "--geometry", square_file,
                          "--start", "0.5,0.0", "--bounces", "2",
@@ -214,6 +223,9 @@ def test_exit_code_usage_error(monkeypatch, capsys, square_file):
         ["green", "--y", "inf", "--k", "1"],
         ["green", "--y", "1e200", "--k", "1e200"],
         ["monodromy", "--geometry", square_file, "--start", "0.5,0.1", "--bounces", "100001"],
+        # a disk below its first zero, refused with no numpy warning
+        ["staircase", "--shape", "disk", "--radius", "1e-320", "--emax", "100",
+         "--window", "1,100"],
     ):
         _usage_error(monkeypatch, capsys, argv)
     # a refused boundary value is reported under the flag that carried it
@@ -459,10 +471,15 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
 
 
 def test_non_convergence_reports_the_partial_result(monkeypatch, capsys):
-    # green past the panel budget of the rotated contour's arc, and fold on a
-    # corner too sharp for grid 1
+    # green past the panel budget of the rotated contour's arc (also where the cut of its
+    # imaginary-time leg rounds to zero, from 2ky ~ 1e16 on), and fold on a corner too
+    # sharp for grid 1
     cases = ((["green", "--y", "1", "--k", "1e5", "--verify"],
               lambda: orbit_terms.green_fourier(1.0, 1e5)),
+             (["green", "--y", "1e10", "--k", "1e10", "--verify"],
+              lambda: orbit_terms.green_fourier(1e10, 1e10)),
+             (["green", "--y", "1e300", "--k", "0.5", "--verify"],
+              lambda: orbit_terms.green_fourier(1e300, 0.5)),
              (["fold", "--alpha", "1e-7"],
               lambda: folding.obtuse_corner_constant(1e-7, grid=1)))
     for argv, call in cases:

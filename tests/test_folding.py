@@ -217,6 +217,14 @@ def _two_free_legs_over_cone(p, q, tau, lo, hi, n=400):
     return float(wr @ (r0[:, None] * legs) @ wt)
 
 
+def test_corner_orbit_kernel_overflows_to_zero_and_refuses_a_bad_angle():
+    # (r sin alpha)^2 is past the float range: the kernel is 0, not an OverflowError
+    assert fl.corner_orbit_kernel_imag(1e300, 1.0, 1e-300) == 0.0
+    for alpha in (math.nan, 0.0, math.pi, -1.0, 4.0, math.inf):
+        with pytest.raises(DomainError):
+            fl.corner_orbit_kernel_imag(1.0, alpha, 1.0)
+
+
 def test_fold_composition_matches_broken_path_in_the_unfolded_cone():
     # the broken-path kernel is the composition of two free kernels through a
     # mediate point in the visible part of the unfolded triple sector

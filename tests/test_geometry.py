@@ -62,6 +62,14 @@ def test_parse_zero_length_segment():
         g.parse_geometry(doc)
 
 
+@pytest.mark.parametrize("build, args", [(g.square, (math.nan,)), (g.disk, (math.nan,)),
+                                         (g.rectangle, (math.inf, 1.0)),
+                                         (g.rectangle, (1.0, math.nan))])
+def test_boundary_of_non_finite_size_is_refused(build, args):
+    with pytest.raises(g.GeometryError, match="zero or non-finite"):
+        build(*args)
+
+
 def test_parse_syntax_errors_carry_position():
     with pytest.raises(g.GeometrySyntaxError) as exc:
         g.parse_geometry("billiard v1\nline 0 0 1\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -61,9 +62,12 @@ def test_bessel_wide_range_finite():
 
 
 def test_bessel_domain_error():
+    # H0 and its time integral take the same finite x > 0
     for x in (0.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             sf.hankel1_0(x)
+        with pytest.raises(DomainError):
+            sf.hankel_time_integral(x)
 
 
 # either side of x = 25, where Hankel's expansion takes over from Bessel's integral
@@ -85,6 +89,22 @@ def test_hankel1_0_against_mpmath():
         ref = complex(mpmath.hankel1(0, x))
         assert abs(h - ref) <= 4e-15 * max(1.0, abs(ref)), x
         assert h.real == sf.bessel_j0_j1(x)[0], x
+
+
+@pytest.mark.parametrize("x", [6e307, 1e308, 1.7976931348623157e308])
+def test_hankel_expansion_holds_up_to_the_float_maximum(x):
+    # pi x overflows from x = 5.73e307 on; Hankel's expansion divides by sqrt(pi x) all the
+    # same.  |H0| bounds both parts, so the bound is relative to it.
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hankel1(0, x))
+        ref_j1 = float(mpmath.besselj(1, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = sf.hankel1_0(x)
+        j0, j1 = sf.bessel_j0_j1(np.array([x]))
+    assert abs(h - ref) <= 4e-16 * abs(ref)
+    assert abs(j0[0] - ref.real) <= 4e-16 * abs(ref)
+    assert abs(j1[0] - ref_j1) <= 4e-16 * abs(ref)
 
 
 def test_bessel_j0_j1_does_not_depend_on_the_batch():
@@ -336,6 +356,19 @@ def test_hankel_time_integral_matches_closed_form():
         res = sf.hankel_time_integral(x * z)
         exact = sf.hankel1_0(x * z)
         assert abs(res.value - exact) <= res.error_estimate, (x, z)
+
+
+@pytest.mark.parametrize("w", [2e16, 1e17, 1e300, 1.7976931348623157e308])
+def test_hankel_time_integral_past_the_leg_cut_keeps_a_finite_partial(w):
+    # from w ~ 1e16 on the leg's cut ln(2 _TAIL_LOG + w) - ln w rounds to 0; the arc
+    # runs out of panels there, and the partial H0 it carries stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence) as exc:
+            sf.hankel_time_integral(w)
+    part = exc.value.result
+    assert math.isfinite(abs(part.value)) and math.isfinite(part.error_estimate), w
+    assert abs(part.value - sf.hankel1_0(w)) <= part.error_estimate, w
 
 
 def test_gauss_legendre_panels_share_one_read_only_rule():

@@ -2,6 +2,7 @@ import itertools
 import math
 import statistics
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -222,6 +223,14 @@ def test_disk_spectrum_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * 2**20
+
+
+def test_disk_below_its_first_zero_is_refused_without_a_warning():
+    # the bracket sweep's only node is x = 1e-319, whose reciprocal overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(spc.EmptySpectrumError):
+            spc.disk_spectrum(1e-320, 100.0)
 
 
 def test_disk_first_eigenvalue_and_degeneracy():
