@@ -15,8 +15,9 @@ orbit of length L it reduces to (-1)^n L / k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BilliardError, DomainError
 from . import geometry
@@ -52,20 +53,19 @@ class CornerHitError(BilliardError):
     """Ray landed within tolerance of a corner, where reflection is undefined."""
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
+    """A 2x2 matrix ((m11, m12), (m21, m22)), unpacked as the tuple (m11, m12, m21, m22)."""
+
     m11: float
     m12: float
     m21: float
     m22: float
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
+        a11, a12, a21, a22 = self
+        b11, b12, b21, b22 = other
+        return Mat2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                    a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
 
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
@@ -83,16 +83,31 @@ class Mat2:
         return Mat2(a, 0.0, 0.0, b)
 
 
-@dataclass(frozen=True)
-class BirkhoffCoord:
-    """Boundary point s with signed tangential velocity v, |v| < 1."""
-
+class _Coord(NamedTuple):
     s: float
     v: float
 
-    def __post_init__(self):
-        if not abs(self.v) < 1.0:
-            raise DomainError(f"|v| must be < 1, got {self.v!r}")
+
+class BirkhoffCoord(_Coord):
+    """Boundary point s (finite) with signed tangential velocity v, |v| < 1.
+
+    A tuple: it unpacks as ``(s, v)`` and equals the plain tuple ``(s, v)``.
+    Every coordinate is checked as it is made, traced ones included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s: float, v: float) -> "BirkhoffCoord":
+        # s - s is 0.0 for finite s and NaN otherwise: one comparison tests both
+        if not abs(v) + (s - s) < 1.0:
+            if s - s == 0.0:
+                raise DomainError(f"|v| must be < 1, got {v!r}")
+            raise DomainError(f"s must be finite, got {s!r}")
+        return tuple.__new__(cls, (s, v))
+
+    @classmethod
+    def _make(cls, iterable) -> "BirkhoffCoord":
+        return cls(*iterable)       # so that _replace checks too
 
     @property
     def v_perp(self) -> float:
@@ -122,8 +137,10 @@ class OrbitSpec:
             raise DomainError("OrbitSpec needs at least one bounce")
         if len(self.curvature) != n or len(self.chords) != n - 1:
             raise DomainError("inconsistent per-bounce data lengths")
-        if any(l <= 0 for l in self.chords):
-            raise DomainError("chord lengths must be positive")
+        if not all(0.0 < l < math.inf for l in self.chords):
+            raise DomainError("chord lengths must be positive and finite")
+        if not all(map(math.isfinite, (self.y_first, self.y_last, *self.curvature))):
+            raise DomainError("bounce offsets and curvatures must be finite")
 
     @property
     def n(self) -> int:
@@ -149,9 +166,10 @@ def linearized_bounce_map(v1_perp: float, v2_perp: float, l12: float,
     c is the boundary curvature at the bounce (positive when the interior
     curves around the center), l12 the chord length.
     """
-    _check_v_perp(v1_perp, v2_perp)
-    if not l12 > 0:
-        raise DomainError(f"chord length must be > 0, got {l12!r}")
+    # valid input in one chained comparison; _check_v_perp only names what failed
+    if not 0.0 < v1_perp <= 1.0 + 1e-12 >= v2_perp > 0.0 < l12 < math.inf:
+        _check_v_perp(v1_perp, v2_perp)
+        raise DomainError(f"chord length must be positive and finite, got {l12!r}")
     return Mat2(
         (l12 * c1 - v1_perp) / v2_perp,
         -l12 / (v1_perp * v2_perp),
@@ -231,10 +249,11 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
 
     The ray meets each segment as ``b.pieces`` holds it, worked out once per boundary.
     """
-    v, vp = coord.v, coord.v_perp
-    dx = v * fr.tangent[0] + vp * fr.inward_normal[0]
-    dy = v * fr.tangent[1] + vp * fr.inward_normal[1]
-    px, py = fr.point
+    s, v = coord
+    vp = math.sqrt(1.0 - v * v)
+    (px, py), (tx, ty), (ix, iy), _ = fr
+    dx = v * tx + vp * ix
+    dy = v * ty + vp * iy
 
     best_t = math.inf
     best = None
@@ -247,9 +266,10 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
                 continue
             rx, ry = x0 - px, y0 - py
             t = (rx * nx + ry * ny) / denom
-            u = (dx * ry - dy * rx) / denom
-            if _HIT_TOL < t < best_t and -1e-12 <= u <= length + 1e-12:
-                best_t, best = t, (i, min(max(u, 0.0), length))
+            if _HIT_TOL < t < best_t:
+                u = (dx * ry - dy * rx) / denom
+                if -1e-12 <= u <= length + 1e-12:
+                    best_t, best = t, (i, min(max(u, 0.0), length))
             continue
         _, _, (cx, cy), r, r2, a0, _, extent, sign, _ = piece
         fx, fy = px - cx, py - cy
@@ -259,22 +279,23 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
             continue
         sq = math.sqrt(disc)
         for t in (-bq - sq, -bq + sq):
-            if t <= _HIT_TOL:
+            if not _HIT_TOL < t < best_t:
                 continue
             # angle from a0 measured along the sweep, then the nearer hit
             ang = math.atan2(py + t * dy - cy, px + t * dx - cx)
             rel = (sign * (ang - a0)) % geometry.TWO_PI
-            if rel <= extent + 1e-12 and t < best_t:
+            if rel <= extent + 1e-12:
                 best_t, best = t, (i, r * min(rel, extent))
     if best is None:
-        raise RayEscapeError(f"ray from s={coord.s}, v={coord.v} escaped")
+        raise RayEscapeError(f"ray from s={s}, v={v} escaped")
     i, local = best
     s_hit = (b.cumlen[i] + local) % b.perimeter
     try:
         fr2 = frame_at(b, s_hit)
     except geometry.CornerPointError:
         raise CornerHitError(f"ray hit corner at s={s_hit}") from None
-    v2 = dx * fr2.tangent[0] + dy * fr2.tangent[1]
+    _, (tx, ty), _, _ = fr2
+    v2 = dx * tx + dy * ty
     v2 = min(max(v2, -1.0 + 1e-15), 1.0 - 1e-15)
     return BirkhoffCoord(s_hit, v2), fr2
 
@@ -291,15 +312,17 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
 
 
 def trace_orbit(b: Boundary, start: BirkhoffCoord, bounces: int) -> list[BirkhoffCoord]:
-    """Iterate the bounce map ``bounces`` times, returning all visited coords.
+    """Iterate the bounce map ``bounces`` times (an integer >= 0), returning all visited coords.
 
     Each bounce launches from the frame its hit found, so the trace finds
     ``bounces + 1`` boundary frames.
     """
+    if not (isinstance(bounces, numbers.Integral) and bounces >= 0):
+        raise DomainError(f"bounces must be an integer >= 0, got {bounces!r}")
     pts = [start]
-    fr = frame_at(b, start.s)
+    c, fr = start, frame_at(b, start.s)
     for _ in range(bounces):
-        c, fr = _bounce(b, pts[-1], fr)
+        c, fr = _bounce(b, c, fr)
         pts.append(c)
     return pts
 
@@ -307,14 +330,20 @@ def trace_orbit(b: Boundary, start: BirkhoffCoord, bounces: int) -> list[Birkhof
 def chain_product(b: Boundary, pts: Sequence[BirkhoffCoord]) -> Mat2:
     """Product of the linearized bounce maps along a traced point sequence.
 
-    Finds each point's boundary frame once and pairs neighbours.
+    Finds each point's boundary frame and v_perp once, calls
+    ``linearized_bounce_map`` once per neighbour pair, and accumulates the
+    product in four floats, each operation in the order ``map @ m`` takes it.
     """
     if len(pts) < 2:
         raise DomainError("need at least two boundary points")
     frames = [frame_at(b, c.s) for c in pts]
-    m = Mat2.identity()
-    for c1, c2, f1, f2 in zip(pts, pts[1:], frames, frames[1:]):
-        l12 = math.hypot(f2.point[0] - f1.point[0], f2.point[1] - f1.point[1])
-        m = linearized_bounce_map(c1.v_perp, c2.v_perp, l12,
-                                  f1.curvature, f2.curvature) @ m
-    return m
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    (x1, y1), _, _, k1 = frames[0]
+    vp1 = math.sqrt(1.0 - pts[0].v * pts[0].v)
+    for c, ((x2, y2), _, _, k2) in zip(pts[1:], frames[1:]):
+        vp2 = math.sqrt(1.0 - c.v * c.v)
+        a11, a12, a21, a22 = linearized_bounce_map(vp1, vp2, math.hypot(x2 - x1, y2 - y1), k1, k2)
+        m11, m12, m21, m22 = (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
+                              a21 * m11 + a22 * m21, a21 * m12 + a22 * m22)
+        x1, y1, k1, vp1 = x2, y2, k2, vp2
+    return Mat2(m11, m12, m21, m22)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 
-from .errors import BilliardError
+from .errors import BilliardError, DomainError
 
 __all__ = [
     "Segment",
@@ -129,6 +129,11 @@ class Boundary:
         curvature sign/r: +1/r when the center is on the interior, left, side).
         """
         return tuple(map(_piece, self.segments))
+
+    @functools.cached_property
+    def corner_arclengths(self) -> tuple[float, ...]:
+        """Each corner's arclength, in the order of ``corners``, for ``frame_at``."""
+        return tuple(c.arclength for c in self.corners)
 
 
 @dataclass(frozen=True)
@@ -301,17 +306,22 @@ def measures(b: Boundary) -> GeometricMeasures:
 def frame_at(b: Boundary, s: float) -> BoundaryFrame:
     """Boundary frame (point, tangent, inward normal, curvature) at arclength s.
 
-    Reads the segment's geometry from ``b.pieces``, worked out once per boundary.  Raises
-    :class:`CornerPointError` within ``CORNER_TOL`` of a corner.
+    Reads the segment's geometry from ``b.pieces`` and the corners from
+    ``b.corner_arclengths``, each worked out once per boundary.  Raises
+    :class:`CornerPointError` within ``CORNER_TOL`` of a corner and
+    :class:`DomainError` for an s that is not finite.
     """
-    per = b.perimeter
-    s_wrapped = s % per
-    for c in b.corners:
-        d = abs(s_wrapped - c.arclength)
-        if d < CORNER_TOL or per - d < CORNER_TOL:
-            raise CornerPointError(f"s={s} is at a corner (alpha={c.alpha:.6f})")
-    s_wrapped %= per                # (-1e-20) % 2 pi is 2 pi itself: this maps it to 0
     cum = b.cumlen
+    per = cum[-1]
+    s_wrapped = s % per
+    for a in b.corner_arclengths:
+        d = abs(s_wrapped - a)
+        if d < CORNER_TOL or per - d < CORNER_TOL:
+            alpha = b.corners[b.corner_arclengths.index(a)].alpha
+            raise CornerPointError(f"s={s} is at a corner (alpha={alpha:.6f})")
+    s_wrapped %= per                # (-1e-20) % 2 pi is 2 pi itself: this maps it to 0
+    if not s_wrapped < per:         # NaN: s is not finite
+        raise DomainError(f"frame_at needs a finite arclength, got {s!r}")
     # the first segment that ends above s_wrapped, else the last
     i = bisect.bisect_right(cum, s_wrapped, 1, len(cum) - 1) - 1
     piece = b.pieces[i]

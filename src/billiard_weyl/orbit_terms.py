@@ -173,11 +173,14 @@ def green_stationary(y: float, k: float) -> complex:
     """
     if not (y > 0 and k > 0):
         raise DomainError("green_stationary requires y > 0 and k > 0")
+    phase = 2.0 * k * y
+    if not 0.0 < phase < math.inf:
+        raise DomainError(f"green_stationary requires a positive finite 2*k*y, got {phase!r}")
     root = math.sqrt(math.pi * k * y)
     if root == math.inf:        # pi k y overflows; (pi/4) k y does not, but underflows sooner
         root = 2.0 * math.sqrt(0.25 * math.pi * k * y)
     amp = -1.0 / (4j * root)
-    return amp * complex(math.cos(2.0 * k * y), math.sin(2.0 * k * y))
+    return amp * complex(math.cos(phase), math.sin(phase))
 
 
 def length_term_density(length: float, energy: float) -> float:

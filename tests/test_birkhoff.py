@@ -164,6 +164,70 @@ def test_bounce_map_corner_hit():
 def test_birkhoff_coord_validation():
     with pytest.raises(DomainError):
         bk.BirkhoffCoord(0.5, 1.0)
+    # _replace builds through the same check
+    c = bk.BirkhoffCoord(0.3, 0.2)
+    with pytest.raises(DomainError):
+        c._replace(v=1.5)
+
+
+def test_non_finite_input_to_the_ray_path_is_refused():
+    sq = g.square()
+    start = bk.BirkhoffCoord(0.3, 0.2)
+    for s, v in ((math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2), (0.3, math.nan)):
+        with pytest.raises(DomainError):
+            bk.BirkhoffCoord(s, v)
+    for bounces in (-3, 2.5):
+        with pytest.raises(DomainError):
+            bk.trace_orbit(sq, start, bounces)
+    assert bk.trace_orbit(sq, start, 0) == [start]
+    for l12 in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            bk.linearized_bounce_map(0.5, 0.5, l12, 0.0, 0.0)
+    with pytest.raises(bk.GrazingIncidenceError):
+        bk.linearized_bounce_map(0.5, math.nan, math.inf, 0.0, 0.0)
+    for chords, curvature, y_first in (((math.inf,), (0.0, 0.0), 0.5),
+                                       ((math.nan,), (0.0, 0.0), 0.5),
+                                       ((1.0,), (0.0, math.inf), 0.5),
+                                       ((1.0,), (0.0, 0.0), math.nan)):
+        with pytest.raises(DomainError):
+            bk.OrbitSpec(v_perp=(1.0, 1.0), curvature=curvature, chords=chords,
+                         y_first=y_first, y_last=-0.5)
+
+
+def test_records_are_immutable_hashable_value_tuples():
+    m = bk.Mat2(1.0, 2.0, 3.0, 4.0)
+    c = bk.BirkhoffCoord(0.5, -0.25)
+    for record, field in ((m, "m11"), (c, "s"), (c, "v")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    with pytest.raises(AttributeError):
+        c.extra = 0.0                       # slotted: no instance dict
+    assert m == bk.Mat2(1.0, 2.0, 3.0, 4.0) and hash(m) == hash(bk.Mat2(1.0, 2.0, 3.0, 4.0))
+    assert c == bk.BirkhoffCoord(0.5, -0.25) and len({c, bk.BirkhoffCoord(0.5, -0.25)}) == 1
+    assert c == (0.5, -0.25) and tuple(m) == (1.0, 2.0, 3.0, 4.0)
+    s, v = c
+    assert (s, v) == (c.s, c.v)
+    assert repr(m) == "Mat2(m11=1.0, m12=2.0, m21=3.0, m22=4.0)"
+    assert repr(c) == "BirkhoffCoord(s=0.5, v=-0.25)"
+    assert m @ bk.Mat2.identity() == m and bk.Mat2.diag(2.0, 0.5).det() == 1.0
+
+
+def test_chain_product_calls_the_bounce_map_by_name_once_per_pair(monkeypatch):
+    # the benchmark's orbit check patches birkhoff.linearized_bounce_map and
+    # needs the patched map in every factor of the chain
+    b = GEOMETRIES["quarter_disk"]
+    pts = bk.trace_orbit(b, bk.BirkhoffCoord(0.37 * b.perimeter, 0.31), 12)
+    calls = []
+    original = bk.linearized_bounce_map
+    monkeypatch.setattr(bk, "linearized_bounce_map",
+                        lambda *a: calls.append(a) or bk.Mat2.diag(2.0, 0.5) @ original(*a))
+    m = bk.chain_product(b, pts)
+    assert len(calls) == len(pts) - 1
+    monkeypatch.undo()
+    want = bk.Mat2.identity()
+    for a in calls:
+        want = bk.Mat2.diag(2.0, 0.5) @ bk.linearized_bounce_map(*a) @ want
+    assert m == want
 
 
 def test_bounce_map_ray_escape_on_open_chain():

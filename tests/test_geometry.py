@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from billiard_weyl import geometry as g
+from billiard_weyl.errors import DomainError
 
 SQUARE_DOC = """billiard v1
 # unit square, counterclockwise
@@ -233,6 +234,11 @@ def test_frame_at_square_edge_and_corner():
     for corner in (1.0, b.perimeter):
         with pytest.raises(g.CornerPointError):
             g.frame_at(b, corner)
+    with pytest.raises(g.CornerPointError, match=r"^s=3\.0 is at a corner \(alpha=1\.570796\)$"):
+        g.frame_at(b, 3.0)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            g.frame_at(b, s)
 
 
 def test_smooth_junction_is_not_a_corner():

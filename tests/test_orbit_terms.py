@@ -263,6 +263,14 @@ def test_moment_scale_overflow_is_a_domain_error():
         sf.hankel0_halfline_moment(0.0, 5e-324)
 
 
+def test_green_at_an_overflowing_or_underflowing_phase_is_a_domain_error():
+    # 2ky = inf: not the bare ValueError of math.cos(inf); 2ky = 0: not a ZeroDivisionError
+    for green in (ot.green_stationary, ot.single_reflection_green, ot.green_fourier):
+        for y, k in ((1e308, 1e308), (1e-300, 1e-300)):
+            with pytest.raises(DomainError):
+                green(y, k)
+
+
 def test_sharp_corner_oracle_stops_before_the_closed_form():
     # documented deviation: corner_coeffs answers down to alpha ~ 1.6e-162, where sin^2
     # underflows, but the oracle's moment scale (2 sin alpha)^-2 passes e^709 below ~5.5e-155,

@@ -371,6 +371,20 @@ def test_hankel_time_integral_past_the_leg_cut_keeps_a_finite_partial(w):
     assert abs(part.value - sf.hankel1_0(w)) <= part.error_estimate, w
 
 
+@pytest.mark.parametrize("w", [1e14, 1e15, 3e15])
+def test_imaginary_time_leg_holds_its_exponent_where_the_cut_is_positive(w, monkeypatch):
+    # w*leg = 1 - O(1/w^2); taken as the difference exp(t + ln w) - w exp(-t), w sinh t
+    # cancels here, and w*leg reads 3.21 at 1e15 and 390 at 3e15, far outside its estimate
+    calls = []
+    integrate = sf.integrate
+    monkeypatch.setattr(sf, "integrate",
+                        lambda *args: calls.append(integrate(*args)) or calls[-1])
+    with pytest.raises(NonConvergence):     # the arc runs out of panels
+        sf.hankel_time_integral(w)
+    leg = calls[0]
+    assert abs(w * leg.value - 1.0) <= w * leg.error_estimate, w
+
+
 def test_gauss_legendre_panels_share_one_read_only_rule():
     xs, ws = sf._legendre_rule(7)
     assert sf._legendre_rule(7)[0] is xs
