@@ -159,6 +159,14 @@ def _check_v_perp(*vs: float) -> None:
             raise DomainError(f"v_perp must be <= 1, got {v!r}")
 
 
+def _check_bounce(v1_perp: float, v2_perp: float, l12: float, c1: float, c2: float) -> None:
+    _check_v_perp(v1_perp, v2_perp)
+    if not 0.0 < l12 < math.inf:
+        raise DomainError(f"chord length must be positive and finite, got {l12!r}")
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise DomainError(f"curvatures must be finite, got {c1!r} and {c2!r}")
+
+
 def linearized_bounce_map(v1_perp: float, v2_perp: float, l12: float,
                           c1: float, c2: float) -> Mat2:
     """Linearized bounce-to-bounce map from (s1, v1) to (s2, v2).
@@ -166,10 +174,10 @@ def linearized_bounce_map(v1_perp: float, v2_perp: float, l12: float,
     c is the boundary curvature at the bounce (positive when the interior
     curves around the center), l12 the chord length.
     """
-    # valid input in one chained comparison; _check_v_perp only names what failed
-    if not 0.0 < v1_perp <= 1.0 + 1e-12 >= v2_perp > 0.0 < l12 < math.inf:
-        _check_v_perp(v1_perp, v2_perp)
-        raise DomainError(f"chord length must be positive and finite, got {l12!r}")
+    # valid input in one chained comparison (c - c is 0.0 for finite c and NaN
+    # otherwise); _check_bounce only names what failed
+    if not 0.0 == c1 - c1 == c2 - c2 < v1_perp <= 1.0 + 1e-12 >= v2_perp > 0.0 < l12 < math.inf:
+        _check_bounce(v1_perp, v2_perp, l12, c1, c2)
     return Mat2(
         (l12 * c1 - v1_perp) / v2_perp,
         -l12 / (v1_perp * v2_perp),
@@ -180,8 +188,8 @@ def linearized_bounce_map(v1_perp: float, v2_perp: float, l12: float,
 
 def linearized_bounce_map_product(v1_perp: float, v2_perp: float, l12: float,
                                   c1: float, c2: float) -> Mat2:
-    """Same map synthesized from its five unit-determinant factors."""
-    _check_v_perp(v1_perp, v2_perp)
+    """Same map synthesized from its five unit-determinant factors, refusing the same input."""
+    _check_bounce(v1_perp, v2_perp, l12, c1, c2)
     return (Mat2.diag(1.0 / v2_perp, v2_perp)
             @ Mat2(1.0, 0.0, -c2 / v2_perp, 1.0)
             @ Mat2(-1.0, -l12, 0.0, -1.0)
@@ -197,9 +205,12 @@ def transverse_jacobians(y: float, c: float, v_perp: float,
     (velocity pointing along the chord); ``end="finish"`` as its second
     endpoint, which replaces v_perp by -v_perp.  ``y`` is the bounce's
     position along the chord relative to the reference point.  Returns
-    (J_s_xi, J_xi_s) with J_s_xi @ J_xi_s = identity.
+    (J_s_xi, J_xi_s) with J_s_xi @ J_xi_s = identity.  A ``y`` or ``c`` that
+    is not finite is a :class:`DomainError`.
     """
     _check_v_perp(v_perp)
+    if not (math.isfinite(y) and math.isfinite(c)):
+        raise DomainError(f"bounce offset and curvature must be finite, got {y!r} and {c!r}")
     if end == "finish":
         v = -v_perp
     elif end == "start":
@@ -289,11 +300,19 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
     if best is None:
         raise RayEscapeError(f"ray from s={s}, v={v} escaped")
     i, local = best
-    s_hit = (b.cumlen[i] + local) % b.perimeter
-    try:
-        fr2 = frame_at(b, s_hit)
-    except geometry.CornerPointError:
-        raise CornerHitError(f"ray hit corner at s={s_hit}") from None
+    cum = b.cumlen
+    s_hit = (cum[i] + local) % b.perimeter
+    # At least CORNER_TOL inside segment i, measured on the rounded s_hit: there
+    # frame_at finds no corner and bisects to segment i, so build its frame here.
+    # (A margin on ``local`` fails where one ulp of cumlen exceeds CORNER_TOL.)
+    if s_hit - cum[i] >= geometry.CORNER_TOL <= cum[i + 1] - s_hit:
+        piece = b.pieces[i]
+        fr2 = geometry._frame(piece, (s_hit - cum[i]) / piece[1])
+    else:
+        try:
+            fr2 = frame_at(b, s_hit)
+        except geometry.CornerPointError:
+            raise CornerHitError(f"ray hit corner at s={s_hit}") from None
     _, (tx, ty), _, _ = fr2
     v2 = dx * tx + dy * ty
     v2 = min(max(v2, -1.0 + 1e-15), 1.0 - 1e-15)
@@ -311,32 +330,50 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
     return _bounce(b, coord, frame_at(b, coord.s))[0]
 
 
+class _Trace(list):
+    """The points of one trace, with the boundary traced, a snapshot of the
+    points and the frame found at each point, for ``chain_product``."""
+
+    __slots__ = ("boundary", "points", "frames")
+
+
 def trace_orbit(b: Boundary, start: BirkhoffCoord, bounces: int) -> list[BirkhoffCoord]:
     """Iterate the bounce map ``bounces`` times (an integer >= 0), returning all visited coords.
 
     Each bounce launches from the frame its hit found, so the trace finds
-    ``bounces + 1`` boundary frames.
+    ``bounces + 1`` boundary frames.  The returned list keeps them:
+    ``chain_product`` reuses them while the list is unmodified and is given
+    the same ``Boundary`` object.  Slices and concatenations are plain lists.
     """
     if not (isinstance(bounces, numbers.Integral) and bounces >= 0):
         raise DomainError(f"bounces must be an integer >= 0, got {bounces!r}")
-    pts = [start]
+    pts = _Trace([start])
     c, fr = start, frame_at(b, start.s)
+    frames = [fr]
     for _ in range(bounces):
         c, fr = _bounce(b, c, fr)
         pts.append(c)
+        frames.append(fr)
+    pts.boundary, pts.points, pts.frames = b, tuple(pts), frames
     return pts
 
 
 def chain_product(b: Boundary, pts: Sequence[BirkhoffCoord]) -> Mat2:
     """Product of the linearized bounce maps along a traced point sequence.
 
-    Finds each point's boundary frame and v_perp once, calls
+    Takes each point's boundary frame from the trace when ``pts`` is the
+    unmodified list ``trace_orbit(b, ...)`` returned, for this same ``b``
+    object, and otherwise finds it with ``frame_at``; either way the frames
+    are the same floats.  Takes each point's v_perp once, calls
     ``linearized_bounce_map`` once per neighbour pair, and accumulates the
     product in four floats, each operation in the order ``map @ m`` takes it.
     """
     if len(pts) < 2:
         raise DomainError("need at least two boundary points")
-    frames = [frame_at(b, c.s) for c in pts]
+    if isinstance(pts, _Trace) and pts.boundary is b and tuple(pts) == pts.points:
+        frames = pts.frames
+    else:
+        frames = [frame_at(b, c.s) for c in pts]
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     (x1, y1), _, _, k1 = frames[0]
     vp1 = math.sqrt(1.0 - pts[0].v * pts[0].v)

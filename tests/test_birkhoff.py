@@ -194,6 +194,24 @@ def test_non_finite_input_to_the_ray_path_is_refused():
                          y_first=y_first, y_last=-0.5)
 
 
+@pytest.mark.parametrize("fn,args", [
+    (bk.transverse_jacobians, (math.inf, 0.0, 1.0)),
+    (bk.transverse_jacobians, (math.nan, 0.0, 1.0, "finish")),
+    (bk.transverse_jacobians, (0.5, math.nan, 1.0)),
+    (bk.transverse_jacobians, (0.5, -math.inf, 1.0, "finish")),
+    (bk.linearized_bounce_map, (0.5, 0.5, 1.0, math.nan, 0.0)),
+    (bk.linearized_bounce_map, (0.5, 0.5, 1.0, 0.0, math.inf)),
+    (bk.linearized_bounce_map, (0.5, 0.5, 1.0, -math.inf, 0.0)),
+    (bk.linearized_bounce_map_product, (0.5, 0.5, math.inf, 0.0, 0.0)),
+    (bk.linearized_bounce_map_product, (0.5, 0.5, math.nan, 0.0, 0.0)),
+    (bk.linearized_bounce_map_product, (0.5, 0.5, 1.0, math.nan, 0.0)),
+    (bk.linearized_bounce_map_product, (0.5, 0.5, 1.0, 0.0, -math.inf)),
+])
+def test_non_finite_offset_curvature_or_chord_is_refused(fn, args):
+    with pytest.raises(DomainError, match="finite"):
+        fn(*args)
+
+
 def test_records_are_immutable_hashable_value_tuples():
     m = bk.Mat2(1.0, 2.0, 3.0, 4.0)
     c = bk.BirkhoffCoord(0.5, -0.25)
@@ -288,8 +306,9 @@ def test_chain_product_on_traced_square_orbit():
     assert m.det() == pytest.approx(1.0, abs=1e-12)
 
 
-GEOMETRIES = {p.stem: g.parse_geometry(p.read_text(encoding="utf-8"))
-              for p in sorted((Path(__file__).parents[1] / "geometries").glob("*.bil"))}
+GEOMETRY_TEXTS = {p.stem: p.read_text(encoding="utf-8")
+                  for p in sorted((Path(__file__).parents[1] / "geometries").glob("*.bil"))}
+GEOMETRIES = {name: g.parse_geometry(text) for name, text in GEOMETRY_TEXTS.items()}
 
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -324,21 +343,49 @@ def _pairwise_chain_product(b, pts):
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_tracing_finds_each_frame_once(name, monkeypatch):
+    # a trace builds one frame per point, and chain_product reuses them all
     b = GEOMETRIES[name]
     start, bounces = bk.BirkhoffCoord(0.37 * b.perimeter, 0.31), 25
     plain = [start]
     for _ in range(bounces):
         plain.append(bk.bounce_map(b, plain[-1]))
-    frames = []
-    frame_at = bk.frame_at
-    monkeypatch.setattr(bk, "frame_at", lambda b, s: frames.append(s) or frame_at(b, s))
+    built = []
+    frame = g._frame
+    monkeypatch.setattr(g, "_frame", lambda piece, t: built.append(t) or frame(piece, t))
     pts = bk.trace_orbit(b, start, bounces)
-    assert len(frames) == bounces + 1
-    assert pts == plain                     # bit-identical
-    frames.clear()
     m = bk.chain_product(b, pts)
-    assert len(frames) == len(pts)
+    assert len(built) == len(pts)
+    monkeypatch.undo()
+    assert pts == plain                     # bit-identical
     assert m == _pairwise_chain_product(b, pts)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_chain_product_reuses_only_the_frames_of_its_own_unmodified_trace(name, monkeypatch):
+    b = GEOMETRIES[name]
+
+    def trace():
+        return bk.trace_orbit(b, bk.BirkhoffCoord(0.37 * b.perimeter, 0.31), 25)
+
+    other = bk.bounce_map(b, bk.BirkhoffCoord(0.61 * b.perimeter, -0.2))
+    pts, changed, longer = trace(), trace(), trace()
+    changed[3] = other
+    longer.append(other)
+    assert type(pts[:]) is list and type(pts + [other]) is list
+    afresh = [(b, list(pts)), (b, changed), (b, longer),
+              (g.parse_geometry(GEOMETRY_TEXTS[name]), pts),
+              (b, pts[:]), (b, pts[2:9]), (b, pts + [other])]
+    calls = []
+    frame_at = bk.frame_at
+    monkeypatch.setattr(bk, "frame_at", lambda b, s: calls.append(s) or frame_at(b, s))
+    for boundary, seq in afresh:
+        calls.clear()
+        m = bk.chain_product(boundary, seq)
+        assert len(calls) == len(seq)
+        assert m == _pairwise_chain_product(boundary, seq)
+    calls.clear()
+    assert bk.chain_product(b, pts) == _pairwise_chain_product(b, pts)
+    assert calls == []
 
 
 # Last point and chain-product entries of a 60-bounce trace from
@@ -407,3 +454,70 @@ def test_concave_arc_frame_and_trace():
     ]
     assert (m.m11, m.m12, m.m21, m.m22) == (
         15.288975205684562, 13.070297787448993, 3.6991009108144235, 3.2277081875193443)
+
+
+def _trace_by_frame_at(b, start, bounces):
+    """``trace_orbit``'s points with every hit's frame found by ``frame_at``."""
+    pts, fr = [start], g.frame_at(b, start.s)
+    for _ in range(bounces):
+        (_, v), (_, (tx, ty), (ix, iy), _) = pts[-1], fr
+        vp = math.sqrt(1.0 - v * v)
+        dx, dy = v * tx + vp * ix, v * ty + vp * iy
+        # only the hit's arclength is read; _bounce raises CornerHitError here
+        # only after frame_at itself raised CornerPointError at that arclength
+        s_hit = bk._bounce(b, pts[-1], fr)[0].s
+        try:
+            fr = g.frame_at(b, s_hit)
+        except g.CornerPointError:
+            raise bk.CornerHitError(f"ray hit corner at s={s_hit}") from None
+        _, (tx, ty), _, _ = fr
+        pts.append(bk.BirkhoffCoord(s_hit, min(max(dx * tx + dy * ty, -1.0 + 1e-15), 1.0 - 1e-15)))
+    return pts
+
+
+def _outcome(trace, b, start, bounces):
+    """The points and chain product of a trace, or the corner error that ended it."""
+    try:
+        pts = trace(b, start, bounces)
+    except (bk.CornerHitError, g.CornerPointError) as exc:
+        return type(exc).__name__, str(exc)
+    return pts, _pairwise_chain_product(b, pts)
+
+
+def _assert_traces_by_frame_at(b, start, bounces):
+    """Assert that the trace matches ``_trace_by_frame_at``; True if it ended at a corner."""
+    want = _outcome(_trace_by_frame_at, b, start, bounces)
+    got = _outcome(bk.trace_orbit, b, start, bounces)
+    assert got == want
+    if isinstance(got[0], list):
+        assert bk.chain_product(b, got[0]) == want[1]
+    return isinstance(got[0], str)
+
+
+CROSS_CHECKED = {**GEOMETRIES, "concave_bite": g.parse_geometry(CONCAVE_BITE),
+                 "square_3e7": g.square(3e7), "rectangle_3e-6": g.rectangle(3e-6, 2e-6)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(CROSS_CHECKED)),
+       frac=st.floats(0.0, 1.0, exclude_max=True),
+       v=st.floats(-0.95, 0.95))
+def test_interior_hit_frames_equal_frame_at(name, frac, v):
+    b = CROSS_CHECKED[name]
+    _assert_traces_by_frame_at(b, bk.BirkhoffCoord(frac * b.perimeter, v), 40)
+
+
+@pytest.mark.parametrize("side,starts,reach", [(1.0, 199, 1e-8), (3e7, 99, 1e-7)])
+def test_rays_near_a_corner_end_as_with_frame_at(side, starts, reach):
+    # rays from a square's bottom edge aimed at its corner (side, side) or at
+    # most ``reach`` from it along either edge, across the CORNER_TOL edge of
+    # the corner test; at side 3e7 one ulp of the corner's arclength is 7.5e-9
+    sq = g.square(side)
+    corner_hits = traces = 0
+    for x in side * np.arange(1, starts + 1) / (starts + 1):
+        for offset in np.linspace(0.0, reach, 21):
+            for tx, ty in ((side, side - offset), (side - offset, side)):
+                v = (tx - x) / math.hypot(tx - x, ty)
+                corner_hits += _assert_traces_by_frame_at(sq, bk.BirkhoffCoord(x, v), 4)
+                traces += 1
+    assert 0.1 * traces < corner_hits < 0.9 * traces
