@@ -41,9 +41,6 @@ __all__ = [
     "ObtuseCornerResult",
     "obtuse_corner_constant",
     "dd_constant",
-    "PATH_CLASSES",
-    "CLASS_PAIRS",
-    "EDGE_PAIRS",
 ]
 
 
@@ -173,20 +170,17 @@ def corner_orbit_kernel_imag(r: float, alpha: float, total_tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# wedge path classes and the numerical corner constant
+# wedge leg words and the numerical corner constant
 
-PATH_CLASSES = ("d", "a", "b", "ab", "ba")
+
+def _leg_words(max_len: int) -> tuple[str, ...]:
+    """Direct leg "d", then the alternating words of 1 to ``max_len`` letters: a, b, ab, ba, ..."""
+    return ("d", *(("ab" * max_len)[i:i + n] for n in range(1, max_len + 1) for i in (0, 1)))
 
 
 def _word(pair: tuple[str, str]) -> str:
     """The pair's bounce word: both legs' sides in order, direct legs dropped."""
     return (pair[0] + pair[1]).replace("d", "")
-
-
-# Ordered leg-class pairs summed into the corner constant, in product order; ("d", "d") is
-# left out (its constant is ``dd_constant``).  The edge pairs' words use one side only.
-CLASS_PAIRS = tuple(p for p in product(PATH_CLASSES, repeat=2) if p != ("d", "d"))
-EDGE_PAIRS = tuple(p for p in CLASS_PAIRS if len(set(_word(p))) == 1)
 
 
 def _image_line(alpha: float, sides: str) -> tuple[float, float]:
@@ -343,13 +337,15 @@ def _da_constant(alpha: float, n_gl: int) -> float:
 
 
 def _pair_constants(alpha: float, n_gls):
-    """Yields the tau -> 0 constant of every pair in CLASS_PAIRS, in order, per node count."""
-    non_edge = [p for p in CLASS_PAIRS if p not in EDGE_PAIRS]
+    """Yields, per node count, the tau -> 0 constant of every ordered pair of ``_leg_words(2)``
+    but ("d", "d"), in product order; the edge pairs' words use one side only."""
+    pairs = [p for p in product(_leg_words(2), repeat=2) if p != ("d", "d")]
+    edge = {p for p in pairs if len(set(_word(p))) == 1}
+    non_edge = [p for p in pairs if p not in edge]
     c_aa = _aa_constant(alpha)
     for n_gl, values in zip(n_gls, _non_edge_constants(alpha, non_edge, n_gls)):
         c_da, stacked = _da_constant(alpha, n_gl), dict(zip(non_edge, values))
-        yield {p: (c_aa if p[0] == p[1] else c_da) if p in EDGE_PAIRS else stacked[p]
-               for p in CLASS_PAIRS}
+        yield {p: (c_aa if p[0] == p[1] else c_da) if p in edge else stacked[p] for p in pairs}
 
 
 # Largest error estimate obtuse_corner_constant accepts (absolute), and its largest grid.
@@ -392,7 +388,7 @@ class ObtuseCornerResult:
     error_estimate: float
     weyl_value: float
     main_value: float              # classes with one bounce on each side
-    per_class: dict                # tau -> 0 constant of each pair in CLASS_PAIRS
+    per_class: dict                # tau -> 0 constant of each pair, ("d", "d") left out
     grid: int
     tau_ladder: tuple[float, ...] = ()   # always empty; kept for callers that still pass it
 
@@ -410,8 +406,8 @@ class ObtuseCornerResult:
 def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     """Numerical corner delta(E) constant from two-piece folded paths.
 
-    All ordered leg-path class pairs are summed except the doubly-direct
-    one, whose closed form is ``dd_constant`` (``full_value`` adds it).
+    All ordered pairs of the leg words d, a, b, ab and ba are summed but
+    (d, d), whose closed form is ``dd_constant`` (``full_value`` adds it).
     Each pair's constant is the tau -> 0 limit of its imaginary-time trace
     with the area and edge parts removed, taken under the integral: the 18
     non-edge pairs, whose bounce word uses both sides, as 2-D integrals in

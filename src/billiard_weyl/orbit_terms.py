@@ -48,7 +48,9 @@ class ObtuseNoClosedOrbitError(BilliardError):
 
 
 def _require_acute(alpha: float) -> None:
-    if not 0.0 < alpha <= math.pi / 2.0:
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"corner angle must be positive and finite, got {alpha!r}")
+    if alpha > math.pi / 2.0:
         raise ObtuseNoClosedOrbitError(
             f"double-reflection closed orbits require alpha <= pi/2, got {alpha!r}")
 
@@ -105,8 +107,8 @@ def single_reflection_factors(y: float, k: float, c: float = 0.0) -> ClosedOrbit
     d_factor = 1/(8 k y), det_c = 1/(4 t^2); a curved wall divides both by
     (1 - c y).
     """
-    if not (y > 0 and k > 0):
-        raise DomainError("single_reflection_factors requires y > 0 and k > 0")
+    if not (0 < y < math.inf and 0 < k < math.inf and -math.inf < c < math.inf):
+        raise DomainError("single_reflection_factors requires finite y > 0, k > 0 and c")
     focus = 1.0 - c * y
     if focus <= 0.0:
         raise CausticError(f"c*y = {c * y!r} >= 1: orbit crosses the caustic")
@@ -128,8 +130,9 @@ def single_reflection_propagator(y: float, t: float) -> complex:
     Equals -(1/(4 i pi t)) exp(i y^2 / t); the leading minus sign is the
     Dirichlet reflection parity (-1)^1.
     """
-    if not (y > 0 and t > 0):
-        raise DomainError("single_reflection_propagator requires y > 0 and t > 0")
+    if not (y > 0 and 0 < t < math.inf and y * y / t < math.inf):
+        raise DomainError("single_reflection_propagator requires y > 0, finite t > 0 and a "
+                          "finite phase y^2/t")
     return (-1.0 / (4j * math.pi * t)) * complex(math.cos(y * y / t), math.sin(y * y / t))
 
 
@@ -185,8 +188,8 @@ def green_stationary(y: float, k: float) -> complex:
 
 def length_term_density(length: float, energy: float) -> float:
     """Perimeter term of the smooth density: -L / (8 pi sqrt(E))."""
-    if not (length > 0 and energy > 0):
-        raise DomainError("length_term_density requires L > 0 and E > 0")
+    if not (0 < length < math.inf and energy > 0):
+        raise DomainError("length_term_density requires finite L > 0 and E > 0")
     return -length / (8.0 * math.pi * math.sqrt(energy))
 
 
@@ -198,8 +201,8 @@ def length_term_density_quadrature(length: float, energy: float) -> QuadratureRe
     -(L/pi) Im of it.  Verifies the closed form of
     :func:`length_term_density` without using it.
     """
-    if not (length > 0 and energy > 0):
-        raise DomainError("quadrature verify requires L > 0 and E > 0")
+    if not (0 < length < math.inf and energy > 0):
+        raise DomainError("quadrature verify requires finite L > 0 and E > 0")
     k = math.sqrt(energy)
     moment = specfun.hankel0_halfline_moment(0.0, 2.0 * k)
     # G(y) = -(1/4i) H0(2ky);  -(L/pi) Im[ (i/4) * moment ] = -(L/(4 pi)) Re moment
@@ -233,8 +236,8 @@ def acute_corner_orbit(alpha: float, r: float, theta1: float) -> CornerOrbit:
     that image folds back into the closed orbit of length 2 r sin(alpha).
     """
     _require_acute(alpha)
-    if not (r > 0 and 0.0 < theta1 < alpha):
-        raise DomainError("need r > 0 and 0 < theta1 < alpha")
+    if not (0.0 < 2.0 * r < math.inf and 0.0 < theta1 < alpha):   # 2r bounds every chord
+        raise DomainError("need r > 0 with 2r finite, and 0 < theta1 < alpha")
     src = _polar(r, theta1)
     q1 = _polar(r, 2.0 * alpha - theta1)
     q2 = _polar(r, 2.0 * alpha + theta1)
@@ -259,10 +262,14 @@ def corner_orbit_propagator(r: float, alpha: float, t: float) -> complex:
 
     Positive overall sign: two Dirichlet reflections, parity (-1)^2.
     """
-    if not (r > 0 and t > 0):
-        raise DomainError("corner_orbit_propagator requires r > 0 and t > 0")
+    if not (r > 0 and 0 < t < math.inf):
+        raise DomainError("corner_orbit_propagator requires r > 0 and finite t > 0")
     _require_acute(alpha)
-    phase = (r * math.sin(alpha)) ** 2 / t
+    d = r * math.sin(alpha)     # d * d is inf where d ** 2 raises OverflowError
+    phase = d * d / t
+    if not phase < math.inf:
+        raise DomainError(f"corner_orbit_propagator needs a finite (r sin alpha)^2/t, "
+                          f"got {phase!r}")
     return (1.0 / (4j * math.pi * t)) * complex(math.cos(phase), math.sin(phase))
 
 

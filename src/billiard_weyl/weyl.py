@@ -114,8 +114,8 @@ def weyl_expansion(m: GeometricMeasures, bc: BoundaryCondition = DIRICHLET) -> S
 
 def smooth_counting(e: SpectralExpansion, energy: float) -> float:
     """Integrated smooth density N(E) = c0*E + 2*c_half*sqrt(E) + c_delta."""
-    if not energy > 0.0:
-        raise DomainError(f"smooth_counting requires E > 0, got {energy!r}")
+    if not 0.0 < energy < math.inf:
+        raise DomainError(f"smooth_counting requires finite E > 0, got {energy!r}")
     return (e.const_coef * energy
             + 2.0 * e.inv_sqrt_coef * math.sqrt(energy)
             + e.delta_coef)

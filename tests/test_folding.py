@@ -320,6 +320,13 @@ def _alternating_words(length):
             for start in (0, 1)]
 
 
+def test_leg_words_are_d_and_the_alternating_words():
+    # folding's own word list against this module's independent one, in the same order
+    for length in range(1, 8):
+        assert fl._leg_words(length) == ("d", *_alternating_words(length))
+    assert fl._leg_words(2) == ("d", "a", "b", "ab", "ba")
+
+
 def _alternating_pairs(alpha):
     """Every ordered pair of legs, "d" or an alternating word of up to floor(pi/alpha) + 1
     bounces, (d, d) included."""
@@ -552,7 +559,7 @@ def test_sector_branches_switch_only_at_listed_kinks(alpha):
     # an end of one of the pair's _pair_geometry panels; every alternating word pair at the
     # sharp angles (225 and 81 pairs), the class pairs elsewhere
     pairs = (_alternating_pairs(alpha) if alpha in (PI / 6, 1.0)
-             else list(product(fl.PATH_CLASSES, repeat=2)))
+             else list(product(fl._leg_words(2), repeat=2)))
     scan = np.linspace(0.0, alpha, 20001)
     _, panels, owner = fl._pair_geometry(alpha, pairs)
     for n, (p1, p2) in enumerate(pairs):
@@ -580,15 +587,16 @@ LADDER_NON_EDGE_SUMS = [
 ]
 
 
+# The pairs of the leg words d, a, b, ab and ba whose word uses both sides, in product order.
+NON_EDGE_PAIRS = tuple(p for p in product(fl._leg_words(2), repeat=2)
+                       if len(set(fl._word(p))) == 2)
+
+
 @pytest.mark.parametrize("alpha, ladder_sum, tol", LADDER_NON_EDGE_SUMS)
 def test_tau_free_pairs_match_the_ladder_limit(alpha, ladder_sum, tol):
     res = fl.obtuse_corner_constant(alpha, grid=1)
-    non_edge = [p for p in fl.CLASS_PAIRS if p not in fl.EDGE_PAIRS]
-    assert len(non_edge) == 18
-    assert sum(res.per_class[p] for p in non_edge) == pytest.approx(ladder_sum, abs=tol)
-
-
-NON_EDGE_PAIRS = tuple(p for p in fl.CLASS_PAIRS if p not in fl.EDGE_PAIRS)
+    assert len(NON_EDGE_PAIRS) == 18
+    assert sum(res.per_class[p] for p in NON_EDGE_PAIRS) == pytest.approx(ladder_sum, abs=tol)
 
 
 def _line_crossings(alpha, p1, p2):
@@ -662,7 +670,7 @@ def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkey
     fl.obtuse_corner_constant(alpha, grid=1)
     assert calls["_stable_g"] <= 4
     assert calls["_pair_geometry"] == 1
-    assert calls["_image_line"] == len(fl.PATH_CLASSES) == 5
+    assert calls["_image_line"] == len(fl._leg_words(2)) == 5
 
 
 @pytest.mark.parametrize("alpha", (PI / 10, 1.0, 2.5))
@@ -711,11 +719,54 @@ def test_every_alternating_word_pair_stacks_to_weyl(alpha, n_pairs):
     assert len(pairs) == n_pairs
     edge = [p for p in pairs if len(set(fl._word(p))) == 1]
     non_edge = [p for p in pairs if p not in edge]
-    assert sorted(edge) == sorted(fl.EDGE_PAIRS)
+    assert sorted(edge) == sorted(p for p in product(fl._leg_words(2), repeat=2)
+                                  if len(set(fl._word(p))) == 1)
     c_aa, c_da = fl._aa_constant(alpha), fl._da_constant(alpha, 10)
     total = (fl.dd_constant(alpha) + sum(c_aa if p1 == p2 else c_da for p1, p2 in edge)
              + sum(next(fl._non_edge_constants(alpha, non_edge, (10,)))))
     assert total == pytest.approx(w.weyl_corner_coefficient(alpha), abs=1e-12)
+
+
+# Exact per-pair constants at alpha = pi/n, as 16 pi^2 C, at 25 nodes per panel.  Each was
+# found by an integer-relation search on 1, pi and pi^2 and checked at 13, 25 and 40 nodes;
+# the gaps do not shrink with nodes (the largest, 8.2e-13 at (ab, ba) at pi/2, is a rounding
+# floor), hence 1e-11.
+EXACT_RIGHT_ANGLE = {
+    **dict.fromkeys([("d", "a"), ("a", "d"), ("d", "b"), ("b", "d")], PI / 2),
+    **dict.fromkeys([("a", "a"), ("b", "b")], -1.0),
+    **dict.fromkeys([("d", "ab"), ("d", "ba"), ("ab", "d"), ("ba", "d")], PI**2 / 8),
+    **dict.fromkeys([("a", "b"), ("b", "a")], PI**2 / 4),
+    **dict.fromkeys([*product("ab", ("ab", "ba")), *product(("ab", "ba"), "ab")], -PI / 4),
+    **dict.fromkeys([("ab", "ba"), ("ba", "ab")], 0.5),
+    **dict.fromkeys([("ab", "ab"), ("ba", "ba")], 0.0),
+}
+EXACT_NON_EDGE = [
+    (4, ("a", "b"), 13 * PI**2 / 36),
+    (4, ("d", "abab"), PI**2 / 32),
+    (4, ("a", "bab"), PI**2 / 16),
+    (4, ("aba", "bab"), PI**2 / 36),
+    (4, ("ab", "ba"), PI / 4),
+    (4, ("aba", "aba"), (PI - 2) / 4),
+    (4, ("abab", "baba"), (4 - PI) / 8),
+    (3, ("ab", "ba"), 2 * PI / (3 * math.sqrt(3)) - 0.5),
+]
+
+
+def test_every_right_angle_pair_constant_is_exact():
+    # grid 7 is 25 nodes per panel; the 24 pairs and (d, d) are all elementary at pi/2
+    res = fl.obtuse_corner_constant(PI / 2, grid=7)
+    assert res.per_class.keys() == EXACT_RIGHT_ANGLE.keys()
+    for pair, exact in EXACT_RIGHT_ANGLE.items():
+        assert 16 * PI**2 * res.per_class[pair] == pytest.approx(exact, abs=1e-11), pair
+    assert 16 * PI**2 * res.dd_constant == pytest.approx(1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("n, pair, exact", EXACT_NON_EDGE)
+def test_non_edge_pair_constant_is_exact_at_pi_over_n(n, pair, exact):
+    # every non-edge pair of the leg words up to n + 1 bounces, in one pass
+    pairs = [p for p in product(fl._leg_words(n + 1), repeat=2) if len(set(fl._word(p))) == 2]
+    value = dict(zip(pairs, next(fl._non_edge_constants(PI / n, pairs, (25,)))))[pair]
+    assert 16 * PI**2 * value == pytest.approx(exact, abs=1e-11)
 
 
 MIXED_EDGE_PAIRS = (("d", "a"), ("a", "d"), ("d", "b"), ("b", "d"))
@@ -807,7 +858,7 @@ def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
     assert res.main_value == pytest.approx(main_value, rel=1e-11)
     # one tau -> 0 constant for each of the 24 ordered class pairs, ("d", "d") left out,
     # in product order
-    pairs = [p for p in product(fl.PATH_CLASSES, repeat=2) if p != ("d", "d")]
+    pairs = [p for p in product(fl._leg_words(2), repeat=2) if p != ("d", "d")]
     assert list(res.per_class) == pairs
     assert all(isinstance(v, float) for v in res.per_class.values())
     # a double bounce in both legs has no valid path at an obtuse or right corner
@@ -817,6 +868,34 @@ def test_corner_constant_pinned_at_grid_one(alpha, value, main_value):
     # the main value is the plain sum of the six one-a-one-b pairs, in order
     mains = [("d", "ab"), ("d", "ba"), ("a", "b"), ("b", "a"), ("ab", "d"), ("ba", "d")]
     assert res.main_value == sum(res.per_class[p] for p in mains)
+
+
+# Known deviations of the two-piece total: R_2 = full_value - W at grid 3 (error estimates
+# at most 1.9e-13), and the README's acute gap at alpha = 0.1, grid 1 (estimate 3.9e-6),
+# where the legs stop at two bounces though one can bounce up to floor(pi/alpha) + 1 times.
+OBTUSE_R2 = [(1.7, -2.4508333807030103e-05), (2.0, -0.0018574796032970672),
+             (2.5, -0.0023729130170149146), (3.0, -0.00021936958124334303)]
+
+
+@pytest.mark.parametrize("alpha, r2", OBTUSE_R2)
+def test_obtuse_two_piece_total_misses_weyl_by_a_pinned_residual(alpha, r2):
+    res = fl.obtuse_corner_constant(alpha, grid=3)
+    assert res.error_estimate < 2e-13
+    assert res.full_value - res.weyl_value == pytest.approx(r2, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", (PI / 2, 1.7, 2.0, 2.5, 3.0))
+def test_obtuse_full_value_is_the_main_value(alpha):
+    # from pi/2 on, the pairs whose word is not one a and one b cancel (measured gap at most
+    # 2.4e-14 at grid 3); below pi/2 they do not (3.7e-2 at 1.0)
+    res = fl.obtuse_corner_constant(alpha, grid=3)
+    assert res.full_value == pytest.approx(res.main_value, abs=1e-13)
+
+
+def test_acute_two_piece_total_sits_above_weyl_at_alpha_0_1():
+    res = fl.obtuse_corner_constant(0.1, grid=1)
+    assert res.error_estimate < 4e-6
+    assert res.full_value - res.weyl_value == pytest.approx(1.2857165e-2, abs=4e-6)
 
 
 def test_corner_constant_rejects_bad_inputs():

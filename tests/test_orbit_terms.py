@@ -271,6 +271,34 @@ def test_green_at_an_overflowing_or_underflowing_phase_is_a_domain_error():
                 green(y, k)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("func, args", [
+    (ot.corner_delta_by_quadrature, (-1.0,)),
+    (ot.corner_delta_by_quadrature, (NAN,)),
+    (ot.corner_delta_by_quadrature, (INF,)),
+    (ot.acute_corner_orbit, (-1.0, 1.0, 0.5)),
+    (ot.corner_orbit_propagator, (1.0, NAN, 1.0)),
+    (ot.single_reflection_factors, (1.0, 1.0, NAN)),
+    (ot.single_reflection_factors, (INF, 1.0)),
+    (ot.single_reflection_propagator, (1e200, 1e-200)),
+    (ot.single_reflection_propagator, (INF, 1.0)),
+    (ot.single_reflection_propagator, (1.0, INF)),
+    (ot.corner_orbit_propagator, (1e200, 1.0, 1e-10)),
+    (ot.corner_orbit_propagator, (1.0, 1.0, INF)),
+    (ot.acute_corner_orbit, (1.0, INF, 0.5)),
+    (ot.acute_corner_orbit, (1.0, 1.7e308, 0.5)),
+    (ot.length_term_density, (INF, 1.0)),
+    (ot.length_term_density_quadrature, (INF, 1.0)),
+], ids=lambda v: v.__name__ if callable(v) else ",".join(map(repr, v)))
+def test_non_finite_or_out_of_domain_input_is_a_domain_error(func, args):
+    # not a NaN or infinite result, a bare ValueError or OverflowError from math, and not
+    # ObtuseNoClosedOrbitError for an angle that is no angle at all (alpha <= 0, NaN, inf)
+    with pytest.raises(DomainError):
+        func(*args)
+
+
 def test_sharp_corner_oracle_stops_before_the_closed_form():
     # documented deviation: corner_coeffs answers down to alpha ~ 1.6e-162, where sin^2
     # underflows, but the oracle's moment scale (2 sin alpha)^-2 passes e^709 below ~5.5e-155,

@@ -69,6 +69,13 @@ def test_smooth_counting_small_energy_limit():
         w.smooth_counting(e, 0.0)
 
 
+def test_smooth_counting_refuses_infinite_energy():
+    # c0 E and 2 c_half sqrt(E) are +inf and -inf there: not a NaN count
+    e = w.weyl_expansion(g.measures(g.square()))
+    with pytest.raises(DomainError):
+        w.smooth_counting(e, math.inf)
+
+
 def test_smooth_counting_increment_matches_density_quadrature():
     e = w.weyl_expansion(g.measures(g.rectangle(1.0, 1.7)))
 
