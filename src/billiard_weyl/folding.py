@@ -26,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,13 +100,12 @@ def signature_oracle(sig: SignSignature, tau: float = 0.25) -> dict:
 # ---------------------------------------------------------------------------
 # broken two-piece path through the unfolded wedge
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)    # math.erfc elementwise: numpy has no erfc
-
 
 def _radial_first_moment(m: np.ndarray, tau: float) -> np.ndarray:
     """integral of r0 exp(-(r0-m)^2/(2 tau)) over r0 in (0, inf)."""
-    return tau * np.exp(-(m * m) / (2.0 * tau)) \
-        + m * math.sqrt(math.pi * tau / 2.0) * _erfc(-m / math.sqrt(2.0 * tau)).astype(float)
+    z = -m / math.sqrt(2.0 * tau)
+    erfc = np.fromiter(map(math.erfc, z.tolist()), float, z.size)     # numpy has no erfc
+    return tau * np.exp(-(m * m) / (2.0 * tau)) + m * math.sqrt(math.pi * tau / 2.0) * erfc
 
 
 # Geometric refinement levels around each peak, and Gauss-Legendre nodes
@@ -116,10 +116,11 @@ _BROKEN_PATH_NODES = 12
 
 def _panel_edges(lo: float, hi: float, peaks, scale: float) -> np.ndarray:
     """Distinct sorted panel edges on [lo, hi], refined geometrically near ``peaks``."""
-    steps = scale * 2.0 ** np.arange(_REFINE_LEVELS + 1)
-    offsets = np.concatenate([-steps, [0.0], steps])
-    cand = (np.asarray(peaks, dtype=float)[:, None] + offsets).ravel()
-    return np.unique(np.concatenate([[lo], np.clip(cand, lo, hi), [hi]]))
+    steps = [scale * 2.0**k for k in range(_REFINE_LEVELS + 1)]
+    offsets = [*(-step for step in steps), 0.0, *steps]
+    cand = (p + d for p in peaks for d in offsets)
+    # a candidate clipped to [lo, hi] lands inside it or on lo or hi, already edges
+    return np.array(sorted({lo, hi, *(x for x in cand if lo < x < hi)}))
 
 
 def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) -> complex:
@@ -141,7 +142,8 @@ def broken_path_propagator(r: float, theta1: float, alpha: float, tau: float) ->
     if not 0.0 <= theta1 <= alpha:
         raise DomainError("theta1 must lie in [0, alpha]")
     theta2 = 2.0 * alpha + theta1
-    lo, hi = _visible_sector(3.0 * alpha, theta1, theta2)
+    # the ``_visible_sector`` of [0, 3 alpha], in floats: theta1 <= theta2
+    lo, hi = max(0.0, theta2 - math.pi), min(3.0 * alpha, theta1 + math.pi)
     if hi <= lo:
         return complex(0.0)
     psi_mid = 0.5 * (theta1 + theta2)
@@ -202,14 +204,25 @@ def _visible_sector(top: float, psi_u, psi_v):
     return lo, hi
 
 
+@functools.lru_cache(maxsize=64)     # keyed on one block's pairs; a miss costs one np.unique
+def _leg_index(pairs: tuple):
+    """The alpha-free part of ``_pair_geometry``: the pairs' distinct leg words, those words
+    read both ways, and each pair's two rows among the legs (read-only)."""
+    legs, leg = np.unique(np.array(pairs), return_inverse=True)
+    legs = tuple(legs.tolist())
+    leg = leg.reshape(-1, 2)
+    leg.setflags(write=False)
+    return legs, frozenset((*legs, *(w[::-1] for w in legs))), leg
+
+
 def _pair_geometry(alpha: float, pairs):
     """Each pair's (su, ku, sv, kv) row of ``lines``, psi_u = su theta + ku along p1 and psi_v
     along p2 reversed, and its theta panels, (n, 2) ends and each one's row, cut at the kinks
     of its ``_visible_sector``: where 0, alpha, psi_u +- pi, psi_v +- pi cross in (0, alpha)."""
-    legs, leg = np.unique(np.array(pairs), return_inverse=True)
-    line = {w: _image_line(alpha, w) for w in {*legs, *(w[::-1] for w in legs)}}
+    legs, words, leg = _leg_index(tuple(pairs))
+    line = {w: _image_line(alpha, w) for w in words}
     table = np.array([[line[w], line[w[::-1]]] for w in legs])     # each leg word both ways
-    lines = table[leg.reshape(-1, 2), [0, 1]].reshape(-1, 4)
+    lines = table[leg, [0, 1]].reshape(-1, 4)
     (su, ku, sv, kv), zero = lines.T, np.zeros(len(lines))
     s = np.stack([zero, zero, su, su, sv, sv], axis=1)
     k = np.stack([zero, zero + alpha, ku - math.pi, ku + math.pi, kv - math.pi, kv + math.pi], 1)
@@ -243,6 +256,17 @@ def _stable_g(a, b):
 _PAIR_BLOCK = 512   # non-edge pairs integrated together: bounds one block's stacked rows
 
 
+def _joined_g(passes):
+    """``_stable_g`` on every pass's (a, b), arrays of one shape per pass, in one call, split
+    back into one array per pass: g is elementwise, so each is bit for bit its own call's."""
+    g = _stable_g(*(np.concatenate(side, axis=None) for side in zip(*passes)))
+    parts, start = [], 0
+    for a, _ in passes:
+        parts.append(g[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return parts
+
+
 def _non_edge_constants(alpha: float, pairs, n_gls):
     """Yields, for each node count in ``n_gls``, every non-edge pair's constant in order:
     (-1)^|w|/(16 pi^2) times the integral of g(c/2).
@@ -255,16 +279,18 @@ def _non_edge_constants(alpha: float, pairs, n_gls):
     the tau -> 0 limit is the same integral of g(c/2), smooth inside the sector; theta panels
     end at the sector's kinks, where its ends are affine in theta, and each theta node takes
     one theta0 panel [lo, hi].  The pairs are integrated in blocks of ``_PAIR_BLOCK`` whole
-    pairs: ``_pair_geometry`` finds a block's image lines and kinks once for all counts, and
-    each count stacks the block's panels in one pass, so memory does not grow with the
-    number of pairs.
+    pairs: ``_pair_geometry`` finds a block's image lines and kinks once, each node count
+    stacks the block's panels, and g is taken once on every count's rows together, so one
+    block costs one geometry and one g call whatever the counts, and memory does not grow
+    with the number of pairs.
     """
     values = [[] for _ in n_gls]
     for start in range(0, len(pairs), _PAIR_BLOCK):
         block = pairs[start:start + _PAIR_BLOCK]
         lines, panels, panel_owner = _pair_geometry(alpha, block)
         signs = (lines[:, 0] * lines[:, 2] / (16.0 * math.pi**2)).tolist()   # su sv = (-1)^|w|
-        for n_gl, out in zip(n_gls, values):
+        weights, rows, args = [], [], []
+        for n_gl in n_gls:
             thetas, th_w = (x.ravel() for x in gauss_legendre(panels, n_gl))
             owner = np.repeat(panel_owner, n_gl)
             su, ku, sv, kv = lines[owner].T
@@ -273,10 +299,14 @@ def _non_edge_constants(alpha: float, pairs, n_gls):
             r = np.flatnonzero(hi - lo > 1e-12 * alpha)    # drops rounding-level slivers
             th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
             half_diff, mid = 0.5 * (psi_u[r] - psi_v[r]), 0.5 * (psi_u[r] + psi_v[r])
-            terms = th_w[r, None] * w0 * _stable_g(half_diff[:, None], th0 - mid[:, None])
+            weights.append(th_w[r, None] * w0)
+            rows.append(owner[r])
+            args.append((np.broadcast_to(half_diff[:, None], th0.shape), th0 - mid[:, None]))
+        for weight, row, g, out in zip(weights, rows, _joined_g(args), values):
+            terms = weight * g
             # each pair's rows are contiguous, theta-major: summed alone, bit for bit its own
             # pass, whatever block it sits in
-            ends = np.searchsorted(owner[r], np.arange(len(block) + 1))
+            ends = np.searchsorted(row, np.arange(len(block) + 1))
             out += [sign * float(terms[a:b].sum())
                     for sign, a, b in zip(signs, ends[:-1], ends[1:])]
     yield from values
@@ -307,8 +337,9 @@ def _aa_constant(alpha: float) -> float:
     return half_turn - dd_constant(alpha)
 
 
-def _da_constant(alpha: float, n_gl: int) -> float:
-    """C_da(alpha), the (d, a) pair's constant, as one polar integral about the corner.
+def _da_constant(alpha: float, n_gls) -> list[float]:
+    """C_da(alpha), the (d, a) pair's constant, at each node count in ``n_gls``, as one polar
+    integral about the corner.
 
     Here psi_u = theta and psi_v = -theta, so rho = cos(theta) cos(theta0)/sqrt(1 + 2 tau)
     on D = {theta, theta0 in [0, alpha], theta + theta0 <= pi}, and the sign is -1.  rho
@@ -320,32 +351,66 @@ def _da_constant(alpha: float, n_gl: int) -> float:
                        [integral over (0, R) of (r g - pi/r^2) dr - pi/R] dbeta,
     R(beta) = min(alpha/max(cos beta, sin beta), pi/(cos beta + sin beta)).  beta panels end
     at pi/4 and, for alpha > pi/2, where the cut theta + theta0 = pi takes over,
-    beta1 = atan(pi/alpha - 1) and pi/2 - beta1; n_gl nodes per panel in beta and in r.
+    beta1 = atan(pi/alpha - 1) and pi/2 - beta1; n_gl nodes per panel in beta and in r, g
+    taken once on every count's nodes together.
     Reversing the legs gives (a, d), and the mirror theta -> alpha - theta (d, b) and (b, d).
     """
     edges = [0.0, 0.25 * math.pi, 0.5 * math.pi]
     if alpha > 0.5 * math.pi:
         beta1 = math.atan(math.pi / alpha - 1.0)
         edges += [beta1, 0.5 * math.pi - beta1]
-    beta, w_beta = gauss_legendre(np.unique(edges), n_gl)
-    cos_b, sin_b = np.cos(beta), np.sin(beta)
-    big_r = np.minimum(alpha / np.maximum(cos_b, sin_b), math.pi / (cos_b + sin_b))
-    r, w_r = gauss_legendre(np.stack([np.zeros_like(big_r), big_r], axis=-1), n_gl)
-    g = _stable_g(r * cos_b[:, None], r * sin_b[:, None])
-    inner = np.sum(w_r * (r * g - math.pi / r**2), axis=-1) - math.pi / big_r
-    return -float(w_beta @ inner) / (16.0 * math.pi**2)
+    edges = np.array(sorted(set(edges)))
+    rules, args = [], []
+    for n_gl in n_gls:
+        beta, w_beta = gauss_legendre(edges, n_gl)
+        cos_b, sin_b = np.cos(beta), np.sin(beta)
+        big_r = np.minimum(alpha / np.maximum(cos_b, sin_b), math.pi / (cos_b + sin_b))
+        r, w_r = gauss_legendre(np.stack([np.zeros_like(big_r), big_r], axis=-1), n_gl)
+        rules.append((w_beta, big_r, r, w_r))
+        args.append((r * cos_b[:, None], r * sin_b[:, None]))
+    values = []
+    for (w_beta, big_r, r, w_r), g in zip(rules, _joined_g(args)):
+        inner = np.sum(w_r * (r * g - math.pi / r**2), axis=-1) - math.pi / big_r
+        values.append(-float(w_beta @ inner) / (16.0 * math.pi**2))
+    return values
 
 
-def _pair_constants(alpha: float, n_gls):
-    """Yields, per node count, the tau -> 0 constant of every ordered pair of ``_leg_words(2)``
-    but ("d", "d"), in product order; the edge pairs' words use one side only."""
-    pairs = [p for p in product(_leg_words(2), repeat=2) if p != ("d", "d")]
-    edge = {p for p in pairs if len(set(_word(p))) == 1}
-    non_edge = [p for p in pairs if p not in edge]
+class _PairPlan(NamedTuple):
+    pairs: tuple     # every ordered pair but ("d", "d"), in product order
+    reps: tuple      # one non-edge pair per reversal orbit, in first-met order
+    source: tuple    # each pair's index into (C_aa, C_da, *the reps' constants)
+    main: tuple      # the pairs whose word is one a and one b, in pair order
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_plan(max_len: int) -> _PairPlan:
+    """The alpha-free tables of the pair sum over ``_leg_words(max_len)``, built once.
+
+    Edge pairs, whose word uses one side only, take C_aa ((a, a) and (b, b)) or C_da.  The
+    reversal (p1, p2) -> (p2 reversed, p1 reversed) gives a non-edge pair the same two image
+    lines swapped, so the same constant bit for bit: one pair of each orbit is integrated and
+    its value copied to its twin; a pair such as (ab, ba) is its own twin.
+    """
+    pairs = tuple(p for p in product(_leg_words(max_len), repeat=2) if p != ("d", "d"))
+    rep_index, source = {}, []
+    for p in pairs:
+        if len(set(_word(p))) == 1:
+            source.append(0 if p[0] == p[1] else 1)
+        else:
+            twin = (p[1][::-1], p[0][::-1])
+            source.append(2 + rep_index.setdefault(twin if twin in rep_index else p,
+                                                   len(rep_index)))
+    main = tuple(p for p in pairs if sorted(_word(p)) == ["a", "b"])
+    return _PairPlan(pairs, tuple(rep_index), tuple(source), main)
+
+
+def _pair_constants(alpha: float, plan: _PairPlan, n_gls):
+    """Yields, per node count, the tau -> 0 constant of every pair of ``plan``, in its order."""
     c_aa = _aa_constant(alpha)
-    for n_gl, values in zip(n_gls, _non_edge_constants(alpha, non_edge, n_gls)):
-        c_da, stacked = _da_constant(alpha, n_gl), dict(zip(non_edge, values))
-        yield {p: (c_aa if p[0] == p[1] else c_da) if p in edge else stacked[p] for p in pairs}
+    for c_da, rep_values in zip(_da_constant(alpha, n_gls),
+                                _non_edge_constants(alpha, plan.reps, n_gls)):
+        values = (c_aa, c_da, *rep_values)
+        yield dict(zip(plan.pairs, map(values.__getitem__, plan.source)))
 
 
 # Largest error estimate obtuse_corner_constant accepts (absolute), and its largest grid.
@@ -384,10 +449,10 @@ def dd_constant(alpha: float) -> float:
 @dataclass(frozen=True)
 class ObtuseCornerResult:
     alpha: float
-    value: float                   # every class pair but ("d", "d")
+    value: float                   # every pair of leg words but ("d", "d")
     error_estimate: float
     weyl_value: float
-    main_value: float              # classes with one bounce on each side
+    main_value: float              # the pairs whose bounce word is one a and one b
     per_class: dict                # tau -> 0 constant of each pair, ("d", "d") left out
     grid: int
     tau_ladder: tuple[float, ...] = ()   # always empty; kept for callers that still pass it
@@ -399,7 +464,7 @@ class ObtuseCornerResult:
 
     @property
     def full_value(self) -> float:
-        """Every class pair: ``value`` plus the doubly-direct constant."""
+        """Every pair of leg words: ``value`` plus the doubly-direct constant."""
         return self.value + self.dd_constant
 
 
@@ -410,14 +475,18 @@ def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     (d, d), whose closed form is ``dd_constant`` (``full_value`` adds it).
     Each pair's constant is the tau -> 0 limit of its imaginary-time trace
     with the area and edge parts removed, taken under the integral: the 18
-    non-edge pairs, whose bounce word uses both sides, as 2-D integrals in
-    blocks of whole pairs (``_non_edge_constants``, sector kinks found once
-    per block), (a, a) and (b, b) in closed form (``_aa_constant``) and the
-    four one-bounce edge pairs as one polar integral (``_da_constant``).
-    ``grid`` sets 4 + 3*grid Gauss-Legendre nodes per panel.  It must be an
-    integer from 1 to 20 (64 nodes), checked before any quadrature: from grid
-    3 on the error estimate is already at its rounding floor (below 4e-13 at
-    eight angles from 0.3 to 3.0), so a larger grid only costs time and memory.
+    non-edge pairs, whose bounce word uses both sides, fall in 10 orbits of
+    the reversal (p1, p2) -> (p2 reversed, p1 reversed), which keeps the
+    constant bit for bit, so one pair per orbit is a 2-D integral, in blocks
+    of whole pairs (``_non_edge_constants``, sector kinks found once per
+    block), and its twin takes its value; (a, a) and (b, b) are in closed
+    form (``_aa_constant``) and the four one-bounce edge pairs one polar
+    integral (``_da_constant``); the integrals take both node counts of the
+    error estimate in one pass.  ``grid`` sets 4 + 3*grid Gauss-Legendre
+    nodes per panel.  It must be an integer from 1 to 20 (64 nodes), checked
+    before any quadrature: from grid 3 on the error estimate is already at
+    its rounding floor (below 4e-13 at eight angles from 0.3 to 3.0), so a
+    larger grid only costs time and memory.
 
     Works for any wedge angle in (0, pi) whose cosine is below 1 in floating
     point (alpha above about 1.05e-8; below it the non-edge integrands reach
@@ -436,14 +505,15 @@ def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     if not (isinstance(grid, numbers.Integral) and 1 <= grid <= _MAX_GRID):
         raise DomainError(f"grid must be an integer in [1, {_MAX_GRID}], got {grid!r}")
     n_gl = 4 + 3 * grid
-    per_class, coarse = _pair_constants(alpha, (n_gl, n_gl - 3))
+    plan = _pair_plan(2)
+    per_class, coarse = _pair_constants(alpha, plan, (n_gl, n_gl - 3))
     value = sum(per_class.values())
     err = abs(value - sum(coarse.values()))
     from .weyl import weyl_corner_coefficient
     result = ObtuseCornerResult(
         alpha=alpha, value=value, error_estimate=err,
         weyl_value=weyl_corner_coefficient(alpha),
-        main_value=sum(v for pair, v in per_class.items() if sorted(_word(pair)) == ["a", "b"]),
+        main_value=sum(per_class[pair] for pair in plan.main),
         per_class=per_class, grid=grid,
     )
     if not err <= _ERROR_TOL:

@@ -113,6 +113,9 @@ def single_reflection_factors(y: float, k: float, c: float = 0.0) -> ClosedOrbit
     if focus <= 0.0:
         raise CausticError(f"c*y = {c * y!r} >= 1: orbit crosses the caustic")
     t = y / k
+    if not (0.0 < t < math.inf and 0.0 < t * t < math.inf and 0.0 < y * y / t < math.inf):
+        raise DomainError(f"single_reflection_factors needs t = y/k, t*t and y*y/t positive "
+                          f"and finite; got y={y!r}, k={k!r}")
     return ClosedOrbitAmplitude(
         d_factor=1.0 / (8.0 * k * y * focus),
         det_c=1.0 / (4.0 * t * t * focus),

@@ -215,8 +215,9 @@ def gauss_legendre(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndar
     Panels run along the last axis; a row's nodes come flat, panel by panel.
     """
     xs, ws = _legendre_rule(n_nodes)
-    half = 0.5 * np.diff(edges)[..., None]
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    a, b = edges[..., :-1], edges[..., 1:]
+    half = 0.5 * (b - a)[..., None]
+    mid = 0.5 * (a + b)[..., None]
     shape = (*edges.shape[:-1], (edges.shape[-1] - 1) * n_nodes)
     return (mid + half * xs).reshape(shape), (half * ws).reshape(shape)
 

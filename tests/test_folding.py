@@ -652,25 +652,93 @@ def test_stacked_pairs_equal_the_per_pair_integrals_bit_for_bit(alpha):
 
 @pytest.mark.parametrize("alpha", (1.0, 2.5))
 def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkeypatch):
-    # both grids share one stacked pass per node count, and every pair's sector panels come
-    # from one array pass per call, on image lines taken once per leg word: one _stable_g
-    # call per stacked pass and one per _da_constant
-    calls = Counter()
+    # one pair of each reversal orbit is integrated, 10 of the 18 non-edge pairs; their sector
+    # panels come from one array pass per call, on image lines taken once per leg word, and
+    # both grids' node counts share one _stable_g call in _non_edge_constants and one in
+    # _da_constant
+    calls, received = Counter(), []
 
     def counted(name):
         func = getattr(fl, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "_non_edge_constants":
+                received.append(len(args[1]))
             return func(*args)
         return wrapper
 
-    for name in ("_stable_g", "_pair_geometry", "_image_line"):
+    for name in ("_stable_g", "_pair_geometry", "_image_line", "_non_edge_constants"):
         monkeypatch.setattr(fl, name, counted(name))
     fl.obtuse_corner_constant(alpha, grid=1)
-    assert calls["_stable_g"] <= 4
+    assert calls["_stable_g"] == 2
+    assert received == [10]
     assert calls["_pair_geometry"] == 1
     assert calls["_image_line"] == len(fl._leg_words(2)) == 5
+
+
+@pytest.mark.parametrize("alpha", (PI / 10, 0.3, PI / 4, 1.0, 2.5))
+def test_reversed_swapped_legs_give_the_same_constant_bit_for_bit(alpha):
+    # (p1, p2) -> (p2 reversed, p1 reversed) swaps the pair's two image lines, so each
+    # non-edge pair integrated alone has its twin's value to the last bit: at every word
+    # length up to floor(pi/alpha) + 1 bounces, not only at _leg_words(2)
+    pairs = [p for p in product(fl._leg_words(math.floor(PI / alpha) + 1), repeat=2)
+             if len(set(fl._word(p))) == 2]
+    n_gls = (4, 7, 10)
+    alone = {p: [v[0].hex() for v in fl._non_edge_constants(alpha, [p], n_gls)]
+             for p in pairs}
+    for (p1, p2), bits in alone.items():
+        assert alone[p2[::-1], p1[::-1]] == bits
+
+
+def test_pair_plan_copies_each_orbits_value_to_its_twin():
+    # every non-edge pair reads the value of its own orbit's one integrated pair
+    plan = fl._pair_plan(2)
+    assert len(plan.pairs) == 24 and len(plan.reps) == 10
+    per_class = fl.obtuse_corner_constant(1.0, grid=1).per_class
+    assert list(per_class) == list(plan.pairs)
+    reps = set(plan.reps)
+    for p1, p2 in NON_EDGE_PAIRS:
+        twin = (p2[::-1], p1[::-1])
+        # exactly one of the two is integrated, or the pair is its own twin
+        assert len({(p1, p2), twin} & reps) == 1
+        assert per_class[p1, p2] == per_class[twin]
+
+
+# obtuse_corner_constant's value, error_estimate and main_value and four right-angle
+# broken_path_propagator values, as float.hex: the inputs of the benchmark's fold-sweep
+# round (the broken-path points are the first four half-identity draws of its seed 101).
+# Any rewrite of these paths for speed must give the same bits.
+PINNED_CORNERS = {
+    (1.0, 1): ("0x1.aff72b9ad8e61p-4", "0x1.30622b12a0000p-21", "0x1.56d639714a57ap-4"),
+    (1.0, 2): ("0x1.aff72b9902139p-4", "0x1.d6d2800000000p-36", "0x1.56d639714a105p-4"),
+    (1.0, 3): ("0x1.aff72b9902214p-4", "0x1.b600000000000p-49", "0x1.56d639714a108p-4"),
+    (PI / 2, 1): ("0x1.cc1fa140bf536p-5", "0x1.34eee89dc0000p-21", "0x1.ffffffffffffep-5"),
+    (PI / 2, 2): ("0x1.cc1fa13bb9e76p-5", "0x1.415b000000000p-35", "0x1.ffffffffffffep-5"),
+    (PI / 2, 3): ("0x1.cc1fa13bb9a85p-5", "0x1.f880000000000p-48", "0x1.0000000000000p-4"),
+    (2.5, 1): ("0x1.0518363e4737bp-6", "0x1.9b57b7cb40000p-23", "0x1.13bcd061a93f8p-6"),
+    (2.5, 2): ("0x1.0518363af789ep-6", "0x1.a7d6e80000000p-37", "0x1.13bcd061a9534p-6"),
+    (2.5, 3): ("0x1.0518363af791ap-6", "0x1.f000000000000p-52", "0x1.13bcd061a9536p-6"),
+}
+PINNED_BROKEN_PATHS = {
+    (0.849363788378984, 1.0089195221917413, 0.04216101678391341): "0x1.7cf245a3d0cf0p-14",
+    (0.7138947296605882, 0.5604081322137434, 0.04819541995648054): "0x1.118648cc6493cp-9",
+    (0.5060299928378498, 0.7965466644606902, 0.05106960963709093): "0x1.041db44b00662p-5",
+    (0.94590798049604, 0.5955708690234093, 0.07411360410172395): "0x1.506a674d9449dp-11",
+}
+
+
+@pytest.mark.parametrize("alpha, grid", sorted(PINNED_CORNERS))
+def test_corner_constant_is_pinned_bit_for_bit(alpha, grid):
+    res = fl.obtuse_corner_constant(alpha, grid=grid)
+    bits = (res.value.hex(), res.error_estimate.hex(), res.main_value.hex())
+    assert bits == PINNED_CORNERS[alpha, grid]
+
+
+@pytest.mark.parametrize("r, theta1, tau", sorted(PINNED_BROKEN_PATHS))
+def test_broken_path_is_pinned_bit_for_bit(r, theta1, tau):
+    k = fl.broken_path_propagator(r, theta1, PI / 2, tau)
+    assert (k.real.hex(), k.imag) == (PINNED_BROKEN_PATHS[r, theta1, tau], 0.0)
 
 
 @pytest.mark.parametrize("alpha", (PI / 10, 1.0, 2.5))
@@ -721,7 +789,7 @@ def test_every_alternating_word_pair_stacks_to_weyl(alpha, n_pairs):
     non_edge = [p for p in pairs if p not in edge]
     assert sorted(edge) == sorted(p for p in product(fl._leg_words(2), repeat=2)
                                   if len(set(fl._word(p))) == 1)
-    c_aa, c_da = fl._aa_constant(alpha), fl._da_constant(alpha, 10)
+    c_aa, (c_da,) = fl._aa_constant(alpha), fl._da_constant(alpha, (10,))
     total = (fl.dd_constant(alpha) + sum(c_aa if p1 == p2 else c_da for p1, p2 in edge)
              + sum(next(fl._non_edge_constants(alpha, non_edge, (10,)))))
     assert total == pytest.approx(w.weyl_corner_coefficient(alpha), abs=1e-12)
@@ -822,7 +890,15 @@ def test_da_constant_keeps_its_digits_at_a_sharp_corner():
     # the (d, a) integrand cancels r g against pi/r^2 near the corner; with 1 - rho^2 and
     # arccos(-rho) formed from the two angles, 7 and 30 nodes per panel agree to rounding
     # (with 1 - rho^2 from rho they differ by 1.4e-6 at alpha = 0.05)
-    assert fl._da_constant(0.05, 30) == pytest.approx(fl._da_constant(0.05, 7), abs=1e-12)
+    fine, coarse = fl._da_constant(0.05, (30, 7))
+    assert fine == pytest.approx(coarse, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", (0.05, 1.0, PI / 2, 2.5))
+def test_da_constant_counts_share_one_g_call_bit_for_bit(alpha):
+    # g is elementwise, so taking it once on both counts' nodes changes no bit of either
+    assert fl._da_constant(alpha, (7, 4)) == [*fl._da_constant(alpha, (7,)),
+                                              *fl._da_constant(alpha, (4,))]
 
 
 @pytest.mark.parametrize("alpha", (0.35, 1e-3))

@@ -282,6 +282,10 @@ NAN, INF = math.nan, math.inf
     (ot.corner_orbit_propagator, (1.0, NAN, 1.0)),
     (ot.single_reflection_factors, (1.0, 1.0, NAN)),
     (ot.single_reflection_factors, (INF, 1.0)),
+    (ot.single_reflection_factors, (1e-300, 1e300)),    # t = y/k underflows to 0
+    (ot.single_reflection_factors, (1e300, 1e-300)),    # t overflows to inf
+    (ot.single_reflection_factors, (1e200, 1.0)),       # t*t and y*y overflow
+    (ot.single_reflection_factors, (1e-200, 1.0)),      # t*t and y*y/t underflow to 0
     (ot.single_reflection_propagator, (1e200, 1e-200)),
     (ot.single_reflection_propagator, (INF, 1.0)),
     (ot.single_reflection_propagator, (1.0, INF)),
