@@ -185,16 +185,24 @@ def _word(pair: tuple[str, str]) -> str:
     return (pair[0] + pair[1]).replace("d", "")
 
 
-def _image_line(alpha: float, sides: str) -> tuple[float, float]:
-    """(s, k) with theta reflected across ``sides`` in order equal to s*theta + k.
+def _image_line(sides: str) -> tuple[int, int]:
+    """(s, n) with theta reflected across ``sides`` in order equal to s*theta + n*alpha.
 
-    Side "a" lies at angle 0 (theta -> -theta), side "b" at alpha (theta -> 2 alpha - theta);
-    "d" reflects nothing.
+    Side "a" lies at angle 0 (theta -> -theta, so n -> -n), side "b" at alpha
+    (theta -> 2 alpha - theta, so n -> 2 - n); "d" reflects nothing.
     """
-    s, k = 1.0, 0.0
+    s, n = 1, 0
     for side in sides.replace("d", ""):
-        s, k = -s, (-k if side == "a" else 2.0 * alpha - k)
-    return s, k
+        s, n = -s, (-n if side == "a" else 2 - n)
+    return s, n
+
+
+def _pair_lines(pairs) -> np.ndarray:
+    """Each pair's alpha-free (su, nu, sv, nv) row: psi_u = su theta + nu alpha along p1 and
+    psi_v along p2 read reversed (read-only)."""
+    rows = np.array([(*_image_line(p1), *_image_line(p2[::-1])) for p1, p2 in pairs], dtype=int)
+    rows.setflags(write=False)
+    return rows
 
 
 def _visible_sector(top: float, psi_u, psi_v):
@@ -204,25 +212,12 @@ def _visible_sector(top: float, psi_u, psi_v):
     return lo, hi
 
 
-@functools.lru_cache(maxsize=64)     # keyed on one block's pairs; a miss costs one np.unique
-def _leg_index(pairs: tuple):
-    """The alpha-free part of ``_pair_geometry``: the pairs' distinct leg words, those words
-    read both ways, and each pair's two rows among the legs (read-only)."""
-    legs, leg = np.unique(np.array(pairs), return_inverse=True)
-    legs = tuple(legs.tolist())
-    leg = leg.reshape(-1, 2)
-    leg.setflags(write=False)
-    return legs, frozenset((*legs, *(w[::-1] for w in legs))), leg
-
-
-def _pair_geometry(alpha: float, pairs):
-    """Each pair's (su, ku, sv, kv) row of ``lines``, psi_u = su theta + ku along p1 and psi_v
-    along p2 reversed, and its theta panels, (n, 2) ends and each one's row, cut at the kinks
-    of its ``_visible_sector``: where 0, alpha, psi_u +- pi, psi_v +- pi cross in (0, alpha)."""
-    legs, words, leg = _leg_index(tuple(pairs))
-    line = {w: _image_line(alpha, w) for w in words}
-    table = np.array([[line[w], line[w[::-1]]] for w in legs])     # each leg word both ways
-    lines = table[leg, [0, 1]].reshape(-1, 4)
+def _pair_geometry(alpha: float, rows):
+    """Each pair's (su, ku, sv, kv) row of ``lines``, its ``_pair_lines`` row times
+    (1, alpha, 1, alpha): psi_u = su theta + ku along p1 and psi_v along p2 reversed; and its
+    theta panels, (n, 2) ends and each one's row, cut at the kinks of its ``_visible_sector``:
+    where 0, alpha, psi_u +- pi, psi_v +- pi cross in (0, alpha)."""
+    lines = rows * (1.0, alpha, 1.0, alpha)
     (su, ku, sv, kv), zero = lines.T, np.zeros(len(lines))
     s = np.stack([zero, zero, su, su, sv, sv], axis=1)
     k = np.stack([zero, zero + alpha, ku - math.pi, ku + math.pi, kv - math.pi, kv + math.pi], 1)
@@ -267,9 +262,9 @@ def _joined_g(passes):
     return parts
 
 
-def _non_edge_constants(alpha: float, pairs, n_gls):
-    """Yields, for each node count in ``n_gls``, every non-edge pair's constant in order:
-    (-1)^|w|/(16 pi^2) times the integral of g(c/2).
+def _non_edge_constants(alpha: float, rows, n_gls):
+    """Yields, for each node count in ``n_gls``, the constant of each non-edge pair whose
+    ``_pair_lines`` row is in ``rows``, in order: (-1)^|w|/(16 pi^2) times the integral of g(c/2).
 
     In imaginary time tau per leg, with the window exp(-r^2) on the corner, the radial
     double integral of a pair's two-piece trace is closed form: the trace is
@@ -278,18 +273,18 @@ def _non_edge_constants(alpha: float, pairs, n_gls):
     c = cos(theta0 - psi_u) + cos(theta0 - psi_v).  Off the edge pairs c/2 stays below 1, so
     the tau -> 0 limit is the same integral of g(c/2), smooth inside the sector; theta panels
     end at the sector's kinks, where its ends are affine in theta, and each theta node takes
-    one theta0 panel [lo, hi].  The pairs are integrated in blocks of ``_PAIR_BLOCK`` whole
-    pairs: ``_pair_geometry`` finds a block's image lines and kinks once, each node count
-    stacks the block's panels, and g is taken once on every count's rows together, so one
-    block costs one geometry and one g call whatever the counts, and memory does not grow
-    with the number of pairs.
+    one theta0 panel [lo, hi].  The rows are integrated in blocks of ``_PAIR_BLOCK`` whole
+    pairs: ``_pair_geometry`` turns a block's alpha-free rows into image lines and kinks once,
+    each node count stacks the block's panels, and g is taken once on every count's rows
+    together, so one block costs one geometry and one g call whatever the counts, and memory
+    does not grow with the number of pairs.
     """
     values = [[] for _ in n_gls]
-    for start in range(0, len(pairs), _PAIR_BLOCK):
-        block = pairs[start:start + _PAIR_BLOCK]
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        block = rows[start:start + _PAIR_BLOCK]
         lines, panels, panel_owner = _pair_geometry(alpha, block)
         signs = (lines[:, 0] * lines[:, 2] / (16.0 * math.pi**2)).tolist()   # su sv = (-1)^|w|
-        weights, rows, args = [], [], []
+        weights, owners, args = [], [], []
         for n_gl in n_gls:
             thetas, th_w = (x.ravel() for x in gauss_legendre(panels, n_gl))
             owner = np.repeat(panel_owner, n_gl)
@@ -300,9 +295,9 @@ def _non_edge_constants(alpha: float, pairs, n_gls):
             th0, w0 = gauss_legendre(np.stack([lo[r], hi[r]], axis=-1), n_gl)
             half_diff, mid = 0.5 * (psi_u[r] - psi_v[r]), 0.5 * (psi_u[r] + psi_v[r])
             weights.append(th_w[r, None] * w0)
-            rows.append(owner[r])
+            owners.append(owner[r])
             args.append((np.broadcast_to(half_diff[:, None], th0.shape), th0 - mid[:, None]))
-        for weight, row, g, out in zip(weights, rows, _joined_g(args), values):
+        for weight, row, g, out in zip(weights, owners, _joined_g(args), values):
             terms = weight * g
             # each pair's rows are contiguous, theta-major: summed alone, bit for bit its own
             # pass, whatever block it sits in
@@ -377,8 +372,8 @@ def _da_constant(alpha: float, n_gls) -> list[float]:
 
 class _PairPlan(NamedTuple):
     pairs: tuple     # every ordered pair but ("d", "d"), in product order
-    reps: tuple      # one non-edge pair per reversal orbit, in first-met order
-    source: tuple    # each pair's index into (C_aa, C_da, *the reps' constants)
+    lines: np.ndarray   # the _pair_lines rows of one non-edge pair per reversal orbit
+    source: tuple    # each pair's index into (C_aa, C_da, *the constants of the lines' pairs)
     main: tuple      # the pairs whose word is one a and one b, in pair order
 
 
@@ -401,14 +396,14 @@ def _pair_plan(max_len: int) -> _PairPlan:
             source.append(2 + rep_index.setdefault(twin if twin in rep_index else p,
                                                    len(rep_index)))
     main = tuple(p for p in pairs if sorted(_word(p)) == ["a", "b"])
-    return _PairPlan(pairs, tuple(rep_index), tuple(source), main)
+    return _PairPlan(pairs, _pair_lines(rep_index), tuple(source), main)
 
 
 def _pair_constants(alpha: float, plan: _PairPlan, n_gls):
     """Yields, per node count, the tau -> 0 constant of every pair of ``plan``, in its order."""
     c_aa = _aa_constant(alpha)
     for c_da, rep_values in zip(_da_constant(alpha, n_gls),
-                                _non_edge_constants(alpha, plan.reps, n_gls)):
+                                _non_edge_constants(alpha, plan.lines, n_gls)):
         values = (c_aa, c_da, *rep_values)
         yield dict(zip(plan.pairs, map(values.__getitem__, plan.source)))
 
@@ -479,7 +474,9 @@ def obtuse_corner_constant(alpha: float, grid: int = 2) -> ObtuseCornerResult:
     the reversal (p1, p2) -> (p2 reversed, p1 reversed), which keeps the
     constant bit for bit, so one pair per orbit is a 2-D integral, in blocks
     of whole pairs (``_non_edge_constants``, sector kinks found once per
-    block), and its twin takes its value; (a, a) and (b, b) are in closed
+    block), and its twin takes its value.  Each pair's two image lines are
+    s*theta + n*alpha with integers s and n read from its words alone, built
+    once per word length (``_pair_plan``).  (a, a) and (b, b) are in closed
     form (``_aa_constant``) and the four one-bounce edge pairs one polar
     integral (``_da_constant``); the integrals take both node counts of the
     error estimate in one pass.  ``grid`` sets 4 + 3*grid Gauss-Legendre

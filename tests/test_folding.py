@@ -335,8 +335,36 @@ def _alternating_pairs(alpha):
 
 def _image_angle(alpha, theta, sides):
     """theta reflected across ``sides`` in order ("a" at angle 0, "b" at alpha; "d" none)."""
-    s, k = fl._image_line(alpha, sides)
-    return s * theta + k
+    s, n = fl._image_line(sides)
+    return s * theta + n * alpha
+
+
+def _folded_line(alpha, sides):
+    """The image angle s theta + k of theta folded across ``sides`` in order, k in floats:
+    side "a" at angle 0 takes the angle psi to -psi, side "b" at alpha to 2 alpha - psi."""
+    s, k = 1, 0.0
+    for side in sides:
+        s, k = -s, (-k if side == "a" else 2.0 * alpha - k)
+    return s, k
+
+
+def test_image_line_is_the_folded_image_angle():
+    # the word alone gives s and n, and n alpha is the folded offset to the last bit up to
+    # ten letters, where the fold's partial offsets are 2, 4 and 8 alpha (exact; 2 alpha plus
+    # 6 alpha rounded rounds back to 8 alpha) or 6 and 10 alpha rounded once, as n alpha is
+    # (-0.0 and 0.0 compare equal); from eleven letters on the fold rounds at many "b"s, each
+    # by at most half an ulp of a partial offset no larger than |n alpha|
+    rng = np.random.default_rng(23)
+    assert fl._image_line("d") == (1, 0)
+    for alpha in [*rng.uniform(1e-3, 3.1, 200), *(PI / n for n in range(2, 22))]:
+        for word in _alternating_words(32):
+            s, n = fl._image_line(word)
+            folded_s, k = _folded_line(alpha, word)
+            assert s == folded_s, word
+            if len(word) <= 10:
+                assert n * alpha == k, (alpha, word)
+            else:
+                assert abs(n * alpha - k) <= len(word) / 4 * math.ulp(n * alpha), (alpha, word)
 
 
 def _in_sector(alpha, psi_u, psi_v, th0, margin):
@@ -561,7 +589,7 @@ def test_sector_branches_switch_only_at_listed_kinks(alpha):
     pairs = (_alternating_pairs(alpha) if alpha in (PI / 6, 1.0)
              else list(product(fl._leg_words(2), repeat=2)))
     scan = np.linspace(0.0, alpha, 20001)
-    _, panels, owner = fl._pair_geometry(alpha, pairs)
+    _, panels, owner = fl._pair_geometry(alpha, fl._pair_lines(pairs))
     for n, (p1, p2) in enumerate(pairs):
         psi_u = _image_angle(alpha, scan, p1)
         psi_v = _image_angle(alpha, scan, p2[::-1])
@@ -602,7 +630,8 @@ def test_tau_free_pairs_match_the_ladder_limit(alpha, ladder_sum, tol):
 def _line_crossings(alpha, p1, p2):
     """The sorted distinct crossings in (0, alpha) of one pair's six sector lines, pair of
     lines by pair of lines: the per-pair reference for ``_pair_geometry``."""
-    (su, ku), (sv, kv) = fl._image_line(alpha, p1), fl._image_line(alpha, p2[::-1])
+    su, nu, sv, nv = fl._pair_lines([(p1, p2)])[0]
+    ku, kv = nu * alpha, nv * alpha
     lines = [(0.0, 0.0), (0.0, alpha), (su, ku - PI), (su, ku + PI),
              (sv, kv - PI), (sv, kv + PI)]
     cross = [(k2 - k1) / (s1 - s2) for i, (s1, k1) in enumerate(lines)
@@ -615,7 +644,7 @@ def test_sector_panels_end_at_each_pairs_line_crossings(alpha):
     # one array pass over all pairs gives each pair the panels between 0, its own sorted
     # distinct line crossings and alpha, bit for bit, in pair order
     pairs = _alternating_pairs(alpha)
-    _, panels, owner = fl._pair_geometry(alpha, pairs)
+    _, panels, owner = fl._pair_geometry(alpha, fl._pair_lines(pairs))
     assert np.array_equal(owner, np.sort(owner))
     for n, (p1, p2) in enumerate(pairs):
         edges = np.concatenate([[0.0], _line_crossings(alpha, p1, p2), [alpha]])
@@ -625,7 +654,7 @@ def test_sector_panels_end_at_each_pairs_line_crossings(alpha):
 def _non_edge_constant(alpha, p1, p2, n_gl):
     """One non-edge pair's constant, integrated on its own: the per-pair reference the
     stacked ``_non_edge_constants`` must reproduce bit for bit."""
-    _, panels, _ = fl._pair_geometry(alpha, [(p1, p2)])
+    _, panels, _ = fl._pair_geometry(alpha, fl._pair_lines([(p1, p2)]))
     thetas, th_w = (x.ravel() for x in gauss_legendre(panels, n_gl))
     psi_u, psi_v = _image_angle(alpha, thetas, p1), _image_angle(alpha, thetas, p2[::-1])
     lo, hi = fl._visible_sector(alpha, psi_u, psi_v)
@@ -646,16 +675,17 @@ def test_stacked_pairs_equal_the_per_pair_integrals_bit_for_bit(alpha):
     if alpha == PI / 5:
         pairs = [p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2]
     n_gls = (4, 7, 10)
-    for n_gl, values in zip(n_gls, fl._non_edge_constants(alpha, pairs, n_gls)):
+    for n_gl, values in zip(n_gls, fl._non_edge_constants(alpha, fl._pair_lines(pairs), n_gls)):
         assert values == [_non_edge_constant(alpha, p1, p2, n_gl) for p1, p2 in pairs]
 
 
 @pytest.mark.parametrize("alpha", (1.0, 2.5))
 def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkeypatch):
     # one pair of each reversal orbit is integrated, 10 of the 18 non-edge pairs; their sector
-    # panels come from one array pass per call, on image lines taken once per leg word, and
-    # both grids' node counts share one _stable_g call in _non_edge_constants and one in
-    # _da_constant
+    # panels come from one array pass per call, on the plan's alpha-free image lines (no
+    # _image_line call once the plan is built), and both grids' node counts share one
+    # _stable_g call in _non_edge_constants and one in _da_constant
+    fl._pair_plan(2)
     calls, received = Counter(), []
 
     def counted(name):
@@ -674,7 +704,7 @@ def test_corner_constant_integrates_all_non_edge_pairs_in_one_pass(alpha, monkey
     assert calls["_stable_g"] == 2
     assert received == [10]
     assert calls["_pair_geometry"] == 1
-    assert calls["_image_line"] == len(fl._leg_words(2)) == 5
+    assert calls["_image_line"] == 0
 
 
 @pytest.mark.parametrize("alpha", (PI / 10, 0.3, PI / 4, 1.0, 2.5))
@@ -685,7 +715,7 @@ def test_reversed_swapped_legs_give_the_same_constant_bit_for_bit(alpha):
     pairs = [p for p in product(fl._leg_words(math.floor(PI / alpha) + 1), repeat=2)
              if len(set(fl._word(p))) == 2]
     n_gls = (4, 7, 10)
-    alone = {p: [v[0].hex() for v in fl._non_edge_constants(alpha, [p], n_gls)]
+    alone = {p: [v[0].hex() for v in fl._non_edge_constants(alpha, fl._pair_lines([p]), n_gls)]
              for p in pairs}
     for (p1, p2), bits in alone.items():
         assert alone[p2[::-1], p1[::-1]] == bits
@@ -694,15 +724,45 @@ def test_reversed_swapped_legs_give_the_same_constant_bit_for_bit(alpha):
 def test_pair_plan_copies_each_orbits_value_to_its_twin():
     # every non-edge pair reads the value of its own orbit's one integrated pair
     plan = fl._pair_plan(2)
-    assert len(plan.pairs) == 24 and len(plan.reps) == 10
+    assert len(plan.pairs) == 24 and len(plan.lines) == 10
     per_class = fl.obtuse_corner_constant(1.0, grid=1).per_class
     assert list(per_class) == list(plan.pairs)
-    reps = set(plan.reps)
+    source = dict(zip(plan.pairs, plan.source))
+    readers = {}
     for p1, p2 in NON_EDGE_PAIRS:
         twin = (p2[::-1], p1[::-1])
-        # exactly one of the two is integrated, or the pair is its own twin
-        assert len({(p1, p2), twin} & reps) == 1
+        assert source[p1, p2] == source[twin]
+        readers.setdefault(source[p1, p2], set()).add((p1, p2))
         assert per_class[p1, p2] == per_class[twin]
+    # each integrated value is read by exactly one orbit: a pair and its twin, or a pair
+    # that is its own twin
+    assert sorted(readers) == list(range(2, 2 + len(plan.lines)))
+    for group in readers.values():
+        p1, p2 = min(group)
+        assert group == {(p1, p2), (p2[::-1], p1[::-1])}
+
+
+@pytest.mark.parametrize("max_len", range(2, 7))
+def test_pair_plan_holds_one_line_row_per_reversal_orbit(max_len):
+    # the reversal (p1, p2) -> (p2 reversed, p1 reversed) gives a non-edge pair its own two
+    # alpha-free image lines swapped, so its twin's constant is its own bit for bit; the plan
+    # holds one row per orbit, and each pair's source is a row of its lines or their swap
+    plan = fl._pair_plan(max_len)
+    non_edge = [p for p in plan.pairs if len(set(fl._word(p))) == 2]
+    sources = [i for i in plan.source if i >= 2]
+    assert [p for p, i in zip(plan.pairs, plan.source) if i >= 2] == non_edge
+    rows = fl._pair_lines(non_edge)
+    swap = [2, 3, 0, 1]
+    assert np.array_equal(fl._pair_lines((p2[::-1], p1[::-1]) for p1, p2 in non_edge),
+                          rows[:, swap])
+    orbits = {frozenset({(p1, p2), (p2[::-1], p1[::-1])}) for p1, p2 in non_edge}
+    assert len(plan.lines) == len(orbits) == len(set(sources))
+    if max_len == 2:
+        assert len(orbits) == 10
+    assert not plan.lines.flags.writeable
+    for row, i in zip(rows, sources):
+        held = plan.lines[i - 2]
+        assert np.array_equal(held, row) or np.array_equal(held, row[swap])
 
 
 # obtuse_corner_constant's value, error_estimate and main_value and four right-angle
@@ -745,10 +805,10 @@ def test_broken_path_is_pinned_bit_for_bit(r, theta1, tau):
 def test_pair_blocks_keep_every_pair_bit_for_bit(alpha, monkeypatch):
     # each pair's rows sit whole inside one block, so blocks of 7 pairs give every pair the
     # value of one pass over all of them, with one _pair_geometry call per block
-    pairs = [p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2]
+    rows = fl._pair_lines(p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2)
     n_gls = (4, 7, 10)
-    monkeypatch.setattr(fl, "_PAIR_BLOCK", len(pairs))
-    whole = list(fl._non_edge_constants(alpha, pairs, n_gls))
+    monkeypatch.setattr(fl, "_PAIR_BLOCK", len(rows))
+    whole = list(fl._non_edge_constants(alpha, rows, n_gls))
     calls = Counter()
     geometry = fl._pair_geometry
 
@@ -758,8 +818,8 @@ def test_pair_blocks_keep_every_pair_bit_for_bit(alpha, monkeypatch):
 
     monkeypatch.setattr(fl, "_pair_geometry", counted)
     monkeypatch.setattr(fl, "_PAIR_BLOCK", 7)
-    assert list(fl._non_edge_constants(alpha, pairs, n_gls)) == whole
-    assert calls["_pair_geometry"] == -(-len(pairs) // 7)
+    assert list(fl._non_edge_constants(alpha, rows, n_gls)) == whole
+    assert calls["_pair_geometry"] == -(-len(rows) // 7)
 
 
 def test_non_edge_constants_peak_memory_at_sharp_corner():
@@ -768,9 +828,10 @@ def test_non_edge_constants_peak_memory_at_sharp_corner():
     alpha = 0.05
     pairs = [p for p in _alternating_pairs(alpha) if len(set(fl._word(p))) == 2]
     assert len(pairs) == 16_122
+    rows = fl._pair_lines(pairs)
     tracemalloc.start()
     try:
-        values = next(fl._non_edge_constants(alpha, pairs, (10,)))
+        values = next(fl._non_edge_constants(alpha, rows, (10,)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,7 +852,7 @@ def test_every_alternating_word_pair_stacks_to_weyl(alpha, n_pairs):
                                   if len(set(fl._word(p))) == 1)
     c_aa, (c_da,) = fl._aa_constant(alpha), fl._da_constant(alpha, (10,))
     total = (fl.dd_constant(alpha) + sum(c_aa if p1 == p2 else c_da for p1, p2 in edge)
-             + sum(next(fl._non_edge_constants(alpha, non_edge, (10,)))))
+             + sum(next(fl._non_edge_constants(alpha, fl._pair_lines(non_edge), (10,)))))
     assert total == pytest.approx(w.weyl_corner_coefficient(alpha), abs=1e-12)
 
 
@@ -833,7 +894,8 @@ def test_every_right_angle_pair_constant_is_exact():
 def test_non_edge_pair_constant_is_exact_at_pi_over_n(n, pair, exact):
     # every non-edge pair of the leg words up to n + 1 bounces, in one pass
     pairs = [p for p in product(fl._leg_words(n + 1), repeat=2) if len(set(fl._word(p))) == 2]
-    value = dict(zip(pairs, next(fl._non_edge_constants(PI / n, pairs, (25,)))))[pair]
+    values = next(fl._non_edge_constants(PI / n, fl._pair_lines(pairs), (25,)))
+    value = dict(zip(pairs, values))[pair]
     assert 16 * PI**2 * value == pytest.approx(exact, abs=1e-11)
 
 
