@@ -152,7 +152,7 @@ def green_fourier(y: float, k: float) -> QuadratureResult:
     Integrates the propagator against exp(i E t) over t in (0, inf) on the
     rotated contour of :func:`specfun.hankel_time_integral`: an independent
     numerical route to :func:`single_reflection_green`.  Where the contour's
-    arc runs out of panels (from 2ky ≈ 1.47e5 on), raises
+    arc runs out of panels (past 2ky = 131056), raises
     :class:`NonConvergence` carrying the amplitude.
     """
     if not (y > 0 and k > 0):

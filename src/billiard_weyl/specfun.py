@@ -1,4 +1,4 @@
-"""Special functions and deterministic adaptive quadrature.
+"""Special functions and Gauss-Legendre quadrature.
 
 J0, J1 and Y0 are evaluated in numpy: below x = 25 by the trapezoid rule,
 256 nodes per period, on Bessel's integral (DLMF 10.9.2; error about
@@ -7,10 +7,10 @@ J0, J1 and Y0 are evaluated in numpy: below x = 25 by the trapezoid rule,
 11 terms each of P and Q.  Nodes are summed by ``np.sum`` along the last
 axis, so a value does not depend on the array it arrives in.
 
-All operations are pure functions.  The adaptive integrator evaluates one
-bisection level of panels per integrand call and sums the accepted panels
-with ``math.fsum``, correctly rounded in any order, so the sum does not
-depend on panel order and repeated calls are bit-identical.
+All operations are pure functions.  There is one quadrature rule: Gauss-Legendre
+on panels the caller lays out, one cached rule per node count.  ``integrate``
+takes it at two node counts in one integrand call, so repeated calls are
+bit-identical and the estimate is the two sums' difference plus rounding.
 
 Oscillatory half-line integrals (Hankel kernels) are never integrated raw:
 Cauchy's theorem moves each off the real axis, to imaginary time or to the
@@ -42,8 +42,8 @@ __all__ = [
 # Decaying tails are truncated where the envelope drops below exp(-_TAIL_LOG).
 _TAIL_LOG = 45.0
 
-# Panels one adaptive integration may evaluate before it gives up.
-_PANEL_BUDGET = 65536
+# Panels the arc of ``hankel_time_integral`` may take: 557,056 evaluations at most.
+_PANEL_BUDGET = 16384
 
 
 @dataclass(frozen=True)
@@ -118,75 +118,27 @@ def hankel1_0(x: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# quadrature: adaptive Gauss-Kronrod, fixed-order Gauss-Legendre panels
+# quadrature: Gauss-Legendre panels
 
-# 15-point Kronrod abscissae on [-1, 1] (nonnegative half) with weights,
-# embedding the 7-point Gauss rule.
-_XK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
-_WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-_WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])     # on the odd Kronrod nodes
+# Node counts of the two Gauss-Legendre rules ``integrate`` takes on every panel.
+_NODES_HI, _NODES_LO = 20, 14
 
 
-def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9) -> QuadratureResult:
-    """Deterministic adaptive G7-K15 quadrature of ``f`` over [lo, hi].
+def integrate(f: Callable, edges: np.ndarray) -> QuadratureResult:
+    """Gauss-Legendre sum of ``f`` over the panels between ``edges``, at 20 and 14 nodes.
 
-    Works one bisection level at a time: ``f`` receives the abscissae of
-    every pending panel as one ``(panels, 15)`` array and must return values
-    elementwise (real or complex).  A panel that meets its share of ``tol``
-    is kept; the others are halved for the next level.  Raises
-    :class:`NonConvergence` (carrying the best value) when halving them
-    would take the panels evaluated past ``_PANEL_BUDGET``.
+    ``f`` gets both rules' nodes on every panel as one flat array and returns values
+    elementwise.  The value is the 20-node sum; the estimate is its distance from the
+    14-node sum plus n*u*sum(|terms|) (n evaluations, u = 2^-53): far above the rounding
+    of numpy's pairwise sum, it also covers a relative error near n*u in each value.
     """
-    total_len = hi - lo
-    a, b = np.array([lo]), np.array([hi])
-    values, errors = [], []     # accepted panels' K15 sums and error estimates, per level
-    evaluations = 0
-    overflow = False
-    while True:
-        width = b - a
-        half, mid = 0.5 * width, 0.5 * (b + a)
-        y = np.asarray(f(mid[:, None] + half[:, None] * _NODES))
-        # np.add.reduce is the reduction np.sum makes, without its dispatch
-        vk = half * np.add.reduce(_WEIGHTS_K * y, axis=-1)
-        # a strided view of the odd (Gauss) nodes keeps numpy's 1-D summation order
-        err = np.abs(vk - half * np.add.reduce(_WEIGHTS_G * y[:, 1::2], axis=-1))
-        evaluations += 15 * a.size
-        done = (err <= tol * np.maximum(width / total_len, 1e-3)) | (width <= 1e-14 * total_len)
-        pending = a.size - np.count_nonzero(done)
-        if evaluations // 15 + 2 * pending > _PANEL_BUDGET:
-            overflow = True
-            done[:] = True
-            pending = 0
-        values.append(vk[done])
-        errors.append(err[done])
-        if not pending:
-            break
-        a, b, mid = a[~done], b[~done], mid[~done]
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    accepted = np.concatenate(values)
-    value = complex(math.fsum(accepted.real), math.fsum(accepted.imag))
-    err_total = math.fsum(np.concatenate(errors))
-    result = QuadratureResult(value, err_total, evaluations)
-    if overflow:
-        raise NonConvergence(
-            f"quadrature budget of {_PANEL_BUDGET} panels exhausted (err={err_total:.3e})",
-            result=result)
-    return result
+    x_hi, w_hi = gauss_legendre(edges, _NODES_HI)
+    x_lo, w_lo = gauss_legendre(edges, _NODES_LO)
+    y = np.asarray(f(np.concatenate([x_hi, x_lo])))
+    terms = w_hi * y[:x_hi.size]
+    value = complex(np.sum(terms))
+    err = abs(value - complex(np.sum(w_lo * y[x_hi.size:])))
+    return QuadratureResult(value, err + y.size * 2.0**-53 * float(np.sum(np.abs(terms))), y.size)
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +153,9 @@ def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _k0_moment(mu: float) -> QuadratureResult:
     """int_0^inf u^mu H0^(1)(i u) du = (2/(i pi)) Gamma(mu+1) int_0^inf sech^(mu+1) t dt, the
-    last on [0, 20] and, to a factor 1 - O((mu+1) e^-40), past 20 as 2^(mu+1) e^(-(mu+1) t).
-    The estimate adds 1e-14 of the value for rounding, which dominates it as mu -> -1."""
-    q = integrate(lambda t: np.cosh(t) ** (-mu - 1.0), 0.0, 20.0, 1e-8)
+    last on 40 panels of [0, 20] and, to a factor 1 - O((mu+1) e^-40), past 20 as 2^(mu+1)
+    e^(-(mu+1) t).  The estimate adds 1e-14 of the value for rounding (dominant as mu -> -1)."""
+    q = integrate(lambda t: np.cosh(t) ** (-mu - 1.0), np.linspace(0.0, 20.0, 41))
     pref = (2.0 / (1j * math.pi)) * math.gamma(mu + 1.0)
     value = pref * (q.value + 2.0 ** (mu + 1.0) * math.exp(-20.0 * (mu + 1.0)) / (mu + 1.0))
     return QuadratureResult(value, abs(pref) * q.error_estimate + 1e-14 * abs(value), q.evaluations)
@@ -237,35 +189,42 @@ def hankel_time_integral(w: float) -> QuadratureResult:
         H0^(1)(w) = (2/pi) [ int_0^{pi/2} exp(i*w*cos(phi)) dphi
                              - i int_0^inf exp(-w*sinh(t)) dt ]
 
-    (DLMF 10.9.7 at nu = 0): a bounded arc and a decaying leg, cut where
-    w*sinh(t) passes ``_TAIL_LOG``, each integrated once at the default
-    tolerance, with w*sinh(t) taken as exp(t + ln w)*(1 - exp(-2t))/2, which
-    neither overflows nor cancels at any w; from w ~ 1e16 on that cut rounds
-    to 0, and the leg is taken as 1/w, within 1/w^3 of its value.  The error
-    estimate, 2/pi times the sum of theirs, bounds the absolute error of H0.
-    The arc's panels grow with w; if they run out, raises
-    :class:`NonConvergence` carrying the partial H0.
+    (DLMF 10.9.7 at nu = 0): a bounded arc and a decaying leg, cut where w*sinh(t),
+    taken as exp(t + ln w)*(1 - exp(-2t))/2 (no overflow or cancellation at any w),
+    passes ``_TAIL_LOG``; from w ~ 1e16 on the cut rounds to 0, and the leg is taken
+    as 1/w, within 1/w^3 of its value.  The leg's panels halve, down to min(1, 1/w),
+    towards both sides of its knee max(0, ln(1/w)), where w*sinh(t) ~ 1/2 and the
+    integrand starts to fall.  The arc's ceil(w/8) + 2 equal panels span two periods
+    or fewer each; its rounding term, n*u*pi/2 with n > 4.25 w, is of the order of the
+    phase w*cos(phi)'s worst-case rounding, about 5 w*u.  The error estimate, 2/pi times
+    the sum of theirs, bounds the absolute error of H0.  Past ``_PANEL_BUDGET`` arc
+    panels (w > 131056) raises :class:`NonConvergence` carrying the partial H0 of the
+    leg, whose estimate counts the arc, not integrated, at its bound pi/2.
     """
     if not 0.0 < w < math.inf:
         raise DomainError(f"hankel_time_integral requires finite w > 0, got {w!r}")
     log_w = math.log(w)
     cut = math.log(2.0 * _TAIL_LOG + w) - log_w
     if cut:
-        leg = integrate(lambda t: np.exp(-0.5 * np.exp(t + log_w) * -np.expm1(-2.0 * t)), 0.0, cut)
+        knee, steps = max(0.0, -log_w), min(1.0, 1.0 / w) * 2.0 ** np.arange(10)
+        edges = np.concatenate([knee - steps, knee + steps, [0.0, knee, cut]]).clip(0.0, cut)
+        leg = integrate(lambda t: np.exp(-0.5 * np.exp(t + log_w) * -np.expm1(-2.0 * t)),
+                        np.unique(edges))
     else:
         leg = QuadratureResult(1.0 / w, (1.0 / w) ** 3, 0)
-
-    def h0(arc: QuadratureResult) -> QuadratureResult:
-        return QuadratureResult((2.0 / math.pi) * (arc.value - 1j * leg.value),
-                                (2.0 / math.pi) * (arc.error_estimate + leg.error_estimate),
-                                arc.evaluations + leg.evaluations)
-
-    try:
-        arc = integrate(lambda phi: np.exp(1j * w * np.cos(phi)), 0.0, 0.5 * math.pi)
-    except NonConvergence as exc:
-        exc.result = h0(exc.result)
-        raise
-    return h0(arc)
+    panels = math.ceil(w / 8.0) + 2
+    if panels <= _PANEL_BUDGET:
+        arc = integrate(lambda phi: np.exp(1j * w * np.cos(phi)),
+                        np.linspace(0.0, 0.5 * math.pi, panels + 1))
+    else:
+        arc = QuadratureResult(0j, 0.5 * math.pi, 0)
+    h0 = QuadratureResult((2.0 / math.pi) * (arc.value - 1j * leg.value),
+                          (2.0 / math.pi) * (arc.error_estimate + leg.error_estimate),
+                          arc.evaluations + leg.evaluations)
+    if panels > _PANEL_BUDGET:
+        raise NonConvergence(f"the arc at w = {w:.6g} needs more than the budget of "
+                             f"{_PANEL_BUDGET} panels", result=h0)
+    return h0
 
 
 def hankel0_halfline_moment(mu: float, a: float) -> QuadratureResult:
@@ -279,17 +238,18 @@ def hankel0_halfline_moment(mu: float, a: float) -> QuadratureResult:
     whose kernel (2/(i*pi)) u^mu K0(u) neither oscillates nor depends on a:
     one integral per order per process (``_k0_moment``), whose estimate times a^(-mu-1)
     bounds the moment's error, at the same relative size for every a.  ``evaluations`` is
-    that integral's count, also when a later call reuses it.  The moment diverges unless
-    mu > -1; mu >= 170.62 (Gamma(mu+1) overflows at 170.624), a scale past e^709 and a
-    moment past the float range are out of range: each is a :class:`DomainError`.
+    that integral's count, also when a later call reuses it.  The scale multiplies it as
+    two factors a^(-(mu+1)/2), which underflow only where the moment does.  The moment
+    diverges unless mu > -1; mu >= 170.62 (Gamma(mu+1) overflows at 170.624), a scale past
+    e^709 and a moment outside the normal float range are each a :class:`DomainError`.
     """
     if not -1.0 < mu < 170.62:
         raise DomainError(f"hankel0_halfline_moment needs -1 < mu < 170.62; got mu={mu!r}")
     if not (a > 0 and -(mu + 1.0) * math.log(a) <= 709.0):
         raise DomainError(f"hankel0_halfline_moment needs a > 0, a^(-mu-1) <= e^709; got {a!r}")
     res = _k0_moment(mu)
-    scale = a ** (-mu - 1.0)
-    value = 1j ** (mu + 1.0) * scale * res.value
-    if not math.isfinite(abs(value)):
-        raise DomainError(f"hankel0_halfline_moment overflows at mu={mu!r}, a={a!r}")
-    return QuadratureResult(value, scale * res.error_estimate, res.evaluations)
+    half = a ** (-0.5 * (mu + 1.0))
+    value = 1j ** (mu + 1.0) * res.value * half * half
+    if not np.finfo(float).tiny <= abs(value) < math.inf:
+        raise DomainError(f"hankel0_halfline_moment leaves the float range at mu={mu!r}, a={a!r}")
+    return QuadratureResult(value, res.error_estimate * half * half, res.evaluations)

@@ -471,11 +471,11 @@ def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
 
 
 def test_non_convergence_reports_the_partial_result(monkeypatch, capsys):
-    # green past the panel budget of the rotated contour's arc (also where the cut of its
-    # imaginary-time leg rounds to zero, from 2ky ~ 1e16 on), and fold on a corner too
-    # sharp for grid 1
-    cases = ((["green", "--y", "1", "--k", "1e5", "--verify"],
-              lambda: orbit_terms.green_fourier(1.0, 1e5)),
+    # green just past the panel budget of the rotated contour's arc, 2ky = 131056 (also
+    # where the cut of its imaginary-time leg rounds to zero, from 2ky ~ 1e16 on), and fold
+    # on a corner too sharp for grid 1
+    cases = ((["green", "--y", "1", "--k", "65529", "--verify"],
+              lambda: orbit_terms.green_fourier(1.0, 65529.0)),
              (["green", "--y", "1e10", "--k", "1e10", "--verify"],
               lambda: orbit_terms.green_fourier(1e10, 1e10)),
              (["green", "--y", "1e300", "--k", "0.5", "--verify"],

@@ -97,16 +97,19 @@ def test_green_fourier_oracle():
 def test_green_fourier_at_high_k_lands_within_its_estimate_or_raises():
     from scipy.special import hankel1
 
-    for k in (30.0, 100.0, 300.0, 1000.0, 1e4):
+    # 2ky = 8 (_PANEL_BUDGET - 2) = 131056 is the last the arc's panel budget covers
+    edge = 4.0 * (sf._PANEL_BUDGET - 2)
+    for k in (30.0, 100.0, 300.0, 1000.0, 1e4, edge):
         q = ot.green_fourier(1.0, k)
         exact = -0.25 / 1j * hankel1(0, 2.0 * k)
         assert abs(q.value - exact) <= q.error_estimate, k
-    # past 2ky = 1.47e5 the arc of the rotated contour runs out of panels; the
+    # past it the arc of the rotated contour runs out of panels; the
     # partial result it carries is the amplitude, not the raw H0
+    past = math.nextafter(edge, math.inf)
     with pytest.raises(NonConvergence) as exc:
-        ot.green_fourier(1.0, 1e5)
+        ot.green_fourier(1.0, past)
     with pytest.raises(NonConvergence) as raw:
-        sf.hankel_time_integral(2e5)
+        sf.hankel_time_integral(2.0 * past)
     assert exc.value.result.value == (-1.0 / 4j) * raw.value.result.value
     assert exc.value.result.error_estimate == raw.value.result.error_estimate / 4.0
 

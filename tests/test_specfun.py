@@ -1,4 +1,6 @@
+import collections
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -149,7 +151,7 @@ def test_hankel_components():
 
 
 def test_integrate_polynomial():
-    res = sf.integrate(lambda x: x**2, 0.0, 1.0, tol=1e-12)
+    res = sf.integrate(lambda x: x**2, np.array([0.0, 1.0]))
     assert res.value.real == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert res.error_estimate < 1e-10
     assert res.evaluations >= 15
@@ -159,122 +161,20 @@ def test_integrate_deterministic():
     def f(x):
         return np.sin(17.3 * x) * np.exp(-0.2 * x)
 
-    r1 = sf.integrate(f, 0.0, 30.0, tol=1e-10)
-    r2 = sf.integrate(f, 0.0, 30.0, tol=1e-10)
+    r1 = sf.integrate(f, np.linspace(0.0, 30.0, 31))
+    r2 = sf.integrate(f, np.linspace(0.0, 30.0, 31))
     assert r1.value == r2.value           # bit-identical
     assert r1.evaluations == r2.evaluations
 
 
-def test_integrate_budget_error_carries_result(monkeypatch):
-    def nasty(x):
-        return np.sin(1.0 / (x + 1e-12))
-
+def test_panel_budget_error_carries_result(monkeypatch):
+    # w = 100 needs 15 arc panels: past a budget of 8 the partial H0 is the leg's alone
     monkeypatch.setattr(sf, "_PANEL_BUDGET", 8)
     with pytest.raises(NonConvergence) as exc:
-        sf.integrate(nasty, 0.0, 1.0, tol=1e-14)
+        sf.hankel_time_integral(100.0)
     assert exc.value.result is not None
     assert exc.value.result.error_estimate > 0
-
-
-def _depth_first_integrate(f, lo, hi, tol):
-    """The depth-first G7-K15 integrator that level-order ``integrate`` replaced.
-
-    Same panels, rule and acceptance test, one panel per call of ``f``;
-    returns the result and how many panels it evaluated at each depth.
-    """
-    total_len = hi - lo
-    values, errors, per_depth = [], [], {}
-    stack = [(lo, hi, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        y = np.asarray(f(mid + half * sf._NODES))
-        vk = half * np.sum(sf._WEIGHTS_K * y)
-        err = abs(vk - half * np.sum(sf._WEIGHTS_G * y[np.arange(1, 15, 2)]))
-        per_depth[depth] = per_depth.get(depth, 0) + 1
-        width = b - a
-        if err <= tol * max(width / total_len, 1e-3) or width <= 1e-14 * total_len:
-            values.append(complex(vk))
-            errors.append(err)
-        else:
-            m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1))
-            stack.append((a, m, depth + 1))
-    value = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-    result = sf.QuadratureResult(value, math.fsum(errors), 15 * sum(per_depth.values()))
-    return result, [per_depth[d] for d in range(len(per_depth))]
-
-
-def _seeded_integrands():
-    """(f, lo, hi, tol) cases: polynomials, oscillations and Hankel kernels."""
-    from scipy.special import hankel1
-
-    rng = np.random.default_rng(9)
-    real = np.polynomial.Polynomial(rng.standard_normal(30))
-    cplx = np.polynomial.Polynomial(rng.standard_normal(25) + 1j * rng.standard_normal(25))
-    cases = [
-        pytest.param(real, -1.0, 1.3, 1e-10, id="real polynomial"),
-        pytest.param(cplx, -0.7, 1.1, 1e-12, id="complex polynomial"),
-        pytest.param(lambda x: np.sin(17.3 * x) * np.exp(-0.2 * x), 0.0, 30.0, 1e-10,
-                     id="damped sine"),
-    ]
-    # damped oscillatory Hankel kernels on their damped tail cuts
-    for xz, eps in zip(rng.uniform(0.5, 12.0, 2),
-                       rng.choice((0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625), 2)):
-        w = xz * complex(1.0, eps)
-        s_max = math.acosh(max(sf._TAIL_LOG / (xz * eps), 2.0))
-        cases.append(pytest.param(lambda s, w=w: np.exp(1j * w * np.cosh(s)), 0.0, s_max, 1e-9,
-                                  id=f"exp(i w cosh s), w={w:.4g}"))
-    for mu, a, eps in zip(rng.uniform(0.0, 1.0, 2), rng.uniform(0.5, 4.0, 2), (0.2, 0.025)):
-        aa = a * complex(1.0, eps)
-        cases.append(pytest.param(lambda z, mu=mu, aa=aa: z**mu * hankel1(0, aa * z),
-                                  0.0, sf._TAIL_LOG / (a * eps), 1e-8,
-                                  id=f"z**{mu:.3f} H0(a z), a={aa:.4g}"))
-    for alpha, eps in zip(rng.uniform(0.05, math.pi / 2, 2), (0.64, 0.08)):
-        a = 2.0 * complex(0.0, eps) ** 0.5 * math.sin(alpha)
-        cases.append(pytest.param(lambda rr, a=a: rr * hankel1(0, a * rr),
-                                  0.0, sf._TAIL_LOG / a.imag, 1e-8, id=f"rr H0(a rr), a={a:.4g}"))
-    # the arc and the imaginary-time leg of hankel_time_integral, and the
-    # rotated-contour moment of hankel0_halfline_moment, at seeded parameters
-    for w in 10.0 ** rng.uniform(-3.0, 3.0, 2):
-        cases.append(pytest.param(lambda phi, w=w: np.exp(1j * w * np.cos(phi)),
-                                  0.0, 0.5 * math.pi, 1e-9, id=f"exp(i w cos phi), w={w:.4g}"))
-        log_w = math.log(w)
-        cases.append(pytest.param(
-            lambda t, w=w, log_w=log_w: np.exp(-0.5 * (np.exp(t + log_w) - w * np.exp(-t))),
-            0.0, math.log(2.0 * sf._TAIL_LOG + w) - log_w, 1e-9, id=f"exp(-w sinh t), w={w:.4g}"))
-    for mu, a in zip((0.0, 1.0), 10.0 ** rng.uniform(-1.0, 2.0, 2)):
-        cases.append(pytest.param(lambda y, mu=mu, a=a: y**mu * hankel1(0, 1j * a * y),
-                                  0.0, sf._TAIL_LOG / a, 1e-9,
-                                  id=f"y**{mu:g} H0(i a y), a={a:.4g}"))
-    return cases
-
-
-@pytest.mark.parametrize("f,lo,hi,tol", _seeded_integrands())
-def test_level_order_matches_depth_first_integrator(f, lo, hi, tol):
-    shapes = []
-
-    def recorded(x):
-        shapes.append(x.shape)
-        return f(x)
-
-    ref, per_depth = _depth_first_integrate(f, lo, hi, tol)
-    res = sf.integrate(recorded, lo, hi, tol)
-    assert len(per_depth) > 1                              # some panel was bisected
-    assert res.value == ref.value                          # bit-identical
-    assert res.evaluations == ref.evaluations
-    assert res.error_estimate == pytest.approx(ref.error_estimate, rel=1e-14, abs=0.0)
-    # one call of f per bisection level, on every pending panel of that level at once
-    assert shapes == [(n, 15) for n in per_depth]
-
-
-def test_halving_tolerance_does_not_drift():
-    def f(x):
-        return np.cos(3.0 * x) / (1.0 + x * x)
-
-    loose = sf.integrate(f, 0.0, 10.0, tol=1e-6)
-    tight = sf.integrate(f, 0.0, 10.0, tol=5e-7)
-    assert abs(tight.value - loose.value) <= max(loose.error_estimate, 1e-6)
+    assert abs(exc.value.result.value - sf.hankel1_0(100.0)) <= exc.value.result.error_estimate
 
 
 def test_damped_hankel_moments():
@@ -291,6 +191,12 @@ def test_damped_hankel_moments():
         for mu, exact in cases:
             res = sf.hankel0_halfline_moment(mu, a)
             assert abs(res.value - exact) <= res.error_estimate, (mu, a)
+    # a^(-mu-1) alone underflows at (150, 1e3), where the moment is 3.7159e-192
+    for mu, a in ((150.0, 1e3), (100.0, 1e3)):
+        exact = complex(1j ** (mu + 1.0) * mpmath.power(a, -mu - 1.0) * (2.0 / (1j * mpmath.pi))
+                        * mpmath.power(2.0, mu - 1.0) * mpmath.gamma(0.5 * (mu + 1.0)) ** 2)
+        res = sf.hankel0_halfline_moment(mu, a)
+        assert abs(res.value - exact) <= res.error_estimate, (mu, a)
 
 
 @pytest.fixture
@@ -304,32 +210,26 @@ def test_halfline_moment_integrates_each_order_once(monkeypatch, uncached_k0_mom
     integrate = sf.integrate
     calls = []
 
-    def counted(f, lo, hi, tol=1e-9):
-        calls.append(tol)
-        return integrate(f, lo, hi, tol)
+    def counted(f, edges):
+        calls.append(edges)
+        return integrate(f, edges)
 
     monkeypatch.setattr(sf, "integrate", counted)
+    edges = np.linspace(0.0, 20.0, 41)
     for mu in (0.0, 1.0, 0.5):
         # Gamma(mu+1) times sech^(mu+1) on [0, 20], plus its exponential tail
         m1 = mu + 1.0
-        ref = integrate(lambda t: np.cosh(t) ** -m1, 0.0, 20.0, 1e-8)
+        ref = integrate(lambda t: np.cosh(t) ** -m1, edges)
         factor = (2.0 / (1j * math.pi)) * math.gamma(m1)
         k0 = factor * (ref.value + 2.0**m1 * math.exp(-20.0 * m1) / m1)
         k0_err = abs(factor) * ref.error_estimate + 1e-14 * abs(k0)
         for a in (0.1, 2.0, 200.0, 0.1):
-            scale = a ** (-mu - 1.0)
+            half = a ** (-0.5 * m1)
             assert sf.hankel0_halfline_moment(mu, a) == sf.QuadratureResult(
-                1j ** (mu + 1.0) * scale * k0, scale * k0_err,
+                1j ** m1 * k0 * half * half, k0_err * half * half,
                 ref.evaluations), (mu, a)       # bit-identical, cached or not
-    assert calls == [1e-8] * 3
-
-
-def test_halfline_moment_does_not_keep_a_failed_integral(monkeypatch, uncached_k0_moments):
-    monkeypatch.setattr(sf, "_PANEL_BUDGET", 2)
-    for _ in range(2):
-        with pytest.raises(NonConvergence):
-            sf.hankel0_halfline_moment(0.0, 2.0)
-    assert sf._k0_moment.cache_info().currsize == 0
+    assert len(calls) == 3
+    assert all(np.array_equal(c, edges) for c in calls)
 
 
 @pytest.mark.parametrize("mu", [-1.0, -1.5, -math.inf, math.inf, math.nan, 200.0])
@@ -346,6 +246,15 @@ def test_halfline_moment_refuses_a_moment_past_the_float_range():
     assert math.isfinite(abs(sf.hankel0_halfline_moment(150.0, 1.0).value))
     with pytest.raises(DomainError, match="mu="):
         sf.hankel0_halfline_moment(150.0, 0.1)
+
+
+def test_halfline_moment_refuses_a_moment_that_underflows():
+    # the first moment 2/(pi a^2) is 6.4e-307 at a = 1e153, subnormal at 1e155 and 0 at 1e170
+    assert sf.hankel0_halfline_moment(1.0, 1e153).value.imag == pytest.approx(
+        2.0 / (math.pi * 1e306), rel=1e-14)
+    for mu, a in ((1.0, 1e155), (1.0, 1e170), (150.0, 1e300)):
+        with pytest.raises(DomainError, match="mu="):
+            sf.hankel0_halfline_moment(mu, a)
 
 
 def test_hankel_time_integral_matches_closed_form():
@@ -383,6 +292,69 @@ def test_imaginary_time_leg_holds_its_exponent_where_the_cut_is_positive(w, monk
         sf.hankel_time_integral(w)
     leg = calls[0]
     assert abs(w * leg.value - 1.0) <= w * leg.error_estimate, w
+
+
+# the last w whose arc the panel budget covers: ceil(w/8) + 2 = _PANEL_BUDGET panels
+ARC_EDGE = 8.0 * (sf._PANEL_BUDGET - 2)
+
+
+def test_time_integral_estimate_bounds_the_error_across_w():
+    # the rounding term of the estimate is needed: the 20- against 14-node difference alone
+    # falls short of the error at rounding level for some w
+    ws = np.geomspace(5e-324, ARC_EDGE, 150)
+    assert ws[0] > 0.0 and ws[-1] == ARC_EDGE == 131056.0
+    for w in ws.tolist():
+        res = sf.hankel_time_integral(w)
+        assert abs(res.value - sf.hankel1_0(w)) <= res.error_estimate, w
+
+
+@pytest.mark.parametrize("w", [math.nextafter(ARC_EDGE, math.inf), 1e300,
+                               1.7976931348623157e308])
+def test_time_integral_past_the_arc_edge_keeps_a_bounded_partial(w):
+    # past the budget the arc is never integrated: no array grows with w (15,128 bytes
+    # traced just past the edge, against 31 MB for the arc at the edge itself)
+    sf.hankel_time_integral(1.0)            # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence) as exc:
+                sf.hankel_time_integral(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    part = exc.value.result
+    assert math.isfinite(abs(part.value)) and math.isfinite(part.error_estimate), w
+    assert abs(part.value - sf.hankel1_0(w)) <= part.error_estimate, w
+    assert peak < 64 * 1024, peak
+
+
+def test_every_quadrature_builds_one_rule_per_node_count(monkeypatch, uncached_k0_moments):
+    # the oracles, the broken path and the corner constant share the cached Gauss-Legendre
+    # rules: numpy builds each node count once per process, however often it is used
+    from billiard_weyl import folding
+    from billiard_weyl import orbit_terms as ot
+
+    leggauss = np.polynomial.legendre.leggauss
+    built = collections.Counter()
+
+    def counted(n):
+        built[n] += 1
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    sf._legendre_rule.cache_clear()
+    for _ in range(2):
+        ot.green_fourier(1.0, 1.0)
+        ot.green_fourier(0.5, 30.0)
+        ot.length_term_density_quadrature(1.0, 4.0)
+        ot.corner_delta_by_quadrature(1.0)
+        folding.broken_path_propagator(1.0, 0.3, math.pi / 2, 0.2)
+        folding.obtuse_corner_constant(2.0944, grid=1)
+        folding.obtuse_corner_constant(1.0, grid=2)
+        sf._k0_moment.cache_clear()
+    assert {sf._NODES_HI, sf._NODES_LO} <= built.keys()
+    assert max(built.values()) == 1, built
 
 
 def test_gauss_legendre_panels_share_one_read_only_rule():

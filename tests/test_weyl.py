@@ -83,7 +83,7 @@ def test_smooth_counting_increment_matches_density_quadrature():
         return e.const_coef + e.inv_sqrt_coef / np.sqrt(x)
 
     e1, e2 = 3.0, 40.0
-    quad = sf.integrate(density, e1, e2, tol=1e-12)
+    quad = sf.integrate(density, np.linspace(e1, e2, 5))
     diff = w.smooth_counting(e, e2) - w.smooth_counting(e, e1)
     assert diff == pytest.approx(quad.value.real, abs=1e-10)
 
