@@ -177,6 +177,96 @@ def test_panel_budget_error_carries_result(monkeypatch):
     assert abs(exc.value.result.value - sf.hankel1_0(100.0)) <= exc.value.result.error_estimate
 
 
+def _seeded_integrands():
+    """(f, lo, hi, tol) cases: polynomials, oscillations and Hankel kernels."""
+    from scipy.special import hankel1
+
+    rng = np.random.default_rng(9)
+    real = np.polynomial.Polynomial(rng.standard_normal(30))
+    cplx = np.polynomial.Polynomial(rng.standard_normal(25) + 1j * rng.standard_normal(25))
+    cases = [
+        pytest.param(real, -1.0, 1.3, 1e-10, id="real polynomial"),
+        pytest.param(cplx, -0.7, 1.1, 1e-12, id="complex polynomial"),
+        pytest.param(lambda x: np.sin(17.3 * x) * np.exp(-0.2 * x), 0.0, 30.0, 1e-10,
+                     id="damped sine"),
+    ]
+    # damped oscillatory Hankel kernels on their damped tail cuts
+    for xz, eps in zip(rng.uniform(0.5, 12.0, 2),
+                       rng.choice((0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625), 2)):
+        w = xz * complex(1.0, eps)
+        s_max = math.acosh(max(sf._TAIL_LOG / (xz * eps), 2.0))
+        cases.append(pytest.param(lambda s, w=w: np.exp(1j * w * np.cosh(s)), 0.0, s_max, 1e-9,
+                                  id=f"exp(i w cosh s), w={w:.4g}"))
+    for mu, a, eps in zip(rng.uniform(0.0, 1.0, 2), rng.uniform(0.5, 4.0, 2), (0.2, 0.025)):
+        aa = a * complex(1.0, eps)
+        cases.append(pytest.param(lambda z, mu=mu, aa=aa: z**mu * hankel1(0, aa * z),
+                                  0.0, sf._TAIL_LOG / (a * eps), 1e-8,
+                                  id=f"z**{mu:.3f} H0(a z), a={aa:.4g}"))
+    for alpha, eps in zip(rng.uniform(0.05, math.pi / 2, 2), (0.64, 0.08)):
+        a = 2.0 * complex(0.0, eps) ** 0.5 * math.sin(alpha)
+        cases.append(pytest.param(lambda rr, a=a: rr * hankel1(0, a * rr),
+                                  0.0, sf._TAIL_LOG / a.imag, 1e-8, id=f"rr H0(a rr), a={a:.4g}"))
+    # the arc and the imaginary-time leg of hankel_time_integral, and the
+    # rotated-contour moment of hankel0_halfline_moment, at seeded parameters
+    for w in 10.0 ** rng.uniform(-3.0, 3.0, 2):
+        cases.append(pytest.param(lambda phi, w=w: np.exp(1j * w * np.cos(phi)),
+                                  0.0, 0.5 * math.pi, 1e-9, id=f"exp(i w cos phi), w={w:.4g}"))
+        log_w = math.log(w)
+        cases.append(pytest.param(
+            lambda t, w=w, log_w=log_w: np.exp(-0.5 * (np.exp(t + log_w) - w * np.exp(-t))),
+            0.0, math.log(2.0 * sf._TAIL_LOG + w) - log_w, 1e-9, id=f"exp(-w sinh t), w={w:.4g}"))
+    for mu, a in zip((0.0, 1.0), 10.0 ** rng.uniform(-1.0, 2.0, 2)):
+        cases.append(pytest.param(lambda y, mu=mu, a=a: y**mu * hankel1(0, 1j * a * y),
+                                  0.0, sf._TAIL_LOG / a, 1e-9,
+                                  id=f"y**{mu:g} H0(i a y), a={a:.4g}"))
+    return cases
+
+
+@pytest.mark.parametrize("f,lo,hi,tol", _seeded_integrands())
+def test_fixed_panels_match_an_adaptive_reference(f, lo, hi, tol):
+    # the fewest of 1, 4, ..., 1024 equal panels, with 40 halving panels towards lo for
+    # the log and power singularities there, that bring the estimate within tol
+    from scipy.integrate import quad
+
+    shapes = []
+
+    def recorded(x):
+        shapes.append(x.shape)
+        return f(x)
+
+    for n in 4 ** np.arange(6):
+        h = (hi - lo) / n
+        edges = np.unique(np.concatenate([lo + h * 2.0 ** -np.arange(40.0, 0.0, -1.0),
+                                          np.linspace(lo, hi, n + 1)]))
+        shapes.clear()
+        res = sf.integrate(recorded, edges)
+        if res.error_estimate <= tol:
+            break
+    assert res.error_estimate <= tol, n
+    # one call of f, on both rules' nodes of every panel at once
+    panels = edges.size - 1
+    assert shapes == [(panels * (sf._NODES_HI + sf._NODES_LO),)]
+    assert res.evaluations == panels * (sf._NODES_HI + sf._NODES_LO)
+    # QUADPACK's adaptive integral lies within the two estimates
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref, ref_err = quad(f, lo, hi, complex_func=True, epsabs=1e-14, epsrel=1e-14,
+                            limit=20000)
+    assert abs(res.value - ref) <= res.error_estimate + abs(ref_err)
+
+
+def test_halving_panels_does_not_drift():
+    def f(x):
+        return np.cos(3.0 * x) / (1.0 + x * x)
+
+    coarse = sf.integrate(f, np.linspace(0.0, 10.0, 3))
+    assert coarse.error_estimate < 1e-6
+    for n in (2, 4, 8, 16):
+        fine = sf.integrate(f, np.linspace(0.0, 10.0, 2 * n + 1))
+        assert abs(fine.value - coarse.value) <= coarse.error_estimate, n
+        coarse = fine
+
+
 def test_damped_hankel_moments():
     # integral of H0(a z) over the half line -> 1/a, first moment -> 2i/(pi a^2);
     # for any mu > -1, i^(mu+1) a^(-mu-1) (2/(i pi)) 2^(mu-1) Gamma((mu+1)/2)^2
