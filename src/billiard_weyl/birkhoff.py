@@ -178,12 +178,12 @@ def linearized_bounce_map(v1_perp: float, v2_perp: float, l12: float,
     # otherwise); _check_bounce only names what failed
     if not 0.0 == c1 - c1 == c2 - c2 < v1_perp <= 1.0 + 1e-12 >= v2_perp > 0.0 < l12 < math.inf:
         _check_bounce(v1_perp, v2_perp, l12, c1, c2)
-    return Mat2(
+    return tuple.__new__(Mat2, (    # Mat2's own constructor checks nothing and costs a call
         (l12 * c1 - v1_perp) / v2_perp,
         -l12 / (v1_perp * v2_perp),
         c1 * v2_perp + c2 * v1_perp - l12 * c1 * c2,
         (l12 * c2 - v2_perp) / v1_perp,
-    )
+    ))
 
 
 def linearized_bounce_map_product(v1_perp: float, v2_perp: float, l12: float,
@@ -242,9 +242,10 @@ def monodromy(orbit: OrbitSpec) -> Mat2:
 
 
 def jacobian_r_p(m: Mat2, k: float) -> float:
-    """Transverse position/momentum Jacobian: the chain's 1-2 entry over k."""
-    if not k > 0:
-        raise DomainError(f"k must be > 0, got {k!r}")
+    """Transverse position/momentum Jacobian: the chain's 1-2 entry over k, a positive
+    finite momentum."""
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got {k!r}")
     return m.m12 / k
 
 
@@ -258,7 +259,7 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
             fr: BoundaryFrame) -> tuple[BirkhoffCoord, BoundaryFrame]:
     """The next bounce from ``coord``, whose frame is ``fr``, and the frame there.
 
-    The ray meets each segment as ``b.pieces`` holds it, worked out once per boundary.
+    The ray meets each segment as ``b.ray_rows`` holds it, worked out once per boundary.
     """
     s, v = coord
     vp = math.sqrt(1.0 - v * v)
@@ -267,22 +268,23 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
     dy = v * ty + vp * iy
 
     best_t = math.inf
-    best = None
-    for i, piece in enumerate(b.pieces):
-        if piece[0] == "line":
-            # solve p + t d = p0 + u * tangent
-            _, length, (x0, y0), _, _, (nx, ny) = piece
+    hit = -1
+    for i, row in enumerate(b.ray_rows):
+        if row[0]:
+            # solve p + t d = (x0, y0) + u * tangent
+            _, length, x0, y0, nx, ny = row
             denom = dx * nx + dy * ny
-            if abs(denom) < 1e-15:
+            if -1e-15 < denom < 1e-15:
                 continue
             rx, ry = x0 - px, y0 - py
             t = (rx * nx + ry * ny) / denom
             if _HIT_TOL < t < best_t:
                 u = (dx * ry - dy * rx) / denom
                 if -1e-12 <= u <= length + 1e-12:
-                    best_t, best = t, (i, min(max(u, 0.0), length))
+                    # min(max(u, 0.0), length), without the two builtin calls
+                    best_t, hit, local = t, i, 0.0 if u < 0.0 else length if u > length else u
             continue
-        _, _, (cx, cy), r, r2, a0, _, extent, sign, _ = piece
+        _, cx, cy, r2, a0, extent, sign, r = row
         fx, fy = px - cx, py - cy
         bq = fx * dx + fy * dy
         disc = bq * bq - (fx * fx + fy * fy - r2)
@@ -296,26 +298,31 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
             ang = math.atan2(py + t * dy - cy, px + t * dx - cx)
             rel = (sign * (ang - a0)) % geometry.TWO_PI
             if rel <= extent + 1e-12:
-                best_t, best = t, (i, r * min(rel, extent))
-    if best is None:
+                best_t, hit, local = t, i, r * (extent if rel > extent else rel)
+    if hit < 0:
         raise RayEscapeError(f"ray from s={s}, v={v} escaped")
-    i, local = best
     cum = b.cumlen
-    s_hit = (cum[i] + local) % b.perimeter
-    # At least CORNER_TOL inside segment i, measured on the rounded s_hit: there
-    # frame_at finds no corner and bisects to segment i, so build its frame here.
+    s_hit = (cum[hit] + local) % cum[-1]
+    # At least CORNER_TOL inside segment hit, measured on the rounded s_hit: there
+    # frame_at finds no corner and bisects to that segment, so build its frame here.
     # (A margin on ``local`` fails where one ulp of cumlen exceeds CORNER_TOL.)
-    if s_hit - cum[i] >= geometry.CORNER_TOL <= cum[i + 1] - s_hit:
-        piece = b.pieces[i]
-        fr2 = geometry._frame(piece, (s_hit - cum[i]) / piece[1])
+    if s_hit - cum[hit] >= geometry.CORNER_TOL <= cum[hit + 1] - s_hit:
+        piece = b.pieces[hit]
+        fr2 = geometry._frame(piece, (s_hit - cum[hit]) / piece[1])
     else:
         try:
             fr2 = frame_at(b, s_hit)
         except geometry.CornerPointError:
             raise CornerHitError(f"ray hit corner at s={s_hit}") from None
     _, (tx, ty), _, _ = fr2
-    v2 = dx * tx + dy * ty
-    v2 = min(max(v2, -1.0 + 1e-15), 1.0 - 1e-15)
+    v2 = dx * tx + dy * ty          # clamped to |v2| <= 1 - 1e-15
+    if v2 > 1.0 - 1e-15:
+        v2 = 1.0 - 1e-15
+    elif v2 < -1.0 + 1e-15:
+        v2 = -1.0 + 1e-15
+    # BirkhoffCoord's test, inline; its constructor raises what fails it
+    if abs(v2) + (s_hit - s_hit) < 1.0:
+        return tuple.__new__(BirkhoffCoord, (s_hit, v2)), fr2
     return BirkhoffCoord(s_hit, v2), fr2
 
 
@@ -324,9 +331,11 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
 
     The tangential velocity component is continuous across a specular
     reflection, so the returned coordinate is again post-reflection data.
-    Raises :class:`RayEscapeError`, or :class:`CornerHitError` when the ray lands
-    within ``geometry.CORNER_TOL`` of a corner.
+    A plain ``(s, v)`` pair is taken as ``BirkhoffCoord(s, v)``.  Raises
+    :class:`RayEscapeError`, or :class:`CornerHitError` when the ray lands within
+    ``geometry.CORNER_TOL`` of a corner.
     """
+    coord = BirkhoffCoord(*coord)
     return _bounce(b, coord, frame_at(b, coord.s))[0]
 
 
@@ -343,13 +352,15 @@ def trace_orbit(b: Boundary, start: BirkhoffCoord, bounces: int) -> list[Birkhof
     Each bounce launches from the frame its hit found, so the trace finds
     ``bounces + 1`` boundary frames.  The returned list keeps them:
     ``chain_product`` reuses them while the list is unmodified and is given
-    the same ``Boundary`` object.  Slices and concatenations are plain lists.
+    the same ``Boundary`` object.  Slices and concatenations are plain lists.  A plain
+    ``(s, v)`` start is taken as ``BirkhoffCoord(s, v)``; a bool is not a bounce count.
     """
-    if not (isinstance(bounces, numbers.Integral) and bounces >= 0):
+    if not (isinstance(bounces, numbers.Integral) and not isinstance(bounces, bool)
+            and bounces >= 0):
         raise DomainError(f"bounces must be an integer >= 0, got {bounces!r}")
-    pts = _Trace([start])
-    c, fr = start, frame_at(b, start.s)
-    frames = [fr]
+    c = BirkhoffCoord(*start)
+    fr = frame_at(b, c.s)
+    pts, frames = _Trace([c]), [fr]
     for _ in range(bounces):
         c, fr = _bounce(b, c, fr)
         pts.append(c)
@@ -363,22 +374,25 @@ def chain_product(b: Boundary, pts: Sequence[BirkhoffCoord]) -> Mat2:
 
     Takes each point's boundary frame from the trace when ``pts`` is the
     unmodified list ``trace_orbit(b, ...)`` returned, for this same ``b``
-    object, and otherwise finds it with ``frame_at``; either way the frames
-    are the same floats.  Takes each point's v_perp once, calls
-    ``linearized_bounce_map`` once per neighbour pair, and accumulates the
-    product in four floats, each operation in the order ``map @ m`` takes it.
+    object, and otherwise takes each point as ``BirkhoffCoord(s, v)``, so a plain pair
+    works, and finds its frame with ``frame_at``; either way the frames are the same
+    floats.  Takes each point's v_perp once, calls ``linearized_bounce_map`` once per
+    neighbour pair, and accumulates the product in four floats, each operation in the
+    order ``map @ m`` takes it.
     """
     if len(pts) < 2:
         raise DomainError("need at least two boundary points")
     if isinstance(pts, _Trace) and pts.boundary is b and tuple(pts) == pts.points:
         frames = pts.frames
     else:
+        pts = [BirkhoffCoord(*c) for c in pts]
         frames = [frame_at(b, c.s) for c in pts]
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     (x1, y1), _, _, k1 = frames[0]
-    vp1 = math.sqrt(1.0 - pts[0].v * pts[0].v)
-    for c, ((x2, y2), _, _, k2) in zip(pts[1:], frames[1:]):
-        vp2 = math.sqrt(1.0 - c.v * c.v)
+    _, v1 = pts[0]
+    vp1 = math.sqrt(1.0 - v1 * v1)
+    for (_, v2), ((x2, y2), _, _, k2) in zip(pts[1:], frames[1:]):
+        vp2 = math.sqrt(1.0 - v2 * v2)
         a11, a12, a21, a22 = linearized_bounce_map(vp1, vp2, math.hypot(x2 - x1, y2 - y1), k1, k2)
         m11, m12, m21, m22 = (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
                               a21 * m11 + a22 * m21, a21 * m12 + a22 * m22)

@@ -295,6 +295,9 @@ def _cmd_monodromy(args) -> tuple[dict, dict | list, dict]:
     }
     prov = {
         "matrix": "chain product of linearized bounce maps along the traced orbit",
+        "det": "m11*m22 - m12*m21 of the rounded entries: the map's determinant is 1, but "
+               "this one is off by up to about 2^-53 |m11*m22|, so once |m11*m22| nears "
+               "2^53 it measures rounding, not the map",
         "jacobian_r_p": "transverse position/momentum Jacobian: m12/k",
         "route": "ray trace -> per-bounce linearization -> chain product",
     }

@@ -100,8 +100,16 @@ def _piece(seg: Segment) -> tuple:
         tx, ty = ex / length, ey / length
         return ("line", length, seg.p0, (ex, ey), (tx, ty), (-ty, tx))
     sign = 1.0 if seg.sweep > 0 else -1.0
-    return ("arc", seg.length, seg.center, seg.radius, seg.radius**2, seg.a0, seg.sweep,
-            abs(seg.sweep), sign, sign / seg.radius)
+    return ("arc", seg.length, seg.center, seg.radius, seg.a0, seg.sweep, sign,
+            sign / seg.radius)
+
+
+def _ray_row(piece: tuple) -> tuple:
+    if piece[0] == "line":
+        _, length, (x0, y0), _, _, (nx, ny) = piece
+        return (True, length, x0, y0, nx, ny)
+    _, _, (cx, cy), r, a0, sweep, sign, _ = piece
+    return (False, cx, cy, r**2, a0, abs(sweep), sign, r)
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,22 @@ class Boundary:
 
     @functools.cached_property
     def pieces(self) -> tuple[tuple, ...]:
-        """Each segment's geometry, worked out once for ``frame_at`` and the ray trace.
+        """Each segment's geometry, worked out once for ``frame_at`` and ``ray_rows``.
 
         A line is ("line", length, start, edge vector, unit tangent, inward normal); an
-        arc is ("arc", length, center, r, r**2, a0, sweep, |sweep|, sign of sweep,
-        curvature sign/r: +1/r when the center is on the interior, left, side).
+        arc is ("arc", length, center, r, a0, sweep, sign of sweep, curvature sign/r:
+        +1/r when the center is on the interior, left, side).
         """
         return tuple(map(_piece, self.segments))
+
+    @functools.cached_property
+    def ray_rows(self) -> tuple[tuple, ...]:
+        """Each segment's flat row for the ray trace, worked out once from ``pieces``.
+
+        A line is (True, length, x0, y0, nx, ny), its start and inward normal; an arc is
+        (False, cx, cy, r**2, a0, |sweep|, sign of sweep, r).
+        """
+        return tuple(map(_ray_row, self.pieces))
 
     @functools.cached_property
     def corner_arclengths(self) -> tuple[float, ...]:
@@ -170,14 +187,15 @@ def signed_area(segments) -> float:
 
 def _frame(piece: tuple, t: float) -> BoundaryFrame:
     """The frame at fraction t of the segment that ``piece`` describes."""
+    # tuple.__new__: BoundaryFrame's own constructor checks nothing and costs a call
     if piece[0] == "line":
         _, _, (x0, y0), (ex, ey), tangent, normal = piece
-        return BoundaryFrame((x0 + t * ex, y0 + t * ey), tangent, normal, 0.0)
-    _, _, (cx, cy), r, _, a0, sweep, _, sign, curvature = piece
+        return tuple.__new__(BoundaryFrame, ((x0 + t * ex, y0 + t * ey), tangent, normal, 0.0))
+    _, _, (cx, cy), r, a0, sweep, sign, curvature = piece
     ang = a0 + t * sweep
     tx, ty = -sign * math.sin(ang), sign * math.cos(ang)
-    return BoundaryFrame((cx + r * math.cos(ang), cy + r * math.sin(ang)), (tx, ty), (-ty, tx),
-                         curvature)
+    return tuple.__new__(BoundaryFrame, ((cx + r * math.cos(ang), cy + r * math.sin(ang)),
+                                         (tx, ty), (-ty, tx), curvature))
 
 
 def _turn_angle(t_in, t_out) -> float:

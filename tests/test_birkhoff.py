@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import math
 from pathlib import Path
 
@@ -132,6 +134,10 @@ def test_jacobian_r_p():
     assert bk.jacobian_r_p(bk.monodromy(spec2), 3.0) == pytest.approx(2.0 / 3.0,
                                                                       rel=1e-13)
     assert bk.jacobian_r_p(bk.Mat2.identity(), 5.0) == 0.0
+    # an infinite k read 0.0, and NaN with an infinite m12
+    for k in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            bk.jacobian_r_p(bk.Mat2(1.0, math.inf, 0.0, 1.0), k)
 
 
 def test_bounce_map_square_perpendicular():
@@ -176,7 +182,7 @@ def test_non_finite_input_to_the_ray_path_is_refused():
     for s, v in ((math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2), (0.3, math.nan)):
         with pytest.raises(DomainError):
             bk.BirkhoffCoord(s, v)
-    for bounces in (-3, 2.5):
+    for bounces in (-3, 2.5, True, False):
         with pytest.raises(DomainError):
             bk.trace_orbit(sq, start, bounces)
     assert bk.trace_orbit(sq, start, 0) == [start]
@@ -192,6 +198,21 @@ def test_non_finite_input_to_the_ray_path_is_refused():
         with pytest.raises(DomainError):
             bk.OrbitSpec(v_perp=(1.0, 1.0), curvature=curvature, chords=chords,
                          y_first=y_first, y_last=-0.5)
+
+
+def test_plain_pairs_are_taken_as_birkhoff_coords():
+    # each raised a bare AttributeError
+    sq = g.square()
+    start = bk.BirkhoffCoord(0.5, 0.2)
+    assert bk.trace_orbit(sq, (0.5, 0.2), 3) == bk.trace_orbit(sq, start, 3)
+    assert bk.bounce_map(sq, (0.5, 0.2)) == bk.bounce_map(sq, start)
+    pairs = [(0.5, 0.2), (1.3, 0.1)]
+    assert bk.chain_product(sq, pairs) == bk.chain_product(sq, [bk.BirkhoffCoord(*p) for p in pairs])
+    for call in (lambda: bk.trace_orbit(sq, (0.5, 1.5), 2),
+                 lambda: bk.bounce_map(sq, (math.nan, 0.2)),
+                 lambda: bk.chain_product(sq, [(0.5, 0.2), (1.3, -1.0)])):
+        with pytest.raises(DomainError):
+            call()
 
 
 @pytest.mark.parametrize("fn,args", [
@@ -521,3 +542,66 @@ def test_rays_near_a_corner_end_as_with_frame_at(side, starts, reach):
                 corner_hits += _assert_traces_by_frame_at(sq, bk.BirkhoffCoord(x, v), 4)
                 traces += 1
     assert 0.1 * traces < corner_hits < 0.9 * traces
+
+
+# sha256 of float.hex over every point, frame and chain-product entry of six seeded
+# 60-bounce traces per boundary (a trace that ends at a corner adds its error instead),
+# recorded with the segment table as ("line", ...) and ("arc", ...) tuples
+TRACE_DIGESTS = {
+    "circle": "c963de6006eb2a81e5dd5443802fd8b2d18265fe9cbb2503034b0483cb27b4c0",
+    "concave_bite": "529f09c3d8a845fc3c1cd13ef45b959c736e5a532594ca03c16961ab26c19fcc",
+    "quarter_disk": "3e576a6810a3459fc681548e5c8a74c67d553937d0baf4d7a593f7ece9ad0627",
+    "rectangle_3e-6": "eff0784ba3a72f058575c0f758d6ba59fa8cb279d308b4e7c7febfc45d311858",
+    "square": "372f1be98d6731d2f2aa81b1860bd85db0ee7e313d22bab88abc95f61c232535",
+    "square_3e7": "756d9b3b2a4bc3d9e3d8cd09050f15307eb30bcad88d87b1c142294aff62bd89",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_seeded_traces_are_pinned(name):
+    b = CROSS_CHECKED[name]
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha256()
+    for frac, v in zip(rng.uniform(0.0, 1.0, 6).tolist(), rng.uniform(-0.95, 0.95, 6).tolist()):
+        try:
+            pts = bk.trace_orbit(b, bk.BirkhoffCoord(frac * b.perimeter, v), 60)
+        except (bk.CornerHitError, g.CornerPointError) as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        floats = [x for p in pts for x in p]
+        floats += [x for (p, t, n, k) in pts.frames for x in (*p, *t, *n, k)]
+        floats += bk.chain_product(b, pts)
+        digest.update(" ".join(map(float.hex, floats)).encode())
+    assert digest.hexdigest() == TRACE_DIGESTS[name]
+
+
+def _first_bounce(step, b, start):
+    """The first bounce ``step`` finds, or the type and message of the error that ended it."""
+    try:
+        return step(b, start)
+    except (bk.CornerHitError, bk.RayEscapeError, g.CornerPointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_bounce_map_is_the_first_step_of_a_trace():
+    rng = np.random.default_rng(11)
+    starts = [(b, bk.BirkhoffCoord(frac * b.perimeter, v)) for b in CROSS_CHECKED.values()
+              for frac, v in zip(rng.uniform(0.0, 1.0, 40).tolist(),
+                                 rng.uniform(-0.95, 0.95, 40).tolist())]
+    # rays aimed at a square's corner (side, side) or near it, as in
+    # test_rays_near_a_corner_end_as_with_frame_at
+    for side, reach in ((1.0, 1e-8), (3e7, 1e-7)):
+        sq = g.square(side)
+        for x in side * np.arange(1, 20) / 20:
+            for offset in np.linspace(0.0, reach, 11):
+                for tx, ty in ((side, side - offset), (side - offset, side)):
+                    starts.append((sq, bk.BirkhoffCoord(x, (tx - x) / math.hypot(tx - x, ty))))
+    seg = g.Segment("line", (0.0, 0.0), (1.0, 0.0))
+    starts.append((g.Boundary(segments=(seg,), corners=(), cumlen=(0.0, 1.0)),
+                   bk.BirkhoffCoord(0.5, 0.0)))
+    kinds = collections.Counter()
+    for b, start in starts:
+        got = _first_bounce(bk.bounce_map, b, start)
+        assert got == _first_bounce(lambda b, c: bk.trace_orbit(b, c, 1)[1], b, start)
+        kinds[got[0] if isinstance(got[0], str) else "bounce"] += 1
+    assert kinds["RayEscapeError"] == 1 and kinds["CornerHitError"] > 50 < kinds["bounce"]

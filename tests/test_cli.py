@@ -170,6 +170,32 @@ def test_monodromy_square(square_file):
     assert res["jacobian_r_p"] == pytest.approx(2.0, rel=1e-12)
 
 
+# a 2 x 1 rectangle with a half disk bitten out of its top edge (a dispersing arc)
+CONCAVE_BITE = """billiard v1
+line 0 0 2 0
+line 2 0 2 1
+line 2 1 1.5 1
+arc 1 1 0.5 0 3.141592653589793 cw
+line 0.5 1 0 1
+line 0 1 0 0
+"""
+
+
+def test_monodromy_det_says_it_measures_rounding_past_large_entries(tmp_path):
+    # a dispersing orbit: entries near 5e36, so m11*m22 - m12*m21 of the rounded entries
+    # is rounding of order 2^-53 |m11*m22|, far from the map's determinant 1
+    path = tmp_path / "bite.bil"
+    path.write_text(CONCAVE_BITE, encoding="utf-8")
+    code, out = cli.run(["monodromy", "--geometry", str(path), "--start", "0.7,0.3",
+                         "--bounces", "200"])
+    assert code == 0
+    report = json.loads(out)
+    res = report["results"]
+    assert abs(res["m11"] * res["m22"]) > 2.0**53
+    assert 1e50 < abs(res["det"]) <= 4.0 * 2.0**-53 * abs(res["m11"] * res["m22"])
+    assert "rounding" in report["provenance"]["det"]
+
+
 def test_fold_right_angle():
     code, out = cli.run(["fold", "--alpha", str(math.pi / 2), "--grid", "1",
                          "--format", "json"])

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -417,6 +418,31 @@ def test_time_integral_past_the_arc_edge_keeps_a_bounded_partial(w):
     assert math.isfinite(abs(part.value)) and math.isfinite(part.error_estimate), w
     assert abs(part.value - sf.hankel1_0(w)) <= part.error_estimate, w
     assert peak < 64 * 1024, peak
+
+
+# sha256 of float.hex over (value.real, value.imag, error_estimate, evaluations) of each
+# call, recorded with the 20- and 14-node sums taken one rule at a time
+HANKEL_PINS = {
+    "hankel_time_integral": "25936a4d8395d003847afd57a3a6858e66b4bb6bc2e8747b37a3309035c21234",
+    "hankel0_halfline_moment": "8f5b45f48b82e03b3cc7464938f0dd36aca4fa48aa1c4c1696efdb180ae92615",
+}
+PINNED_W = [5e-324, *(math.ldexp(1.3, e) for e in (-60, -40, -20, -10, -6, -4, -3, -2, -1, 0,
+                                                    1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16)),
+            1.3e5]
+PINNED_MU_A = [(-0.999, 0.3), (-0.5, 2.5), (0.0, 1.0), (0.25, 40.0), (0.5, 0.3), (1.0, 2.5),
+               (1.5, 1.0), (2.0, 7.0), (3.0, 0.1), (5.0, 1.0), (10.0, 0.5), (20.0, 3.0),
+               (50.0, 1.0), (100.0, 2.0), (150.0, 1e3), (170.0, 1.0)]
+
+
+@pytest.mark.parametrize("name", sorted(HANKEL_PINS))
+def test_hankel_integrals_are_pinned(name, uncached_k0_moments):
+    if name == "hankel_time_integral":
+        results = [sf.hankel_time_integral(w) for w in PINNED_W]
+    else:
+        results = [sf.hankel0_halfline_moment(mu, a) for mu, a in PINNED_MU_A]
+    text = " ".join(float.hex(float(x)) for q in results
+                    for x in (q.value.real, q.value.imag, q.error_estimate, q.evaluations))
+    assert hashlib.sha256(text.encode()).hexdigest() == HANKEL_PINS[name]
 
 
 def test_every_quadrature_builds_one_rule_per_node_count(monkeypatch, uncached_k0_moments):
