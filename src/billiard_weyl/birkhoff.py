@@ -114,6 +114,19 @@ class BirkhoffCoord(_Coord):
         return math.sqrt(1.0 - self.v * self.v)
 
 
+def _coord(c) -> BirkhoffCoord:
+    """A start or point as ``BirkhoffCoord(s, v)``: a pair of real numbers, else a DomainError."""
+    if type(c) is BirkhoffCoord:    # checked when it was made
+        return c
+    try:
+        s, v = c
+    except (TypeError, ValueError):
+        s = v = None
+    if not (isinstance(s, numbers.Real) and isinstance(v, numbers.Real)):
+        raise DomainError(f"a start or point must be a pair (s, v) of real numbers, got {c!r}")
+    return BirkhoffCoord(s, v)
+
+
 @dataclass(frozen=True)
 class OrbitSpec:
     """Bounce-sequence data for an orbit with interior endpoints.
@@ -259,7 +272,8 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
             fr: BoundaryFrame) -> tuple[BirkhoffCoord, BoundaryFrame]:
     """The next bounce from ``coord``, whose frame is ``fr``, and the frame there.
 
-    The ray meets each segment as ``b.ray_rows`` holds it, worked out once per boundary.
+    The ray meets each segment as its row in ``b.pieces`` holds it, and a hit at least
+    ``CORNER_TOL`` inside the segment it struck takes its frame from that row.
     """
     s, v = coord
     vp = math.sqrt(1.0 - v * v)
@@ -269,10 +283,10 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
 
     best_t = math.inf
     hit = -1
-    for i, row in enumerate(b.ray_rows):
+    for i, row in enumerate(b.pieces):
         if row[0]:
             # solve p + t d = (x0, y0) + u * tangent
-            _, length, x0, y0, nx, ny = row
+            _, length, x0, y0, nx, ny, _, _, _, _ = row
             denom = dx * nx + dy * ny
             if -1e-15 < denom < 1e-15:
                 continue
@@ -284,7 +298,7 @@ def _bounce(b: Boundary, coord: BirkhoffCoord,
                     # min(max(u, 0.0), length), without the two builtin calls
                     best_t, hit, local = t, i, 0.0 if u < 0.0 else length if u > length else u
             continue
-        _, cx, cy, r2, a0, extent, sign, r = row
+        _, _, cx, cy, r2, a0, extent, sign, r, _, _ = row
         fx, fy = px - cx, py - cy
         bq = fx * dx + fy * dy
         disc = bq * bq - (fx * fx + fy * fy - r2)
@@ -331,11 +345,11 @@ def bounce_map(b: Boundary, coord: BirkhoffCoord) -> BirkhoffCoord:
 
     The tangential velocity component is continuous across a specular
     reflection, so the returned coordinate is again post-reflection data.
-    A plain ``(s, v)`` pair is taken as ``BirkhoffCoord(s, v)``.  Raises
-    :class:`RayEscapeError`, or :class:`CornerHitError` when the ray lands within
-    ``geometry.CORNER_TOL`` of a corner.
+    A plain ``(s, v)`` pair is taken as ``BirkhoffCoord(s, v)``; anything else is a
+    :class:`DomainError`.  Raises :class:`RayEscapeError`, or :class:`CornerHitError`
+    when the ray lands within ``geometry.CORNER_TOL`` of a corner.
     """
-    coord = BirkhoffCoord(*coord)
+    coord = _coord(coord)
     return _bounce(b, coord, frame_at(b, coord.s))[0]
 
 
@@ -353,12 +367,13 @@ def trace_orbit(b: Boundary, start: BirkhoffCoord, bounces: int) -> list[Birkhof
     ``bounces + 1`` boundary frames.  The returned list keeps them:
     ``chain_product`` reuses them while the list is unmodified and is given
     the same ``Boundary`` object.  Slices and concatenations are plain lists.  A plain
-    ``(s, v)`` start is taken as ``BirkhoffCoord(s, v)``; a bool is not a bounce count.
+    ``(s, v)`` start is taken as ``BirkhoffCoord(s, v)``, and a start that is not a pair
+    of real numbers is a :class:`DomainError`; a bool is not a bounce count.
     """
     if not (isinstance(bounces, numbers.Integral) and not isinstance(bounces, bool)
             and bounces >= 0):
         raise DomainError(f"bounces must be an integer >= 0, got {bounces!r}")
-    c = BirkhoffCoord(*start)
+    c = _coord(start)
     fr = frame_at(b, c.s)
     pts, frames = _Trace([c]), [fr]
     for _ in range(bounces):
@@ -375,17 +390,17 @@ def chain_product(b: Boundary, pts: Sequence[BirkhoffCoord]) -> Mat2:
     Takes each point's boundary frame from the trace when ``pts`` is the
     unmodified list ``trace_orbit(b, ...)`` returned, for this same ``b``
     object, and otherwise takes each point as ``BirkhoffCoord(s, v)``, so a plain pair
-    works, and finds its frame with ``frame_at``; either way the frames are the same
-    floats.  Takes each point's v_perp once, calls ``linearized_bounce_map`` once per
-    neighbour pair, and accumulates the product in four floats, each operation in the
-    order ``map @ m`` takes it.
+    works and anything else is a :class:`DomainError`, and finds its frame with
+    ``frame_at``; either way the frames are the same floats.  Takes each point's v_perp
+    once, calls ``linearized_bounce_map`` once per neighbour pair, and accumulates the
+    product in four floats, each operation in the order ``map @ m`` takes it.
     """
     if len(pts) < 2:
         raise DomainError("need at least two boundary points")
     if isinstance(pts, _Trace) and pts.boundary is b and tuple(pts) == pts.points:
         frames = pts.frames
     else:
-        pts = [BirkhoffCoord(*c) for c in pts]
+        pts = [_coord(c) for c in pts]
         frames = [frame_at(b, c.s) for c in pts]
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     (x1, y1), _, _, k1 = frames[0]

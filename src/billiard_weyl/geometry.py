@@ -94,22 +94,15 @@ class Segment:
 
 
 def _piece(seg: Segment) -> tuple:
+    length = seg.length
     if seg.kind == "line":
-        length = seg.length
-        ex, ey = seg.p1[0] - seg.p0[0], seg.p1[1] - seg.p0[1]
+        (x0, y0), (x1, y1) = seg.p0, seg.p1
+        ex, ey = x1 - x0, y1 - y0
         tx, ty = ex / length, ey / length
-        return ("line", length, seg.p0, (ex, ey), (tx, ty), (-ty, tx))
-    sign = 1.0 if seg.sweep > 0 else -1.0
-    return ("arc", seg.length, seg.center, seg.radius, seg.a0, seg.sweep, sign,
-            sign / seg.radius)
-
-
-def _ray_row(piece: tuple) -> tuple:
-    if piece[0] == "line":
-        _, length, (x0, y0), _, _, (nx, ny) = piece
-        return (True, length, x0, y0, nx, ny)
-    _, _, (cx, cy), r, a0, sweep, sign, _ = piece
-    return (False, cx, cy, r**2, a0, abs(sweep), sign, r)
+        return (True, length, x0, y0, -ty, tx, ex, ey, (tx, ty), (-ty, tx))
+    r, sweep = seg.radius, seg.sweep
+    sign = 1.0 if sweep > 0 else -1.0
+    return (False, length, *seg.center, r**2, seg.a0, abs(sweep), sign, r, sweep, sign / r)
 
 
 @dataclass(frozen=True)
@@ -130,27 +123,14 @@ class Boundary:
 
     @functools.cached_property
     def pieces(self) -> tuple[tuple, ...]:
-        """Each segment's geometry, worked out once for ``frame_at`` and ``ray_rows``.
+        """Each segment's geometry as one flat row, worked out once per boundary.
 
-        A line is ("line", length, start, edge vector, unit tangent, inward normal); an
-        arc is ("arc", length, center, r, a0, sweep, sign of sweep, curvature sign/r:
-        +1/r when the center is on the interior, left, side).
+        A line is (True, length, x0, y0, inward normal nx, ny, edge vector ex, ey, unit
+        tangent, inward normal); an arc is (False, length, cx, cy, r**2, a0, |sweep|, sign
+        of sweep, r, sweep, curvature sign/r: +1/r when the center is on the interior, left,
+        side).  The ray trace reads the fields before ex and before sweep.
         """
         return tuple(map(_piece, self.segments))
-
-    @functools.cached_property
-    def ray_rows(self) -> tuple[tuple, ...]:
-        """Each segment's flat row for the ray trace, worked out once from ``pieces``.
-
-        A line is (True, length, x0, y0, nx, ny), its start and inward normal; an arc is
-        (False, cx, cy, r**2, a0, |sweep|, sign of sweep, r).
-        """
-        return tuple(map(_ray_row, self.pieces))
-
-    @functools.cached_property
-    def corner_arclengths(self) -> tuple[float, ...]:
-        """Each corner's arclength, in the order of ``corners``, for ``frame_at``."""
-        return tuple(c.arclength for c in self.corners)
 
 
 @dataclass(frozen=True)
@@ -168,11 +148,6 @@ class BoundaryFrame(NamedTuple):
     curvature: float
 
 
-def _arc_chord_correction(seg: Segment) -> float:
-    # area between chord and arc: (r^2/2) * (sweep - sin(sweep)), signed
-    return 0.5 * seg.radius**2 * (seg.sweep - math.sin(seg.sweep))
-
-
 def signed_area(segments) -> float:
     """Exact signed area of the closed chain (shoelace + circular segments)."""
     total = 0.0
@@ -181,27 +156,22 @@ def signed_area(segments) -> float:
         x1, y1 = seg.p1
         total += 0.5 * (x0 * y1 - x1 * y0)
         if seg.kind == "arc":
-            total += _arc_chord_correction(seg)
+            # area between chord and arc: (r^2/2) * (sweep - sin(sweep)), signed
+            total += 0.5 * seg.radius**2 * (seg.sweep - math.sin(seg.sweep))
     return total
 
 
 def _frame(piece: tuple, t: float) -> BoundaryFrame:
     """The frame at fraction t of the segment that ``piece`` describes."""
     # tuple.__new__: BoundaryFrame's own constructor checks nothing and costs a call
-    if piece[0] == "line":
-        _, _, (x0, y0), (ex, ey), tangent, normal = piece
+    if piece[0]:
+        _, _, x0, y0, _, _, ex, ey, tangent, normal = piece
         return tuple.__new__(BoundaryFrame, ((x0 + t * ex, y0 + t * ey), tangent, normal, 0.0))
-    _, _, (cx, cy), r, a0, sweep, sign, curvature = piece
+    _, _, cx, cy, _, a0, _, sign, r, sweep, curvature = piece
     ang = a0 + t * sweep
     tx, ty = -sign * math.sin(ang), sign * math.cos(ang)
     return tuple.__new__(BoundaryFrame, ((cx + r * math.cos(ang), cy + r * math.sin(ang)),
                                          (tx, ty), (-ty, tx), curvature))
-
-
-def _turn_angle(t_in, t_out) -> float:
-    """Signed turn from tangent t_in to t_out, in (-pi, pi]."""
-    return math.atan2(t_in[0] * t_out[1] - t_in[1] * t_out[0],
-                      t_in[0] * t_out[0] + t_in[1] * t_out[1])
 
 
 def _build_boundary(segments: list[Segment]) -> Boundary:
@@ -230,10 +200,15 @@ def _build_boundary(segments: list[Segment]) -> Boundary:
     pieces = [_piece(seg) for seg in segments]
     corners = []
     for i in range(n):
-        turn = _turn_angle(_frame(pieces[i], 1.0).tangent, _frame(pieces[(i + 1) % n], 0.0).tangent)
+        ax, ay = _frame(pieces[i], 1.0).tangent
+        bx, by = _frame(pieces[(i + 1) % n], 0.0).tangent
+        turn = math.atan2(ax * by - ay * bx, ax * bx + ay * by)     # signed, in (-pi, pi]
         if abs(turn) < CORNER_TOL:
             continue
         alpha = math.pi - turn
+        if not CORNER_TOL <= alpha <= TWO_PI - CORNER_TOL:
+            raise GeometryError(f"segment {i} doubles back at {segments[i].p1}: a cusp, "
+                                f"interior angle {alpha!r} within {CORNER_TOL} of 0 or 2*pi")
         corners.append(Corner(alpha=alpha, arclength=cum[i + 1] % cum[-1]))
     return Boundary(segments=tuple(segments), corners=tuple(corners), cumlen=tuple(cum))
 
@@ -253,7 +228,8 @@ def parse_geometry(text: str) -> Boundary:
     """Parse a geometry document (see the file-format notes in the README).
 
     Raises :class:`GeometrySyntaxError`, :class:`OpenChainError`,
-    :class:`OrientationError`, or :class:`ZeroLengthSegmentError`.
+    :class:`OrientationError`, :class:`ZeroLengthSegmentError`, or
+    :class:`GeometryError` for a cusp, a junction where the chain doubles back.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "billiard v1":
@@ -324,19 +300,17 @@ def measures(b: Boundary) -> GeometricMeasures:
 def frame_at(b: Boundary, s: float) -> BoundaryFrame:
     """Boundary frame (point, tangent, inward normal, curvature) at arclength s.
 
-    Reads the segment's geometry from ``b.pieces`` and the corners from
-    ``b.corner_arclengths``, each worked out once per boundary.  Raises
+    Reads the segment's geometry from ``b.pieces``.  Raises
     :class:`CornerPointError` within ``CORNER_TOL`` of a corner and
     :class:`DomainError` for an s that is not finite.
     """
     cum = b.cumlen
     per = cum[-1]
     s_wrapped = s % per
-    for a in b.corner_arclengths:
-        d = abs(s_wrapped - a)
+    for c in b.corners:
+        d = abs(s_wrapped - c.arclength)
         if d < CORNER_TOL or per - d < CORNER_TOL:
-            alpha = b.corners[b.corner_arclengths.index(a)].alpha
-            raise CornerPointError(f"s={s} is at a corner (alpha={alpha:.6f})")
+            raise CornerPointError(f"s={s} is at a corner (alpha={c.alpha:.6f})")
     s_wrapped %= per                # (-1e-20) % 2 pi is 2 pi itself: this maps it to 0
     if not s_wrapped < per:         # NaN: s is not finite
         raise DomainError(f"frame_at needs a finite arclength, got {s!r}")

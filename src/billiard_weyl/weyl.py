@@ -126,7 +126,15 @@ def corner_coeffs(alpha: float) -> CornerCoefficients:
 
     The closed-orbit family coefficients are defined through alpha = pi/2
     (the right angle is the degenerate end of the acute family); beyond it
-    they are absent.
+    they are absent.  With Dirichlet sides the visible images' rotation sum is
+
+        C_1(alpha) = (1/(8 pi)) [sum over k >= 1, 2 k alpha < pi, of 2 alpha/sin(k alpha)**2
+                                 + alpha once, if 2 m alpha = pi exactly],
+
+    and ``orbit`` = alpha/(8 pi sin(alpha)**2) is one orientation of its k = 1
+    rotation term; at alpha = pi/2 it is C_1's "alpha once" term, 1/16.
+    ``edge_correction`` is the side-reflection part, which the other
+    reflections cancel in C_1.
     """
     # the domain's sharp-corner edge: below about 1.6e-162 sin(alpha)**2 underflows to 0
     if not (0.0 < alpha < math.pi and math.sin(alpha) ** 2 > 0.0):

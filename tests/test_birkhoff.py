@@ -215,6 +215,19 @@ def test_plain_pairs_are_taken_as_birkhoff_coords():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda sq: bk.trace_orbit(sq, (0.5, 0.2, 0.1), 2),
+    lambda sq: bk.bounce_map(sq, 0.5),
+    lambda sq: bk.chain_product(sq, [(0.5, 0.1), 7]),
+    lambda sq: bk.trace_orbit(sq, "01", 2),
+    lambda sq: bk.chain_product(sq, [(0.5, 0.1), (1.5, "x")]),
+], ids=["triple", "scalar", "scalar-point", "string", "string-v"])
+def test_a_start_or_point_that_is_not_a_pair_of_reals_is_refused(call):
+    # each raised a bare TypeError
+    with pytest.raises(DomainError, match="start or point"):
+        call(g.square())
+
+
 @pytest.mark.parametrize("fn,args", [
     (bk.transverse_jacobians, (math.inf, 0.0, 1.0)),
     (bk.transverse_jacobians, (math.nan, 0.0, 1.0, "finish")),

@@ -478,6 +478,18 @@ def test_exit_code_geometry_error(tmp_path, square_file):
     assert out.startswith("geometry error") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("record", ["line 1 2 1 1\nline 1 1 1 2", "line 1 2 1 3\nline 1 3 1 2"],
+                         ids=["slit", "spike"])
+def test_a_boundary_that_doubles_back_is_a_geometry_error(tmp_path, record):
+    # each exited 2 as a usage error about the corner angle
+    cusp = tmp_path / "cusp.bil"
+    cusp.write_text(f"billiard v1\nline 0 0 2 0\nline 2 0 2 2\nline 2 2 1 2\n{record}\n"
+                    f"line 1 2 0 2\nline 0 2 0 0\n", encoding="utf-8")
+    code, out = cli.run(["weyl", "--geometry", str(cusp)])
+    assert code == 4
+    assert out.startswith("geometry error: ") and "a cusp" in out and out.count("\n") == 1
+
+
 def test_exit_code_numerical_error(monkeypatch, capsys, square_file):
     # a corner too sharp for the grid-1 quadrature forces the non-convergence path
     code, out = cli.run(["fold", "--alpha", "1e-7"])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ def test_parse_zero_length_segment():
 def test_boundary_of_non_finite_size_is_refused(build, args):
     with pytest.raises(g.GeometryError, match="zero or non-finite"):
         build(*args)
+
+
+# a 2 x 2 square with a unit slit cut into its top edge, and with a unit spike out of it:
+# the chain turns back on itself, interior angle 0 and 2*pi
+CUSP_DOCS = {
+    "slit": ("billiard v1\nline 0 0 2 0\nline 2 0 2 2\nline 2 2 1 2\nline 1 2 1 1\n"
+             "line 1 1 1 2\nline 1 2 0 2\nline 0 2 0 0\n"),
+    "spike": ("billiard v1\nline 0 0 2 0\nline 2 0 2 2\nline 2 2 1 2\nline 1 2 1 3\n"
+              "line 1 3 1 2\nline 1 2 0 2\nline 0 2 0 0\n"),
+}
+
+
+@pytest.mark.parametrize("name, point", [("slit", r"\(1\.0, 1\.0\)"),
+                                         ("spike", r"\(1\.0, 3\.0\)")])
+def test_a_boundary_that_doubles_back_is_refused(name, point):
+    # each was accepted with a corner of alpha 0.0 or 2*pi
+    with pytest.raises(g.GeometryError, match=f"segment 3 doubles back at {point}: a cusp"):
+        g.parse_geometry(CUSP_DOCS[name])
 
 
 def test_parse_syntax_errors_carry_position():
@@ -239,6 +258,24 @@ def test_frame_at_square_edge_and_corner():
     for s in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             g.frame_at(b, s)
+    # every corner of the shipped geometries, the quarter disk's line-arc corners among
+    # them: refused within CORNER_TOL on either side and across the s = perimeter wrap,
+    # a frame at twice that distance
+    tol = g.CORNER_TOL
+    checked = []
+    for path in sorted((Path(__file__).parents[1] / "geometries").glob("*.bil")):
+        b = g.parse_geometry(path.read_text(encoding="utf-8"))
+        per = b.perimeter
+        for c in b.corners:
+            at_corner = rf"is at a corner \(alpha={c.alpha:.6f}\)$"
+            for s in (c.arclength - tol / 2, c.arclength + tol / 2, c.arclength + per - tol / 2,
+                      c.arclength + per + tol / 2, c.arclength - per + tol / 2):
+                with pytest.raises(g.CornerPointError, match=at_corner):
+                    g.frame_at(b, s)
+            for s in (c.arclength - 2 * tol, c.arclength + 2 * tol, c.arclength + per + 2 * tol):
+                assert isinstance(g.frame_at(b, s), g.BoundaryFrame)
+            checked.append((path.stem, c.arclength))
+    assert len(checked) == 7                # the square's 4 and the quarter disk's 3
 
 
 def test_smooth_junction_is_not_a_corner():
