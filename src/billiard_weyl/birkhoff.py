@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import BilliardError, DomainError
@@ -89,7 +88,7 @@ class _Coord(NamedTuple):
 
 
 class BirkhoffCoord(_Coord):
-    """Boundary point s (finite) with signed tangential velocity v, |v| < 1.
+    """Boundary point s (finite) with signed tangential velocity v, |v| < 1, both real numbers.
 
     A tuple: it unpacks as ``(s, v)`` and equals the plain tuple ``(s, v)``.
     Every coordinate is checked as it is made, traced ones included.
@@ -98,6 +97,8 @@ class BirkhoffCoord(_Coord):
     __slots__ = ()
 
     def __new__(cls, s: float, v: float) -> "BirkhoffCoord":
+        if not (isinstance(s, numbers.Real) and isinstance(v, numbers.Real)):
+            raise DomainError(f"s and v must be real numbers, got {s!r} and {v!r}")
         # s - s is 0.0 for finite s and NaN otherwise: one comparison tests both
         if not abs(v) + (s - s) < 1.0:
             if s - s == 0.0:
@@ -127,8 +128,15 @@ def _coord(c) -> BirkhoffCoord:
     return BirkhoffCoord(s, v)
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+class _Orbit(NamedTuple):
+    v_perp: tuple[float, ...]
+    curvature: tuple[float, ...]
+    chords: tuple[float, ...]
+    y_first: float
+    y_last: float
+
+
+class OrbitSpec(_Orbit):
     """Bounce-sequence data for an orbit with interior endpoints.
 
     ``y_first`` is the position of the first bounce relative to the launch
@@ -138,22 +146,23 @@ class OrbitSpec:
     bounce i+1.
     """
 
-    v_perp: tuple[float, ...]
-    curvature: tuple[float, ...]
-    chords: tuple[float, ...]
-    y_first: float
-    y_last: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.v_perp)
+    def __new__(cls, v_perp, curvature, chords, y_first, y_last) -> "OrbitSpec":
+        n = len(v_perp)
         if n < 1:
             raise DomainError("OrbitSpec needs at least one bounce")
-        if len(self.curvature) != n or len(self.chords) != n - 1:
+        if len(curvature) != n or len(chords) != n - 1:
             raise DomainError("inconsistent per-bounce data lengths")
-        if not all(0.0 < l < math.inf for l in self.chords):
+        if not all(0.0 < l < math.inf for l in chords):
             raise DomainError("chord lengths must be positive and finite")
-        if not all(map(math.isfinite, (self.y_first, self.y_last, *self.curvature))):
+        if not all(map(math.isfinite, (y_first, y_last, *curvature))):
             raise DomainError("bounce offsets and curvatures must be finite")
+        return tuple.__new__(cls, (v_perp, curvature, chords, y_first, y_last))
+
+    @classmethod
+    def _make(cls, iterable) -> "OrbitSpec":
+        return cls(*iterable)       # so that _replace checks too
 
     @property
     def n(self) -> int:

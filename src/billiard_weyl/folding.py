@@ -441,7 +441,7 @@ def dd_constant(alpha: float) -> float:
     return (1.0 + (math.pi - alpha + _PI_LOW) / math.tan(alpha)) / (16.0 * math.pi**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)    # the one dataclass: callers build variants with dataclasses.replace
 class ObtuseCornerResult:
     alpha: float
     value: float                   # every pair of leg words but ("d", "d")

@@ -8,11 +8,8 @@ boundary curvature, and the interior corner angles.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
-
 
 from .errors import BilliardError, DomainError
 
@@ -70,8 +67,7 @@ class CornerPointError(GeometryError):
     """Frame requested exactly at a corner, where it is undefined."""
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One boundary piece: a straight line or a circular arc.
 
     Lines: ``p0 -> p1``.  Arcs: circle of radius ``r`` about ``center``,
@@ -105,36 +101,45 @@ def _piece(seg: Segment) -> tuple:
     return (False, length, *seg.center, r**2, seg.a0, abs(sweep), sign, r, sweep, sign / r)
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     alpha: float                    # interior angle, in (0, 2*pi)
     arclength: float                # cumulative arclength of the junction
 
 
-@dataclass(frozen=True)
-class Boundary:
+class _BoundaryFields(NamedTuple):
     segments: tuple[Segment, ...]
     corners: tuple[Corner, ...]
     cumlen: tuple[float, ...]       # cumulative arclength at segment starts
+    pieces: tuple[tuple, ...]
+
+
+class Boundary(_BoundaryFields):
+    """A closed ccw chain: its segments, corners and the arclength at each segment start.
+
+    ``pieces``, built from ``segments`` when not given and by ``_replace``, is each segment
+    as one flat row.  A line is (True, length, x0, y0, inward normal nx, ny, edge vector ex,
+    ey, unit tangent, inward normal); an arc is (False, length, cx, cy, r**2, a0, |sweep|,
+    sign of sweep, r, sweep, curvature sign/r: +1/r when the center is on the interior,
+    left, side).  The ray trace reads the fields before ex and before sweep.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, segments, corners, cumlen, pieces=None) -> "Boundary":
+        if pieces is None:
+            pieces = tuple(map(_piece, segments))
+        return tuple.__new__(cls, (segments, corners, cumlen, pieces))
+
+    @classmethod
+    def _make(cls, iterable) -> "Boundary":
+        return cls(*tuple(iterable)[:3])      # so that _replace rebuilds the rows
 
     @property
     def perimeter(self) -> float:
         return self.cumlen[-1]
 
-    @functools.cached_property
-    def pieces(self) -> tuple[tuple, ...]:
-        """Each segment's geometry as one flat row, worked out once per boundary.
 
-        A line is (True, length, x0, y0, inward normal nx, ny, edge vector ex, ey, unit
-        tangent, inward normal); an arc is (False, length, cx, cy, r**2, a0, |sweep|, sign
-        of sweep, r, sweep, curvature sign/r: +1/r when the center is on the interior, left,
-        side).  The ray trace reads the fields before ex and before sweep.
-        """
-        return tuple(map(_piece, self.segments))
-
-
-@dataclass(frozen=True)
-class GeometricMeasures:
+class GeometricMeasures(NamedTuple):
     area: float
     perimeter: float
     curvature_integral: float
@@ -197,7 +202,7 @@ def _build_boundary(segments: list[Segment]) -> Boundary:
     for seg in segments:
         cum.append(cum[-1] + seg.length)
 
-    pieces = [_piece(seg) for seg in segments]
+    pieces = tuple(map(_piece, segments))
     corners = []
     for i in range(n):
         ax, ay = _frame(pieces[i], 1.0).tangent
@@ -210,7 +215,7 @@ def _build_boundary(segments: list[Segment]) -> Boundary:
             raise GeometryError(f"segment {i} doubles back at {segments[i].p1}: a cusp, "
                                 f"interior angle {alpha!r} within {CORNER_TOL} of 0 or 2*pi")
         corners.append(Corner(alpha=alpha, arclength=cum[i + 1] % cum[-1]))
-    return Boundary(segments=tuple(segments), corners=tuple(corners), cumlen=tuple(cum))
+    return Boundary(tuple(segments), tuple(corners), tuple(cum), pieces)
 
 
 def _numbers(tokens: list[str], lineno: int) -> list[float]:

@@ -20,9 +20,9 @@ independently of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DomainError
 from .weyl import BoundaryCondition, DIRICHLET
@@ -37,19 +37,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignSignature:
-    """Signs (x1, y1, x2, y2): legs 1 and 2, x- and y-partners."""
-
+class _Signs(NamedTuple):
     sx1: str
     sy1: str
     sx2: str
     sy2: str
 
-    def __post_init__(self):
-        for s in (self.sx1, self.sy1, self.sx2, self.sy2):
+
+class SignSignature(_Signs):
+    """Signs (x1, y1, x2, y2): legs 1 and 2, x- and y-partners."""
+
+    __slots__ = ()
+
+    def __new__(cls, sx1: str, sy1: str, sx2: str, sy2: str) -> "SignSignature":
+        for s in (sx1, sy1, sx2, sy2):
             if s not in "+-":
                 raise DomainError(f"signs must be '+' or '-', got {s!r}")
+        return tuple.__new__(cls, (sx1, sy1, sx2, sy2))
+
+    @classmethod
+    def _make(cls, iterable) -> "SignSignature":
+        return cls(*iterable)       # so that _replace checks too
 
     @property
     def bounce_count(self) -> int:
@@ -64,8 +72,7 @@ ALL_SIGNATURES: tuple[SignSignature, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class DeltaValue:
+class DeltaValue(NamedTuple):
     """Exact constant of the form a + b/pi + c/pi^2 with rational a, b, c."""
 
     const: Fraction = Fraction(0)
@@ -88,8 +95,7 @@ class DeltaValue:
         return DeltaValue(-self.const, -self.over_pi, -self.over_pi2)
 
 
-@dataclass(frozen=True)
-class PathContribution:
+class PathContribution(NamedTuple):
     signature: SignSignature
     area_units: Fraction           # multiples of the area density A/(4 pi)
     # multiples of 1/(8 pi sqrt(E)) per unit length of a side, summed over
@@ -98,8 +104,7 @@ class PathContribution:
     delta_units: DeltaValue        # coefficient of delta(E)
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(NamedTuple):
     entries: tuple[PathContribution, ...]
     total_area: Fraction
     total_length: DeltaValue

@@ -15,7 +15,7 @@ Units: 2m = hbar = 1, E = k^2, travel speed 2k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BilliardError, DomainError, NonConvergence
 from . import specfun
@@ -55,8 +55,7 @@ def _require_acute(alpha: float) -> None:
             f"double-reflection closed orbits require alpha <= pi/2, got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class ClosedOrbitAmplitude:
+class ClosedOrbitAmplitude(NamedTuple):
     """Amplitude bookkeeping for one closed orbit of the family.
 
     ``d_factor`` is the energy-domain density factor, ``det_c`` the
@@ -77,8 +76,7 @@ class ClosedOrbitAmplitude:
     maslov: int = 2
 
 
-@dataclass(frozen=True)
-class CornerOrbit:
+class CornerOrbit(NamedTuple):
     """Double-reflection closed orbit of an acute corner.
 
     The wedge has one side along angle 0 and the other along angle alpha;

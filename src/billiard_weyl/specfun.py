@@ -21,9 +21,8 @@ where its tail decays without oscillating, and it is integrated there once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,8 +49,7 @@ _PANEL_BUDGET = 16384
 _LEG_STEPS = 2.0 ** np.arange(10)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
     evaluations: int
@@ -220,8 +218,9 @@ def hankel_time_integral(w: float) -> QuadratureResult:
     if cut:
         knee, steps = max(0.0, -log_w), min(1.0, 1.0 / w) * _LEG_STEPS
         edges = np.concatenate([knee - steps, knee + steps, [0.0, knee, cut]]).clip(0.0, cut)
+        edges.sort()    # then np.unique's mask, without the numpy.ma import its first call makes
         leg = integrate(lambda t: np.exp(-0.5 * np.exp(t + log_w) * -np.expm1(-2.0 * t)),
-                        np.unique(edges))
+                        edges[np.concatenate(([True], edges[1:] != edges[:-1]))])
     else:
         leg = QuadratureResult(1.0 / w, (1.0 / w) ** 3, 0)
     panels = math.ceil(w / 8.0) + 2

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,19 +63,28 @@ class InsufficientDataError(DomainError):
     """Residual window holds too few eigenvalues for a stable mean."""
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    eigenvalues: np.ndarray    # sorted ascending, multiplicity by repetition
-    shape: str
-    emax: float
+    """Eigenvalues up to ``emax``, ascending, with multiplicity; ``len`` counts them."""
 
-    def __post_init__(self):
-        ev = self.eigenvalues
+    __slots__ = ("eigenvalues", "shape", "emax")
+
+    def __init__(self, eigenvalues: np.ndarray, shape: str, emax: float):
+        ev = eigenvalues
         if len(ev) == 0:
-            raise EmptySpectrumError(f"no eigenvalues below emax={self.emax!r}")
+            raise EmptySpectrumError(f"no eigenvalues below emax={emax!r}")
         # each test is False on NaN
-        if not (ev[0] > 0 and ev[-1] <= self.emax * (1 + 1e-12) and np.all(np.diff(ev) >= 0)):
+        if not (ev[0] > 0 and ev[-1] <= emax * (1 + 1e-12) and np.all(np.diff(ev) >= 0)):
             raise DomainError("eigenvalues must be sorted, positive, and <= emax")
+        for name, value in zip(self.__slots__, (eigenvalues, shape, emax)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Spectrum is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.eigenvalues, self.shape, self.emax)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)

@@ -16,7 +16,7 @@ acute corner together with the edge-restriction correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .geometry import GeometricMeasures
@@ -37,21 +37,28 @@ NEUMANN_UNVERIFIED = "NEUMANN-UNVERIFIED"
 OBTUSE_NO_CLOSED_ORBIT = "ObtuseNoClosedOrbit"
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
+class _Condition(NamedTuple):
     kind: str  # "dirichlet" | "neumann"
 
-    def __post_init__(self):
-        if self.kind not in ("dirichlet", "neumann"):
-            raise DomainError(f"unknown boundary condition {self.kind!r}")
+
+class BoundaryCondition(_Condition):
+    __slots__ = ()
+
+    def __new__(cls, kind: str) -> "BoundaryCondition":
+        if kind not in ("dirichlet", "neumann"):
+            raise DomainError(f"unknown boundary condition {kind!r}")
+        return tuple.__new__(cls, (kind,))
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundaryCondition":
+        return cls(*iterable)       # so that _replace checks too
 
 
 DIRICHLET = BoundaryCondition("dirichlet")
 NEUMANN = BoundaryCondition("neumann")
 
 
-@dataclass(frozen=True)
-class SpectralExpansion:
+class SpectralExpansion(NamedTuple):
     """Coefficients of (E^0, E^(-1/2), delta(E)) in the smooth mode density."""
 
     const_coef: float
@@ -63,8 +70,7 @@ class SpectralExpansion:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CornerCoefficients:
+class CornerCoefficients(NamedTuple):
     """Corner delta(E) coefficients for interior angle alpha.
 
     ``weyl`` is the counting-function constant per corner.  The orbit-family

@@ -1,6 +1,8 @@
 import collections
 import hashlib
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,16 @@ def test_birkhoff_coord_validation():
         c._replace(v=1.5)
 
 
+def test_birkhoff_coord_refuses_values_that_are_not_real():
+    # each was built: the complex one then raised a bare TypeError from v_perp
+    for s, v in ((0.5, 0.5j), (Decimal("0.5"), Decimal("0.2")), (0.5, Decimal("0.2"))):
+        with pytest.raises(DomainError, match="real numbers"):
+            bk.BirkhoffCoord(s, v)
+    with pytest.raises(DomainError, match="real numbers"):
+        bk.BirkhoffCoord(0.3, 0.2)._replace(s=0.5j)
+    assert bk.BirkhoffCoord(Fraction(1, 2), np.float64(0.25)).v_perp == math.sqrt(0.9375)
+
+
 def test_non_finite_input_to_the_ray_path_is_refused():
     sq = g.square()
     start = bk.BirkhoffCoord(0.3, 0.2)
@@ -280,6 +292,18 @@ def test_chain_product_calls_the_bounce_map_by_name_once_per_pair(monkeypatch):
     for a in calls:
         want = bk.Mat2.diag(2.0, 0.5) @ bk.linearized_bounce_map(*a) @ want
     assert m == want
+
+
+def test_each_segment_row_is_built_once_per_boundary(monkeypatch):
+    # the corner angles and the ray trace read one set of rows: 4 calls on the square, not 8
+    calls = []
+    piece = g._piece
+    monkeypatch.setattr(g, "_piece", lambda seg: calls.append(seg) or piece(seg))
+    doc = (Path(__file__).parents[1] / "geometries" / "square.bil").read_text(encoding="utf-8")
+    b = g.parse_geometry(doc)
+    bk.trace_orbit(b, bk.BirkhoffCoord(0.5, 0.2), 3)
+    assert calls == list(b.segments)
+    assert b._replace(segments=g.square(2.0).segments).pieces == g.square(2.0).pieces
 
 
 def test_bounce_map_ray_escape_on_open_chain():

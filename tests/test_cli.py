@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import billiard_weyl
-from billiard_weyl import birkhoff, cli, folding, orbit_terms
-from billiard_weyl.errors import NonConvergence
+from billiard_weyl import (birkhoff, cli, folding, geometry as g, ledger, orbit_terms, specfun,
+                           spectra, weyl)
+from billiard_weyl.errors import DomainError, NonConvergence
 
 SQUARE_DOC = """billiard v1
 line 0 0 1 0
@@ -329,6 +331,21 @@ def test_readme_commands_load_no_scipy():
     assert out.split("\n") == [str([0] * len(argvs)), "[]", ""]
 
 
+def test_readme_commands_but_fold_load_no_dataclasses():
+    # dataclasses (with inspect, ast and dis) costs about 7 ms of a cold start, and
+    # numpy.ma about 11 ms more: np.unique imports it on its first call
+    argvs = [argv for argv in _readme_commands() if argv[0] != "fold"]
+    assert ["green", "--y", "1", "--k", "1", "--verify"] in argvs
+    code = ("import sys, billiard_weyl.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(billiard_weyl.cli.run(argv)[0], argv[0],\n"
+            "          [m for m in ('dataclasses', 'numpy.ma') if m in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(billiard_weyl.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n") == [f"0 {argv[0]} []" for argv in argvs] + [""]
+
+
 def test_exact_commands_never_load_numpy(square_file):
     # weyl, corner, ledger and monodromy are exact formulas, Fractions and 2x2
     # products: neither they nor a refused argv pay numpy's import; staircase does
@@ -409,6 +426,39 @@ def test_every_public_name_has_one_home():
                 assert obj.__module__ == module.__name__, (module_name, name)
             homes.setdefault(name, []).append(module_name)
     assert {name: m for name, m in homes.items() if len(m) > 1} == {}
+
+
+def test_value_records_are_immutable_and_pickle():
+    # one instance of each value record a README command builds, and a field of it
+    sq = g.square()
+    led = ledger.signature_ledger()
+    orbit = birkhoff.OrbitSpec((1.0,), (0.0,), (), 0.5, -0.5)
+    records = [
+        (g.Segment("line", (0.0, 0.0), (1.0, 0.0)), "p1"), (sq.corners[0], "alpha"),
+        (sq, "pieces"), (g.measures(sq), "area"),
+        (weyl.DIRICHLET, "kind"), (weyl.weyl_expansion(g.measures(sq)), "delta_coef"),
+        (weyl.corner_coeffs(1.0), "orbit"),
+        (ledger.ALL_SIGNATURES[3], "sy2"), (led.total_delta, "const"),
+        (led.entries[0], "area_units"), (led, "entries"), (orbit, "y_first"),
+        (specfun.QuadratureResult(1j, 0.0, 0), "value"),
+        (spectra.rectangle_spectrum(1.0, 1.0, 100.0), "emax"),
+        (orbit_terms.single_reflection_factors(1.0, 1.0), "maslov"),
+        (orbit_terms.acute_corner_orbit(1.0, 1.0, 0.5), "length"),
+    ]
+    assert len({type(r) for r, _ in records}) == 16
+    for record, field in records:
+        getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+        copied = pickle.loads(pickle.dumps(record))
+        assert type(copied) is type(record) and getattr(copied, field) == getattr(record, field)
+    # the three that check their input check it on _replace too
+    for record, bad in ((weyl.DIRICHLET, {"kind": "robin"}),
+                        (ledger.ALL_SIGNATURES[0], {"sx2": "x"}), (orbit, {"chords": (1.0,)})):
+        with pytest.raises(DomainError):
+            record._replace(**bad)
 
 
 def test_package_import_holds_only_the_version():
